@@ -7,11 +7,14 @@
 //       same structure,
 //   (c) CPU-device dispatch: ns per cell of a map kernel through the
 //       devirtualized trampoline path, host pool pinned to one thread so
-//       the number is dispatch overhead rather than parallel speedup.
+//       the number is dispatch overhead rather than parallel speedup,
+//   (d) the CG abstraction ratio: one-thread 32^3 cgSolve against the
+//       hand-written NativeCg on the same seeded right-hand side (median
+//       of interleaved solves, so host load cancels out of the ratio).
 // Emits BENCH_overhead_report.json; CI gates cached-sequence cost and
-// ns-per-cell dispatch against bench/baselines/BENCH_overhead_baseline.json
-// and requires the cached path to be >= 10x cheaper than the compile path
-// (tools/check_bench_reports.py).
+// ns-per-cell dispatch against bench/baselines/BENCH_overhead_baseline.json,
+// requires the cached path to be >= 10x cheaper than the compile path and
+// bounds the CG ratio (tools/check_bench_reports.py).
 
 #include <benchmark/benchmark.h>
 
@@ -19,13 +22,17 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <random>
 #include <vector>
 
 #include "common/benchtool.hpp"
 #include "dgrid/dfield.hpp"
 #include "dgrid/dgrid.hpp"
 #include "patterns/blas.hpp"
+#include "poisson/native.hpp"
+#include "poisson/poisson.hpp"
 #include "skeleton/schedule_cache.hpp"
 #include "skeleton/skeleton.hpp"
 
@@ -111,6 +118,71 @@ double medianNs(std::vector<double> xs)
 {
     std::sort(xs.begin(), xs.end());
     return xs[xs.size() / 2];
+}
+
+/// (d) The CG abstraction ratio: Neon's cgSolve and NativeCg solve the same
+/// 32^3 Poisson problem from x = 0 to 1e-8, both on one host thread.
+constexpr index_3d kCgDim{32, 32, 32};
+constexpr double   kCgTolerance = 1e-8;
+constexpr int      kCgMaxIterations = 1000;
+constexpr int      kCgReps = 7;
+
+struct CgRatio
+{
+    benchtool::PairedMedians seconds;  ///< a: Neon, b: native
+    int                      neonIters = 0;
+    int                      nativeIters = 0;
+    bool                     converged = true;
+};
+
+CgRatio measureCgRatio()
+{
+    using Field = dgrid::DField<double>;
+    std::mt19937_64                        rng(7);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    std::vector<double>                    rhs(kCgDim.size());
+    for (auto& v : rhs) {
+        v = dist(rng);
+    }
+
+    auto         backend = set::Backend::make(set::BackendSpec::cpu(1).withHostThreads(1));
+    dgrid::DGrid grid(backend, kCgDim, Stencil::laplace7());
+    Field        x = grid.newField<double>("x", 1, 0.0);
+    Field        b = grid.newField<double>("b", 1, 0.0);
+    b.forEachHost([&](const index_3d& g, int, double& v) { v = rhs[kCgDim.pitch(g)]; });
+    b.updateDev();
+    const std::function<set::Container(Field, Field)> apply = [&grid](Field in, Field out) {
+        return poisson::makeLaplacianApply(grid, in, out);
+    };
+    solver::CgOptions options;
+    options.maxIterations = kCgMaxIterations;
+    options.tolerance = kCgTolerance;
+
+    CgRatio r;
+    r.seconds = benchtool::interleavedMedians(
+        kCgReps,
+        [&] {
+            x.fillHost(0.0);
+            x.updateDev();
+            const auto t0 = Clock::now();
+            const auto res =
+                solver::cgSolve<dgrid::DGrid, Field, double>(grid, apply, x, b, options);
+            const double ns = nsBetween(t0, Clock::now());
+            r.neonIters = res.iterations;
+            r.converged = r.converged && res.converged;
+            return ns * 1e-9;
+        },
+        [&] {
+            poisson::native::NativeCg cg(kCgDim);
+            cg.rhs() = rhs;
+            const auto   t0 = Clock::now();
+            const auto   res = cg.solve(kCgMaxIterations, kCgTolerance);
+            const double ns = nsBetween(t0, Clock::now());
+            r.nativeIters = res.iterations;
+            r.converged = r.converged && res.converged;
+            return ns * 1e-9;
+        });
+    return r;
 }
 
 }  // namespace
@@ -214,6 +286,10 @@ int main(int argc, char** argv)
     cpuSkl.sync();
     const double nsPerCell = nsBetween(tDisp0, Clock::now()) / (kDispatchRuns * cells);
 
+    // ---- (d) CG abstraction ratio ---------------------------------------
+    const CgRatio cg = measureCgRatio();
+    const double  cgRatio = cg.seconds.a / cg.seconds.b;
+
     benchtool::Table table;
     table.title = "Runtime overhead (zero-cost backend, wall clock)";
     table.header = {"metric", "value"};
@@ -225,6 +301,9 @@ int main(int argc, char** argv)
         {"compile / cached speedup", benchtool::fmt(speedup, 1)},
         {"cache hits", benchtool::fmt(hits, 0) + "/" + benchtool::fmt(kRepeats, 0)},
         {"cpu dispatch (ns per cell)", benchtool::fmt(nsPerCell, 2)},
+        {"CG 32^3, 1 thread: Neon (ms, median)", benchtool::fmt(cg.seconds.a * 1e3, 1)},
+        {"CG 32^3, 1 thread: native (ms, median)", benchtool::fmt(cg.seconds.b * 1e3, 1)},
+        {"CG Neon / native", benchtool::fmt(cgRatio, 2)},
     };
     table.print();
 
@@ -249,6 +328,16 @@ int main(int argc, char** argv)
        << "    \"cells\": " << cells << ",\n"
        << "    \"runs_measured\": " << kDispatchRuns << ",\n"
        << "    \"ns_per_cell\": " << nsPerCell << "\n"
+       << "  },\n"
+       << "  \"cg\": {\n"
+       << "    \"cells\": " << kCgDim.size() << ",\n"
+       << "    \"reps\": " << kCgReps << ",\n"
+       << "    \"neon_iters\": " << cg.neonIters << ",\n"
+       << "    \"native_iters\": " << cg.nativeIters << ",\n"
+       << "    \"converged\": " << (cg.converged ? "true" : "false") << ",\n"
+       << "    \"neon_ms\": " << cg.seconds.a * 1e3 << ",\n"
+       << "    \"native_ms\": " << cg.seconds.b * 1e3 << ",\n"
+       << "    \"ratio\": " << cgRatio << "\n"
        << "  }\n"
        << "}\n";
     std::cout << "wrote BENCH_overhead_report.json (speedup " << benchtool::fmt(speedup, 1)

@@ -1,5 +1,6 @@
 #include "common/benchtool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -19,6 +20,25 @@ std::map<std::string, double>& registry()
 }
 std::mutex gMutex;
 }  // namespace
+
+PairedMedians interleavedMedians(int reps, const std::function<double()>& a,
+                                 const std::function<double()>& b)
+{
+    (void)a();
+    (void)b();
+    std::vector<double> ta;
+    std::vector<double> tb;
+    for (int i = 0; i < reps; ++i) {
+        ta.push_back(a());
+        tb.push_back(b());
+    }
+    auto median = [](std::vector<double>& v) {
+        std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
+                         v.end());
+        return v[v.size() / 2];
+    };
+    return {median(ta), median(tb)};
+}
 
 bool paperScale()
 {

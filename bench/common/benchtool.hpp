@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,6 +33,18 @@ std::string fmt(double v, int precision = 2);
 /// in the working directory (next to any --benchmark_out JSON). Record the
 /// section of interest with backend.profiler().enable(true) first.
 void writeReportJson(set::Backend& backend, const std::string& name);
+
+/// Medians of two wall-clock measurements taken `reps` times each,
+/// interleaved (a, b, a, b, ...) after one untimed warm-up of each side, so
+/// host load and cache state fall on both sides alike. Each body returns
+/// the seconds it measured, which lets it keep its own set-up untimed.
+struct PairedMedians
+{
+    double a = 0.0;
+    double b = 0.0;
+};
+PairedMedians interleavedMedians(int reps, const std::function<double()>& a,
+                                 const std::function<double()>& b);
 
 /// Markdown-ish table printer.
 struct Table

@@ -15,45 +15,40 @@
 namespace neon::dgrid {
 
 /// Partition local view captured by compute lambdas (valid on one device).
+/// Every access addresses memory from the cell's linear index and the
+/// element strides getPartition() fixes once:
+///   element(lin, c) = (haloR * dimX * dimY + lin) * cellStride + c * compStride
+/// with lin = (z * dimY + y) * dimX + x the partition-local plane-linear
+/// index. SoA fields have cellStride 1 and a component stride of one
+/// halo-padded slab (owned planes + 2 haloR); AoS fields have
+/// cellStride = card and compStride 1.
 template <typename T>
 struct DPartition
 {
-    T*        mem = nullptr;
-    int32_t   dimX = 0;
-    int32_t   dimY = 0;
-    int32_t   zCount = 0;
-    int32_t   haloR = 0;
-    int32_t   zAlloc = 0;
-    int32_t   card = 1;
-    int32_t   zOrigin = 0;
-    int32_t   globalZ = 0;
-    MemLayout layout = MemLayout::structOfArrays;
-    T         outside = T{};
+    T*      mem = nullptr;
+    int32_t dimX = 0;
+    int32_t dimY = 0;
+    int32_t haloR = 0;
+    int32_t card = 1;
+    int32_t zOrigin = 0;
+    int32_t globalZ = 0;
+    T       outside = T{};
+    int64_t cellStride = 1;  ///< elements between linearly adjacent cells
+    int64_t compStride = 0;  ///< elements between components of one cell
+    int64_t lowHalo = 0;     ///< linear index of owned cell (0, 0, 0): haloR planes
 
+    /// Element index of (x, y, zb, c), zb counting from the lowest halo plane.
     [[nodiscard]] size_t bufIdx(int32_t x, int32_t y, int32_t zb, int32_t c) const
     {
-        if (layout == MemLayout::structOfArrays) {
-            return ((static_cast<size_t>(c) * static_cast<size_t>(zAlloc) + static_cast<size_t>(zb)) *
-                        static_cast<size_t>(dimY) +
-                    static_cast<size_t>(y)) *
-                       static_cast<size_t>(dimX) +
-                   static_cast<size_t>(x);
-        }
-        return ((static_cast<size_t>(zb) * static_cast<size_t>(dimY) + static_cast<size_t>(y)) *
-                    static_cast<size_t>(dimX) +
-                static_cast<size_t>(x)) *
-                   static_cast<size_t>(card) +
-               static_cast<size_t>(c);
+        return static_cast<size_t>(
+            ((static_cast<int64_t>(zb) * dimY + y) * dimX + x) * cellStride + c * compStride);
     }
 
-    [[nodiscard]] T& operator()(const DCell& cell, int32_t c = 0)
-    {
-        return mem[bufIdx(cell.x, cell.y, cell.z + haloR, c)];
-    }
+    [[nodiscard]] T& operator()(const DCell& cell, int32_t c = 0) { return mem[at(cell.mIdx, c)]; }
 
     [[nodiscard]] const T& operator()(const DCell& cell, int32_t c = 0) const
     {
-        return mem[bufIdx(cell.x, cell.y, cell.z + haloR, c)];
+        return mem[at(cell.mIdx, c)];
     }
 
     struct NghData
@@ -64,20 +59,19 @@ struct DPartition
 
     /// Read a neighbour's value; cells outside the global domain return the
     /// field's outsideValue (isValid == false). Neighbours in another
-    /// partition are served from the halo planes.
+    /// partition are served from the halo planes, so |offset.z| must not
+    /// exceed haloR (unchecked here; the access sanitizer reports it).
     [[nodiscard]] NghData nghData(const DCell& cell, const index_3d& offset, int32_t c = 0) const
     {
-        const int32_t nx = cell.x + offset.x;
-        const int32_t ny = cell.y + offset.y;
-        const int32_t nz = cell.z + offset.z;
-        if (nx < 0 || nx >= dimX || ny < 0 || ny >= dimY) {
+        // One branch: a negative coordinate wraps to a huge unsigned value.
+        const auto nx = static_cast<uint32_t>(cell.x + offset.x);
+        const auto ny = static_cast<uint32_t>(cell.y + offset.y);
+        const auto gz = static_cast<uint32_t>(zOrigin + cell.z + offset.z);
+        if ((nx >= static_cast<uint32_t>(dimX)) | (ny >= static_cast<uint32_t>(dimY)) |
+            (gz >= static_cast<uint32_t>(globalZ))) {
             return {outside, false};
         }
-        const int32_t gz = zOrigin + nz;
-        if (gz < 0 || gz >= globalZ) {
-            return {outside, false};
-        }
-        return {mem[bufIdx(nx, ny, nz + haloR, c)], true};
+        return {mem[at(cell.mIdx + linearOffset(offset), c)], true};
     }
 
     [[nodiscard]] T nghVal(const DCell& cell, const index_3d& offset, int32_t c = 0) const
@@ -93,7 +87,7 @@ struct DPartition
     [[nodiscard]] T nghValUnchecked(const DCell& cell, const index_3d& offset,
                                     int32_t c = 0) const
     {
-        return mem[bufIdx(cell.x + offset.x, cell.y + offset.y, cell.z + offset.z + haloR, c)];
+        return mem[at(cell.mIdx + linearOffset(offset), c)];
     }
 
     [[nodiscard]] index_3d globalIdx(const DCell& cell) const
@@ -103,10 +97,7 @@ struct DPartition
 
     /// Flat buffer index of an owned cell — what FieldBase::forEachActiveHost
     /// adds to rawHost() (domain contract, shared by every grid's partition).
-    [[nodiscard]] size_t flatIdx(const DCell& cell, int32_t c) const
-    {
-        return bufIdx(cell.x, cell.y, cell.z + haloR, c);
-    }
+    [[nodiscard]] size_t flatIdx(const DCell& cell, int32_t c) const { return at(cell.mIdx, c); }
 
     [[nodiscard]] index_3d globalDim() const { return {dimX, dimY, globalZ}; }
 
@@ -120,6 +111,17 @@ struct DPartition
     [[nodiscard]] static int32_t stencilExtent(const index_3d& offset)
     {
         return offset.z < 0 ? -offset.z : offset.z;
+    }
+
+   private:
+    [[nodiscard]] size_t at(int64_t lin, int32_t c) const
+    {
+        return static_cast<size_t>((lowHalo + lin) * cellStride + c * compStride);
+    }
+
+    [[nodiscard]] int64_t linearOffset(const index_3d& offset) const
+    {
+        return (static_cast<int64_t>(offset.z) * dimY + offset.y) * dimX + offset.x;
     }
 };
 
@@ -162,14 +164,16 @@ class DField : public domain::FieldBase<DGrid, T>
         part.mem = this->mCore->data.rawDev(dev);
         part.dimX = grid().dim().x;
         part.dimY = grid().dim().y;
-        part.zCount = p.zCount;
         part.haloR = grid().haloRadius();
-        part.zAlloc = p.zCount + 2 * part.haloR;
         part.card = cardinality();
         part.zOrigin = p.zOrigin;
         part.globalZ = grid().dim().z;
-        part.layout = layout();
         part.outside = outsideValue();
+        const int64_t plane = static_cast<int64_t>(part.dimX) * part.dimY;
+        const bool    soa = layout() == MemLayout::structOfArrays;
+        part.cellStride = soa ? 1 : part.card;
+        part.compStride = soa ? plane * (p.zCount + 2 * part.haloR) : 1;
+        part.lowHalo = plane * part.haloR;
         return part;
     }
 

@@ -19,16 +19,36 @@
 
 namespace neon::dgrid {
 
-/// Local cell coordinate inside one partition: x/y global, z in [0, zCount).
+/// Local cell coordinate inside one partition: x/y global, z in [0, zCount),
+/// plus the cell's plane-linear index (z * dimY + y) * dimX + x, from which
+/// DPartition addresses memory. The index has one producer, the span
+/// decoder, plus the (x, y, z) constructor below for cells built by hand,
+/// so it always agrees with x/y/z (docs/domain.md, "Dense cells").
 struct DCell
 {
     int32_t x = 0;
     int32_t y = 0;
     int32_t z = 0;
+
+    /// A hand-built cell of a grid with dimension `dim` (only dim.x and
+    /// dim.y enter the index; every partition shares them).
+    DCell(int32_t x, int32_t y, int32_t z, const index_3d& dim)
+        : DCell(x, y, z, (static_cast<int64_t>(z) * dim.y + y) * dim.x + x)
+    {
+    }
+
+   private:
+    friend struct DSpanDecoder;
+    template <typename T>
+    friend struct DPartition;
+
+    DCell(int32_t x, int32_t y, int32_t z, int64_t idx) : x(x), y(y), z(z), mIdx(idx) {}
+
+    int64_t mIdx = 0;
 };
 
 /// domain::Span decoder for the dense grid: a slot is one z-plane, expanded
-/// y-outer/x-inner.
+/// y-outer/x-inner. The linear index is incremented, never recomputed.
 struct DSpanDecoder
 {
     int32_t dimX = 0;
@@ -37,9 +57,10 @@ struct DSpanDecoder
     template <typename Fn>
     void forEachInSlot(int32_t z, Fn&& fn) const
     {
+        int64_t idx = static_cast<int64_t>(z) * dimY * dimX;
         for (int32_t y = 0; y < dimY; ++y) {
-            for (int32_t x = 0; x < dimX; ++x) {
-                fn(DCell{x, y, z});
+            for (int32_t x = 0; x < dimX; ++x, ++idx) {
+                fn(DCell(x, y, z, idx));
             }
         }
     }

@@ -9,6 +9,7 @@
 // iterations with per-iteration values (CG's alpha/beta).
 
 #include <string>
+#include <type_traits>
 
 #include "set/container.hpp"
 #include "set/loader.hpp"
@@ -16,14 +17,45 @@
 
 namespace neon::patterns {
 
+/// Map container whose body loops over a field's components: the loading
+/// lambda returns `body(cell, card)`, where `card` is
+/// std::integral_constant<int, 1> for scalar fields and the int cardinality
+/// otherwise. The compile-time 1 folds the component loop away; with a
+/// runtime trip count GCC keeps the one-iteration loop on every cell and
+/// the cell loop no longer vectorizes.
+template <typename Grid, typename LoadingLambda>
+set::Container componentMap(std::string name, const Grid& grid, int card, LoadingLambda load)
+{
+    auto build = [&](auto n) {
+        return grid.newContainer(std::move(name), [load, n](auto& l) mutable {
+            return [body = load(l), n](const auto& cell) mutable { body(cell, n); };
+        });
+    };
+    return card == 1 ? build(std::integral_constant<int, 1>{}) : build(card);
+}
+
+/// Reduction counterpart of componentMap: `load` returns
+/// `body(cell, card, T& acc)`, folded into `result` by reduceFactory.
+template <typename Grid, typename T, typename LoadingLambda>
+set::Container componentReduce(std::string name, const Grid& grid, set::GlobalScalar<T> result,
+                               int card, LoadingLambda load)
+{
+    auto build = [&](auto n) {
+        return set::Container::reduceFactory(
+            std::move(name), grid, result, [load, n](auto& l) mutable {
+                return [body = load(l), n](const auto& cell, T& acc) { body(cell, n, acc); };
+            });
+    };
+    return card == 1 ? build(std::integral_constant<int, 1>{}) : build(card);
+}
+
 /// f[i] = value for all components.
 template <typename Grid, typename Field, typename T>
 set::Container setValue(const Grid& grid, Field f, T value, std::string name = "set")
 {
-    const int card = f.cardinality();
-    return grid.newContainer(std::move(name), [f, value, card](auto& l) mutable {
+    return componentMap(std::move(name), grid, f.cardinality(), [f, value](auto& l) mutable {
         auto fp = l.load(f, Access::WRITE);
-        return [=](const auto& cell) mutable {
+        return [=](const auto& cell, auto card) mutable {
             for (int c = 0; c < card; ++c) {
                 fp(cell, c) = value;
             }
@@ -35,11 +67,10 @@ set::Container setValue(const Grid& grid, Field f, T value, std::string name = "
 template <typename Grid, typename Field>
 set::Container copy(const Grid& grid, Field src, Field dst, std::string name = "copy")
 {
-    const int card = src.cardinality();
-    return grid.newContainer(std::move(name), [src, dst, card](auto& l) mutable {
+    return componentMap(std::move(name), grid, src.cardinality(), [src, dst](auto& l) mutable {
         auto s = l.load(src, Access::READ);
         auto d = l.load(dst, Access::WRITE);
-        return [=](const auto& cell) mutable {
+        return [=](const auto& cell, auto card) mutable {
             for (int c = 0; c < card; ++c) {
                 d(cell, c) = s(cell, c);
             }
@@ -47,19 +78,20 @@ set::Container copy(const Grid& grid, Field src, Field dst, std::string name = "
     });
 }
 
-/// y[i] += alpha * x[i]   (alpha is a device-resident global scalar).
+/// y[i] += alpha * x[i]   (alpha is a device-resident global scalar, read
+/// once per cell).
 template <typename Grid, typename Field, typename T>
 set::Container axpy(const Grid& grid, set::GlobalScalar<T> alpha, Field x, Field y,
                     std::string name = "axpy")
 {
-    const int card = x.cardinality();
-    return grid.newContainer(std::move(name), [alpha, x, y, card](auto& l) mutable {
+    return componentMap(std::move(name), grid, x.cardinality(), [alpha, x, y](auto& l) mutable {
         auto a = l.load(alpha, Access::READ);
         auto xp = l.load(x, Access::READ);
         auto yp = l.load(y, Access::WRITE);
-        return [=](const auto& cell) mutable {
+        return [=](const auto& cell, auto card) mutable {
+            const T av = a();
             for (int c = 0; c < card; ++c) {
-                yp(cell, c) += a() * xp(cell, c);
+                yp(cell, c) += av * xp(cell, c);
             }
         };
     });
@@ -70,14 +102,14 @@ template <typename Grid, typename Field, typename T>
 set::Container axmy(const Grid& grid, set::GlobalScalar<T> alpha, Field x, Field y,
                     std::string name = "axmy")
 {
-    const int card = x.cardinality();
-    return grid.newContainer(std::move(name), [alpha, x, y, card](auto& l) mutable {
+    return componentMap(std::move(name), grid, x.cardinality(), [alpha, x, y](auto& l) mutable {
         auto a = l.load(alpha, Access::READ);
         auto xp = l.load(x, Access::READ);
         auto yp = l.load(y, Access::WRITE);
-        return [=](const auto& cell) mutable {
+        return [=](const auto& cell, auto card) mutable {
+            const T av = a();
             for (int c = 0; c < card; ++c) {
-                yp(cell, c) -= a() * xp(cell, c);
+                yp(cell, c) -= av * xp(cell, c);
             }
         };
     });
@@ -88,14 +120,14 @@ template <typename Grid, typename Field, typename T>
 set::Container xpby(const Grid& grid, Field x, set::GlobalScalar<T> beta, Field y,
                     std::string name = "xpby")
 {
-    const int card = x.cardinality();
-    return grid.newContainer(std::move(name), [x, beta, y, card](auto& l) mutable {
+    return componentMap(std::move(name), grid, x.cardinality(), [x, beta, y](auto& l) mutable {
         auto b = l.load(beta, Access::READ);
         auto xp = l.load(x, Access::READ);
         auto yp = l.load(y, Access::WRITE);
-        return [=](const auto& cell) mutable {
+        return [=](const auto& cell, auto card) mutable {
+            const T bv = b();
             for (int c = 0; c < card; ++c) {
-                yp(cell, c) = xp(cell, c) + b() * yp(cell, c);
+                yp(cell, c) = xp(cell, c) + bv * yp(cell, c);
             }
         };
     });
@@ -106,12 +138,11 @@ template <typename Grid, typename Field, typename T>
 set::Container dot(const Grid& grid, Field x, Field y, set::GlobalScalar<T> result,
                    std::string name = "dot")
 {
-    const int card = x.cardinality();
-    return set::Container::reduceFactory(
-        std::move(name), grid, result, [x, y, card](auto& l) mutable {
+    return componentReduce(
+        std::move(name), grid, result, x.cardinality(), [x, y](auto& l) mutable {
             auto xp = l.load(x, Access::READ, Compute::REDUCE);
             auto yp = l.load(y, Access::READ, Compute::REDUCE);
-            return [=](const auto& cell, T& acc) {
+            return [=](const auto& cell, auto card, T& acc) {
                 for (int c = 0; c < card; ++c) {
                     acc += xp(cell, c) * yp(cell, c);
                 }
@@ -135,11 +166,10 @@ set::Container normInf(const Grid& grid, Field x, set::GlobalScalar<T> result,
 {
     NEON_CHECK(result.reduceOp() == set::ReduceOp::Max,
                "normInf requires a Max-reduction scalar");
-    const int card = x.cardinality();
-    return set::Container::reduceFactory(
-        std::move(name), grid, result, [x, result, card](auto& l) mutable {
+    return componentReduce(
+        std::move(name), grid, result, x.cardinality(), [x, result](auto& l) mutable {
             auto xp = l.load(x, Access::READ, Compute::REDUCE);
-            return [=](const auto& cell, T& acc) {
+            return [=](const auto& cell, auto card, T& acc) {
                 for (int c = 0; c < card; ++c) {
                     const T v = xp(cell, c) < T{} ? -xp(cell, c) : xp(cell, c);
                     result.fold(acc, v);

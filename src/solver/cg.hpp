@@ -67,11 +67,11 @@ CgResult cgSolve(const Grid&                                          grid,
 
     // --- init: r = b - A x ; rsold = r.r ; bNorm = b.b -------------------
     auto applyX = makeApply(x, Ap);
-    auto initR = grid.newContainer("cg.initR", [b, Ap, r, card](auto& l) mutable {
+    auto initR = patterns::componentMap("cg.initR", grid, card, [b, Ap, r](auto& l) mutable {
         auto bp = l.load(b, Access::READ);
         auto ap = l.load(Ap, Access::READ);
         auto rp = l.load(r, Access::WRITE);
-        return [=](const auto& cell) mutable {
+        return [=](const auto& cell, auto card) mutable {
             for (int c = 0; c < card; ++c) {
                 rp(cell, c) = bp(cell, c) - ap(cell, c);
             }

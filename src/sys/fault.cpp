@@ -143,7 +143,7 @@ bool FaultInjector::deviceLost(int device) const
 {
     std::lock_guard<std::mutex> lock(mMutex);
     return device >= 0 && static_cast<size_t>(device) < mLost.size() &&
-           mLost[static_cast<size_t>(device)] != 0;
+           mLost[static_cast<size_t>(device)].has_value();
 }
 
 void FaultInjector::reset()
@@ -176,20 +176,24 @@ FaultDecision FaultInjector::decide(int device, int stream, ScheduleOpKind kind,
         }
 
         if (spec.kind == FaultKind::PermanentDeviceLoss) {
-            bool lost = device >= 0 && static_cast<size_t>(device) < mLost.size() &&
-                        mLost[static_cast<size_t>(device)] != 0;
-            // Trigger at the run boundary: the decision depends only on the
-            // op's run id, never on cross-stream arrival order.
-            if (!lost && (spec.run < 0 || (attr.runId >= 0 && attr.runId >= spec.run))) {
-                lost = true;
+            if (device >= 0 && static_cast<size_t>(device) < mLost.size() &&
+                mLost[static_cast<size_t>(device)]) {
+                // Sticky hit: an op of an earlier run still queued on another
+                // stream reports the loss under the trigger's attribution.
+                d.deviceLost = true;
+                d.lostAttr = *mLost[static_cast<size_t>(device)];
+            } else if (spec.run < 0 || (attr.runId >= 0 && attr.runId >= spec.run)) {
+                // Trigger at the run boundary: the decision depends only on
+                // the op's run id, never on cross-stream arrival order.
                 if (device >= 0) {
                     if (static_cast<size_t>(device) >= mLost.size()) {
-                        mLost.resize(static_cast<size_t>(device) + 1, 0);
+                        mLost.resize(static_cast<size_t>(device) + 1);
                     }
-                    mLost[static_cast<size_t>(device)] = 1;
+                    mLost[static_cast<size_t>(device)] = attr;
                 }
+                d.deviceLost = true;
+                d.lostAttr = attr;
             }
-            d.deviceLost = d.deviceLost || lost;
             continue;
         }
 

@@ -115,13 +115,18 @@ struct FaultDecision
     bool   deviceLost = false;
     double stallSeconds = 0.0;
     double slowdown = 1.0;
+    /// deviceLost: attribution of the op that triggered the loss. Every op
+    /// that meets the lost device carries it, so the reported run does not
+    /// depend on which stream's op latches the abort first.
+    OpAttribution lostAttr;
 };
 
 /// Engine-owned runtime state of a FaultPlan: per-(device, stream, kind) op
 /// ordinals for the seeded probability gate and the sticky lost-device
-/// latch. decide() is thread-safe; because each stream's ops are processed
-/// in FIFO order by exactly one thread, the ordinals — and therefore every
-/// decision — are identical across engines.
+/// latch, which keeps the triggering op's attribution. decide() is
+/// thread-safe; because each stream's ops are processed in FIFO order by
+/// exactly one thread, the ordinals — and therefore every decision — are
+/// identical across engines.
 class FaultInjector
 {
    public:
@@ -146,7 +151,8 @@ class FaultInjector
     FaultPlan                              mPlan;
     std::atomic<bool>                      mActive{false};
     std::unordered_map<uint64_t, uint64_t> mOrdinals;
-    std::vector<char>                      mLost;
+    /// Per device: the attribution of the op that triggered its loss.
+    std::vector<std::optional<OpAttribution>> mLost;
 };
 
 }  // namespace neon::sys

@@ -195,9 +195,9 @@ FaultDecision Engine::consultFaults(const Device& dev, int stream, ScheduleOpKin
         info.stream = stream;
         info.opKind = opKindName;
         info.opName = opName;
-        info.containerId = attr.containerId;
-        info.runId = attr.runId;
-        info.jobId = attr.jobId;
+        info.containerId = d.lostAttr.containerId;
+        info.runId = d.lostAttr.runId;
+        info.jobId = d.lostAttr.jobId;
         auto error = std::make_exception_ptr(RuntimeError(std::move(info)));
         raiseAbort(error);
         std::rethrow_exception(error);

@@ -115,8 +115,9 @@ class Engine
 
    protected:
     /// Consult the fault injector for the op about to be processed; on
-    /// permanent device loss, latch the abort and throw the attributed
-    /// RuntimeError. `opKindName`/`opName` feed the error message.
+    /// permanent device loss, latch the abort and throw a RuntimeError that
+    /// names this op and carries the container/run/job attribution of the
+    /// op that triggered the loss. `opKindName`/`opName` feed the message.
     FaultDecision consultFaults(const Device& dev, int stream, ScheduleOpKind kind,
                                 const OpAttribution& attr, const char* opKindName,
                                 const std::string& opName);

@@ -206,15 +206,16 @@ TEST_F(SanitizerTest, RadiusOneStencilIsClean)
 
 TEST_F(SanitizerTest, DetectsOutOfSpanWrite)
 {
-    Rig  rig(Backend::cpu(1));
-    auto bad = rig.grid.newContainer("strayWrite", [dst = rig.f0](auto& l) mutable {
+    Rig            rig(Backend::cpu(1));
+    const index_3d dim = rig.grid.dim();
+    auto bad = rig.grid.newContainer("strayWrite", [dst = rig.f0, dim](auto& l) mutable {
         auto dp = l.load(dst, Access::WRITE);
         return [=](const dgrid::DCell& c) mutable {
             dp(c) = 1.0;
             if (c.z == 5) {
                 // Write a halo plane the launch span does not cover (the
                 // memory exists: radius-1 halo below z=0).
-                dgrid::DCell stray{c.x, c.y, -1};
+                const dgrid::DCell stray(c.x, c.y, -1, dim);
                 dp(stray) = 2.0;
             }
         };

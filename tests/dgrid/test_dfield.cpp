@@ -77,15 +77,16 @@ TEST(DField, OutsideDomainReturnsOutsideValue)
     auto  f = grid.newField<float>("f", 1, 42.0f);
     f.forEachHost([](const index_3d&, int, float& v) { v = 1.0f; });
     f.updateDev();
-    auto part = f.getPartition(0);
+    auto       part = f.getPartition(0);
+    const auto dim = grid.dim();
 
-    auto low = part.nghData({0, 0, 0}, {-1, 0, 0});
+    auto low = part.nghData(DCell(0, 0, 0, dim), {-1, 0, 0});
     EXPECT_FALSE(low.isValid);
     EXPECT_EQ(low.value, 42.0f);
-    auto high = part.nghData({2, 2, 2}, {0, 0, 1});
+    auto high = part.nghData(DCell(2, 2, 2, dim), {0, 0, 1});
     EXPECT_FALSE(high.isValid);
     EXPECT_EQ(high.value, 42.0f);
-    auto in = part.nghData({1, 1, 1}, {0, 0, 1});
+    auto in = part.nghData(DCell(1, 1, 1, dim), {0, 0, 1});
     EXPECT_TRUE(in.isValid);
     EXPECT_EQ(in.value, 1.0f);
 }

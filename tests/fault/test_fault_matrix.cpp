@@ -260,6 +260,37 @@ TEST_P(FaultMatrix, DeviceLossAfterCleanRunReportsLastCompletedRun)
     }
 }
 
+// The threaded engine may still process run 0's ops on one stream of the
+// lost device after run 1's op on another stream tripped the loss; those
+// late ops must report the triggering run, whichever op latches the abort
+// first. Repeated because the interleaving differs from run to run.
+TEST(FaultMatrixThreaded, DeviceLossAttributionStableOverRepetitions)
+{
+    constexpr int kRepetitions = 200;
+    sys::FaultPlan plan(3);
+    plan.add(sys::FaultSpec::deviceLoss(1, /*fromRun=*/1));
+    int         misattributed = 0;
+    std::string first;
+    for (int i = 0; i < kRepetitions; ++i) {
+        Backend b = makeBackend(3, Backend::EngineKind::Threaded, plan);
+        MiniApp app(b);
+        app.skl.run();
+        try {
+            app.skl.run();
+            app.skl.sync();
+            ADD_FAILURE() << "repetition " << i << ": expected RuntimeError";
+        } catch (const RuntimeError& e) {
+            const bool ok = e.info.kind == RuntimeError::Kind::DeviceLost &&
+                            e.info.device == 1 && e.info.runId == 1 &&
+                            e.info.lastCompletedRun == 0;
+            if (!ok && misattributed++ == 0) {
+                first = "repetition " + std::to_string(i) + ": " + e.what();
+            }
+        }
+    }
+    EXPECT_EQ(misattributed, 0) << "first: " << first;
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, FaultMatrix,
                          ::testing::Values(Backend::EngineKind::Sequential,
                                            Backend::EngineKind::Threaded),

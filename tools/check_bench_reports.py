@@ -12,8 +12,11 @@ Two schemas are understood:
   (docs/performance.md, "bench": "overhead"): enqueue cost,
   compile-vs-cached sequence() timings, and CPU-device kernel dispatch
   (ns per cell through the devirtualized trampoline path at one host
-  thread). The machine-independent gate is speedup >= 10 (a cached
-  sequence() must replay, not recompile). With --overhead-baseline, the
+  thread), plus the CG abstraction ratio (one-thread 32^3 cgSolve over
+  the hand-written NativeCg, medians of interleaved solves). The
+  machine-independent gates are speedup >= 10 (a cached sequence() must
+  replay, not recompile) and CG ratio <= 2.5 (both sides are timed in one
+  process, so host load cancels out). With --overhead-baseline, the
   cached-path wall cost and the dispatch ns_per_cell are additionally
   gated at 2x the committed baseline, so a hot-path regression fails CI
   even when the compile path regresses by the same factor.
@@ -66,12 +69,18 @@ SERVICE_MIN_JOBS = 1000
 OVERHEAD_ENQUEUE_KEYS = ["ops_per_run", "runs_measured", "ns_per_op"]
 OVERHEAD_SEQUENCE_KEYS = ["repeats", "compile_ns", "cached_ns", "speedup", "cache_hits"]
 OVERHEAD_DISPATCH_KEYS = ["cells", "runs_measured", "ns_per_cell"]
+OVERHEAD_CG_KEYS = ["cells", "reps", "converged", "neon_ms", "native_ms", "ratio"]
 
 # A cached sequence() is a recipe replay; anything under this factor means
 # it is recompiling (or the cache stopped hitting).
 MIN_CACHED_SPEEDUP = 10.0
 # Regression headroom against the committed baseline's cached_ns.
 BASELINE_SLACK = 2.0
+# One-thread Neon CG over the hand-written CG on the same problem
+# (docs/performance.md, "Dense cell addressing"): 1.1-1.3x measured with
+# linear cell addressing, 5.8x with the coordinate-addressed accessors and
+# runtime component loops it replaced.
+MAX_CG_RATIO = 2.5
 
 
 def load(path: str):
@@ -117,6 +126,7 @@ def check_overhead_report(path: str, report: dict, baseline_path: str | None) ->
     enqueue = report.get("enqueue")
     sequence = report.get("sequence")
     dispatch = report.get("dispatch")
+    cg = report.get("cg")
     if not isinstance(enqueue, dict):
         errors.append(f"{path}: missing 'enqueue' section")
     else:
@@ -135,6 +145,12 @@ def check_overhead_report(path: str, report: dict, baseline_path: str | None) ->
         for key in OVERHEAD_DISPATCH_KEYS:
             if key not in dispatch:
                 errors.append(f"{path}: dispatch section missing '{key}'")
+    if not isinstance(cg, dict):
+        errors.append(f"{path}: missing 'cg' section")
+    else:
+        for key in OVERHEAD_CG_KEYS:
+            if key not in cg:
+                errors.append(f"{path}: cg section missing '{key}'")
     if errors:
         return errors
 
@@ -153,6 +169,13 @@ def check_overhead_report(path: str, report: dict, baseline_path: str | None) ->
         errors.append(
             f"{path}: cached sequence() only {sequence['speedup']:.1f}x cheaper than "
             f"compile (gate: >= {MIN_CACHED_SPEEDUP:.0f}x) — the cache is not replaying"
+        )
+    if not cg["converged"] or cg["neon_ms"] <= 0 or cg["native_ms"] <= 0:
+        errors.append(f"{path}: cg section malformed or a solve did not converge")
+    elif cg["ratio"] > MAX_CG_RATIO:
+        errors.append(
+            f"{path}: one-thread CG takes {cg['ratio']:.2f}x the hand-written CG "
+            f"(gate: <= {MAX_CG_RATIO}x; {cg['neon_ms']:.1f} ms vs {cg['native_ms']:.1f} ms)"
         )
 
     if baseline_path is not None:
