@@ -34,7 +34,7 @@ struct BGrid::Impl : domain::GridBase::BaseImpl
     std::vector<std::vector<int64_t>> activePrefix;
 
     /// Kept for repartition/rebind: active blocks per block row in (by, bx)
-    /// order and the per-row active-cell totals, so rebuildStructure can
+    /// order and the per-row active-cell totals, so applyUnits can
     /// re-derive every table for any row cuts.
     std::vector<std::vector<size_t>> rowBlocks;
     std::vector<int64_t>             rowActive;
@@ -74,9 +74,6 @@ BGrid::BGrid(set::Backend backend, index_3d dim,
     g.blockVol = blockDim * blockDim * blockDim;
     g.blockGrid = {ceilDiv(dim.x, blockDim), ceilDiv(dim.y, blockDim), ceilDiv(dim.z, blockDim)};
 
-    const int  nDev = g.backend.devCount();
-    const bool dry = g.backend.isDryRun();
-
     // Pass 1: per-block activity masks over the bounding box.
     g.blockMasks.assign(g.blockGrid.size(), 0);
     for (int32_t z = 0; z < dim.z; ++z) {
@@ -109,52 +106,19 @@ BGrid::BGrid(set::Backend backend, index_3d dim,
     }
 
     mBase = std::move(impl);
-    std::vector<int32_t> bzFirst;
-    std::vector<int32_t> bzCount;
-    computeCuts(devCount(), bzFirst, bzCount);
-    rebuildStructure(bzFirst, bzCount);
+    slice(initialCuts());
 }
 
-void BGrid::computeCuts(int nDev, std::vector<int32_t>& bzFirst,
-                        std::vector<int32_t>& bzCount) const
+domain::PartitionPlan BGrid::initialCuts() const
 {
-    // Partition block rows, balancing active cells (like eGrid's plane
-    // cuts). Interior devices need >= 2 rows so the boundary-low and
-    // boundary-high classes are disjoint.
-    const Impl&   g = impl<Impl>();
-    const int32_t minRows = nDev > 1 ? 2 : 1;
-    NEON_CHECK(g.blockGrid.z >= nDev * minRows,
-               "bgrid needs at least 2 block rows per device when multi-device");
-    bzFirst.assign(static_cast<size_t>(nDev), 0);
-    bzCount.assign(static_cast<size_t>(nDev), 0);
-    const double target = static_cast<double>(g.totalActive) / nDev;
-    int32_t      row = 0;
-    for (int d = 0; d < nDev; ++d) {
-        bzFirst[static_cast<size_t>(d)] = row;
-        int64_t       acc = 0;
-        const int32_t rowsLeft = g.blockGrid.z - row;
-        const int     devsLeft = nDev - d;
-        const int32_t maxRows = rowsLeft - (devsLeft - 1) * minRows;
-        int32_t       used = 0;
-        while (used < maxRows &&
-               (used < minRows || (d < nDev - 1 && static_cast<double>(acc) < target))) {
-            acc += g.rowActive[static_cast<size_t>(row)];
-            ++row;
-            ++used;
-        }
-        if (d == nDev - 1) {
-            row = g.blockGrid.z;
-            used = rowsLeft;
-        }
-        bzCount[static_cast<size_t>(d)] = used;
-    }
+    // Partition block rows, balancing active cells like eGrid's plane cuts.
+    return domain::balancedCuts(impl<Impl>().rowActive, devCount(), minUnitsPerDev());
 }
 
-void BGrid::rebuildStructure(const std::vector<int32_t>& bzFirst,
-                             const std::vector<int32_t>& bzCount)
+void BGrid::applyUnits(const std::vector<int64_t>& units)
 {
     Impl&      g = impl<Impl>();
-    const int  nDev = static_cast<int>(bzCount.size());
+    const int  nDev = static_cast<int>(units.size());
     const int  blockDim = g.blockDim;
     const bool dry = g.backend.isDryRun();
 
@@ -163,10 +127,12 @@ void BGrid::rebuildStructure(const std::vector<int32_t>& bzFirst,
     auto rowSize = [&](int32_t bz) {
         return static_cast<int32_t>(g.rowBlocks[static_cast<size_t>(bz)].size());
     };
+    int32_t firstRow = 0;
     for (int d = 0; d < nDev; ++d) {
         PartInfo& p = g.parts[static_cast<size_t>(d)];
-        p.bzFirst = bzFirst[static_cast<size_t>(d)];
-        p.bzCount = bzCount[static_cast<size_t>(d)];
+        p.bzFirst = firstRow;
+        p.bzCount = static_cast<int32_t>(units[static_cast<size_t>(d)]);
+        firstRow += p.bzCount;
         p.nOwned = 0;
         for (int32_t bz = p.bzFirst; bz < p.bzFirst + p.bzCount; ++bz) {
             p.nOwned += rowSize(bz);
@@ -311,87 +277,21 @@ void BGrid::rebuildStructure(const std::vector<int32_t>& bzFirst,
     g.ngh.updateDev();
 }
 
-domain::PartitionPlan BGrid::currentPlan() const
-{
-    domain::PartitionPlan plan;
-    for (const PartInfo& p : impl<Impl>().parts) {
-        plan.unitsPerDev.push_back(p.bzCount);
-    }
-    return plan;
-}
-
 int64_t BGrid::minUnitsPerDev() const
 {
+    // Interior devices need >= 2 rows so the boundary-low and boundary-high
+    // classes are disjoint.
     return devCount() > 1 ? 2 : 1;
 }
 
-void BGrid::repartition(const domain::PartitionPlan& plan)
+domain::CellWindow BGrid::cellWindow(int dev) const
 {
-    Impl&     g = impl<Impl>();
-    const int nDev = devCount();
-    NEON_CHECK(plan.devCount() == nDev,
-               "bGrid::repartition: plan device count != grid device count");
-    NEON_CHECK(plan.total() == g.blockGrid.z,
-               "bGrid::repartition: plan must cover every block row");
-    for (const int64_t u : plan.unitsPerDev) {
-        NEON_CHECK(u >= minUnitsPerDev(),
-                   "bGrid::repartition: every device needs at least 2 block rows");
-    }
-
-    // Owned cells per device in the global block ordering (active blocks
-    // ascending (bz, by, bx)); every stored block contributes blockVol
-    // buffer cells, active or not, so the migration unit is blocks * vol.
-    const auto           vol = static_cast<int64_t>(g.blockVol);
-    std::vector<int64_t> oldCells;
-    for (const PartInfo& p : g.parts) {
-        oldCells.push_back(static_cast<int64_t>(p.nOwned) * vol);
-    }
-
-    std::vector<int32_t> bzFirst;
-    std::vector<int32_t> bzCount;
-    int32_t              row = 0;
-    for (const int64_t u : plan.unitsPerDev) {
-        bzFirst.push_back(row);
-        bzCount.push_back(static_cast<int32_t>(u));
-        row += static_cast<int32_t>(u);
-    }
-    rebuildStructure(bzFirst, bzCount);
-
-    domain::RegridInfo   info;
-    std::vector<int64_t> newCells;
-    for (const PartInfo& p : g.parts) {
-        newCells.push_back(static_cast<int64_t>(p.nOwned) * vol);
-        info.newCellCounts.push_back(static_cast<size_t>(p.nLocal()) *
-                                     static_cast<size_t>(g.blockVol));
-        info.oldOwnedStart.push_back(0);
-        info.newOwnedStart.push_back(0);
-    }
-    info.migrate = domain::migrationSegments(oldCells, newCells);
-    info.migrateData = true;
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
-}
-
-void BGrid::rebindBackend(set::Backend survivor)
-{
-    Impl&     g = impl<Impl>();
-    const int nDev = survivor.devCount();
-    g.backend = std::move(survivor);
-    std::vector<int32_t> bzFirst;
-    std::vector<int32_t> bzCount;
-    computeCuts(nDev, bzFirst, bzCount);
-    rebuildStructure(bzFirst, bzCount);
-
-    domain::RegridInfo info;
-    info.migrateData = false;
-    for (const PartInfo& p : g.parts) {
-        info.newCellCounts.push_back(static_cast<size_t>(p.nLocal()) *
-                                     static_cast<size_t>(g.blockVol));
-        info.oldOwnedStart.push_back(0);
-        info.newOwnedStart.push_back(0);
-    }
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
+    // Every stored block contributes blockVol buffer cells, active or not,
+    // so the migration unit is blocks * vol (owned blocks ascend (bz, by,
+    // bx) globally).
+    const PartInfo& p = part(dev);
+    const auto      vol = static_cast<int64_t>(impl<Impl>().blockVol);
+    return {p.nOwned * vol, p.nLocal() * vol, 0};
 }
 
 BSpan BGrid::span(int dev, DataView view) const

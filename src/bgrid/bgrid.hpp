@@ -82,7 +82,7 @@ class BSpan : public domain::Span<BSpanDecoder>
 template <typename T>
 class BField;
 
-class BGrid : public domain::GridBase, public domain::GridOps<BGrid>
+class BGrid : public domain::GridOps<BGrid>
 {
    public:
     using Cell = BCell;
@@ -137,29 +137,26 @@ class BGrid : public domain::GridBase, public domain::GridOps<BGrid>
     [[nodiscard]] const set::MemSet<int32_t>&  blockNgh() const;
     [[nodiscard]] const set::MemSet<index_3d>& origins() const;
 
-    // --- adaptive repartitioning (docs/robustness.md) -----------------------
-    /// Current decomposition in partition units (block rows per device).
-    [[nodiscard]] domain::PartitionPlan currentPlan() const;
-    /// Total partition units (block rows of the bounding box).
+    // --- adaptive repartitioning (docs/robustness.md; the regrid path
+    // itself — currentPlan / repartition / rebindBackend — is GridOps') ----
+    /// Total partition units: block rows of the bounding box (a repartition
+    /// is a block-granular mask reassignment).
     [[nodiscard]] int64_t partitionUnits() const { return blockGridDim().z; }
-    /// Smallest row count repartition() accepts per device (interior
-    /// devices need disjoint boundary-low/high rows when multi-device).
+    /// Smallest row count per device (interior devices need disjoint
+    /// boundary-low/high rows when multi-device).
     [[nodiscard]] int64_t minUnitsPerDev() const;
-    /// Re-assign block rows in place — block-granular mask reassignment —
-    /// and migrate every registered field. Containers must be rebuild()-ed
-    /// and skeletons re-sequenced (Backend::geometryEpoch enforces).
-    void repartition(const domain::PartitionPlan& plan);
-    /// Online-recovery rebind onto a smaller backend; fields re-allocate
-    /// without migration — the recovery driver restores checkpointed state.
-    void rebindBackend(set::Backend survivor);
 
    private:
+    friend class domain::GridOps<BGrid>;
     struct Impl;
-    /// Greedy active-balanced row cuts for `nDev` devices (ctor + rebind).
-    void computeCuts(int nDev, std::vector<int32_t>& bzFirst, std::vector<int32_t>& bzCount) const;
+
+    // Partition hooks (domain::GridOps): active-balanced row cuts; a buffer
+    // holds the owned blocks, then the ghost blocks.
+    [[nodiscard]] domain::PartitionPlan initialCuts() const;
     /// (Re)build parts, halo segments, structure tables and the host maps
-    /// from prescribed row cuts.
-    void rebuildStructure(const std::vector<int32_t>& bzFirst, const std::vector<int32_t>& bzCount);
+    /// for `units` block rows per device.
+    void                             applyUnits(const std::vector<int64_t>& units);
+    [[nodiscard]] domain::CellWindow cellWindow(int dev) const;
 };
 
 }  // namespace neon::bgrid

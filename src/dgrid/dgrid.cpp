@@ -6,16 +6,6 @@
 
 namespace neon::dgrid {
 
-std::vector<int32_t> splitBalanced(int32_t total, int nDev)
-{
-    NEON_CHECK(total >= nDev, "domain z-extent must be >= device count");
-    std::vector<int32_t> counts(static_cast<size_t>(nDev), total / nDev);
-    for (int i = 0; i < total % nDev; ++i) {
-        ++counts[static_cast<size_t>(i)];
-    }
-    return counts;
-}
-
 DGrid::DGrid(set::Backend backend, index_3d dim, Stencil stencil)
 {
     NEON_CHECK(dim.x > 0 && dim.y > 0 && dim.z > 0, "grid dimensions must be positive");
@@ -25,15 +15,19 @@ DGrid::DGrid(set::Backend backend, index_3d dim, Stencil stencil)
     impl->dim = dim;
     impl->stencil = std::move(stencil);
     impl->haloRadius = std::max(1, impl->stencil.zRadius());
-
-    const auto counts = splitBalanced(dim.z, impl->backend.devCount());
-    rebuildTables(*impl, counts);
     mBase = std::move(impl);
+    slice(initialCuts());
 }
 
-void DGrid::rebuildTables(Impl& impl, const std::vector<int32_t>& counts)
+domain::PartitionPlan DGrid::initialCuts() const
 {
-    const int      nDev = static_cast<int>(counts.size());
+    return domain::PartitionPlan::even(dim().z, devCount());
+}
+
+void DGrid::applyUnits(const std::vector<int64_t>& units)
+{
+    auto&          impl = this->impl<Impl>();
+    const int      nDev = static_cast<int>(units.size());
     const index_3d dim = impl.dim;
     const int      r = impl.haloRadius;
     impl.parts.clear();
@@ -43,7 +37,7 @@ void DGrid::rebuildTables(Impl& impl, const std::vector<int32_t>& counts)
     for (int d = 0; d < nDev; ++d) {
         PartInfo p;
         p.zOrigin = origin;
-        p.zCount = counts[static_cast<size_t>(d)];
+        p.zCount = static_cast<int32_t>(units[static_cast<size_t>(d)]);
         p.hasLow = d > 0;
         p.hasHigh = d < nDev - 1;
         // Boundary slabs: cells whose stencil reaches a neighbour partition.
@@ -76,83 +70,17 @@ void DGrid::rebuildTables(Impl& impl, const std::vector<int32_t>& counts)
     }
 }
 
-domain::PartitionPlan DGrid::currentPlan() const
-{
-    domain::PartitionPlan plan;
-    for (const PartInfo& p : impl<Impl>().parts) {
-        plan.unitsPerDev.push_back(p.zCount);
-    }
-    return plan;
-}
-
 int64_t DGrid::minUnitsPerDev() const
 {
     return std::max(1, haloRadius());
 }
 
-void DGrid::repartition(const domain::PartitionPlan& plan)
+domain::CellWindow DGrid::cellWindow(int dev) const
 {
-    auto&     impl = this->impl<Impl>();
-    const int nDev = devCount();
-    NEON_CHECK(plan.devCount() == nDev,
-               "dGrid::repartition: plan device count != grid device count");
-    NEON_CHECK(plan.total() == dim().z, "dGrid::repartition: plan must cover every z-plane");
-    for (const int64_t u : plan.unitsPerDev) {
-        NEON_CHECK(u >= minUnitsPerDev(),
-                   "dGrid::repartition: every device needs at least haloRadius planes");
-    }
-
-    const auto           plane = static_cast<int64_t>(dim().x) * static_cast<int64_t>(dim().y);
-    std::vector<int64_t> oldCells;
-    std::vector<int64_t> newCells;
-    for (const PartInfo& p : impl.parts) {
-        oldCells.push_back(static_cast<int64_t>(p.zCount) * plane);
-    }
-    for (const int64_t u : plan.unitsPerDev) {
-        newCells.push_back(u * plane);
-    }
-
-    std::vector<int32_t> counts;
-    for (const int64_t u : plan.unitsPerDev) {
-        counts.push_back(static_cast<int32_t>(u));
-    }
-    rebuildTables(impl, counts);
-
-    const int          r = impl.haloRadius;
-    domain::RegridInfo info;
-    for (int d = 0; d < nDev; ++d) {
-        info.newCellCounts.push_back(
-            static_cast<size_t>((plan.unitsPerDev[static_cast<size_t>(d)] + 2 * r) * plane));
-        info.oldOwnedStart.push_back(static_cast<int64_t>(r) * plane);
-        info.newOwnedStart.push_back(static_cast<int64_t>(r) * plane);
-    }
-    info.migrate = domain::migrationSegments(oldCells, newCells);
-    info.migrateData = true;
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
-}
-
-void DGrid::rebindBackend(set::Backend survivor)
-{
-    auto&     impl = this->impl<Impl>();
-    const int nDev = survivor.devCount();
-    impl.backend = std::move(survivor);
-    const auto counts = splitBalanced(dim().z, nDev);
-    rebuildTables(impl, counts);
-
-    const auto         plane = static_cast<int64_t>(dim().x) * static_cast<int64_t>(dim().y);
-    const int          r = impl.haloRadius;
-    domain::RegridInfo info;
-    info.migrateData = false;
-    for (int d = 0; d < nDev; ++d) {
-        info.newCellCounts.push_back(
-            static_cast<size_t>((static_cast<int64_t>(counts[static_cast<size_t>(d)]) + 2 * r) *
-                                plane));
-        info.oldOwnedStart.push_back(static_cast<int64_t>(r) * plane);
-        info.newOwnedStart.push_back(static_cast<int64_t>(r) * plane);
-    }
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
+    const auto plane = static_cast<int64_t>(dim().x) * static_cast<int64_t>(dim().y);
+    const auto r = static_cast<int64_t>(haloRadius());
+    const auto zCount = static_cast<int64_t>(part(dev).zCount);
+    return {zCount * plane, (zCount + 2 * r) * plane, r * plane};
 }
 
 DSpan DGrid::span(int dev, DataView view) const

@@ -2,9 +2,9 @@
 // DGrid: dense Cartesian grid partitioned across devices along z
 // (paper §IV-C: "both Grids decompose the Cartesian domain only on one
 // dimension so that each GPU communicates only with two other neighbour
-// GPUs"). Shared state and the factory surface live in domain::GridBase /
-// domain::GridOps; this header adds only the dense-specific parts: the
-// z-slab partition table and the plane-based span.
+// GPUs"). Shared state, the factory surface and the regrid path live in
+// domain::GridBase / domain::GridOps; this header adds only the
+// dense-specific parts: the z-slab partition table and the plane-based span.
 
 #include <memory>
 #include <string>
@@ -88,7 +88,7 @@ class DSpan : public domain::Span<DSpanDecoder>
 template <typename T>
 class DField;
 
-class DGrid : public domain::GridBase, public domain::GridOps<DGrid>
+class DGrid : public domain::GridOps<DGrid>
 {
    public:
     using Cell = DCell;
@@ -133,26 +133,17 @@ class DGrid : public domain::GridBase, public domain::GridOps<DGrid>
     /// Constant-time z-plane -> owning device lookup.
     [[nodiscard]] int devOfZ(int32_t z) const;
 
-    // --- adaptive repartitioning (docs/robustness.md) -----------------------
-    /// Current decomposition in partition units (z-planes per device).
-    [[nodiscard]] domain::PartitionPlan currentPlan() const;
-    /// Total partition units (the grid's z extent).
+    // --- adaptive repartitioning (docs/robustness.md; the regrid path
+    // itself — currentPlan / repartition / rebindBackend — is GridOps') ----
+    /// Total partition units: z-planes (the grid's z extent).
     [[nodiscard]] int64_t partitionUnits() const { return dim().z; }
     /// Smallest owned-plane count repartition() accepts per device: a full
     /// halo's worth, so fed halo halves always come from owned planes.
     [[nodiscard]] int64_t minUnitsPerDev() const;
-    /// Re-slice the z-decomposition in place and migrate every registered
-    /// field through the transfer path. Containers built on this grid must
-    /// be rebuild()-ed (and skeletons re-sequenced) afterwards — enforced
-    /// via Backend::geometryEpoch.
-    void repartition(const domain::PartitionPlan& plan);
-    /// Online-recovery rebind: move this grid onto `survivor` (fewer
-    /// devices), re-slice evenly and re-allocate fields WITHOUT migrating
-    /// data (the lost device's buffers are gone); the recovery driver
-    /// restores checkpointed state afterwards.
-    void rebindBackend(set::Backend survivor);
 
    private:
+    friend class domain::GridOps<DGrid>;
+
     struct Impl : domain::GridBase::BaseImpl
     {
         std::vector<PartInfo> parts;
@@ -160,10 +151,11 @@ class DGrid : public domain::GridBase, public domain::GridOps<DGrid>
         std::vector<int32_t> zToDev;
     };
 
-    static void rebuildTables(Impl& impl, const std::vector<int32_t>& counts);
+    // Partition hooks (domain::GridOps): even z-slabs; owned planes sit
+    // between two haloRadius-deep halo slabs in every field buffer.
+    [[nodiscard]] domain::PartitionPlan initialCuts() const;
+    void                                applyUnits(const std::vector<int64_t>& units);
+    [[nodiscard]] domain::CellWindow    cellWindow(int dev) const;
 };
-
-/// Balanced 1-D decomposition of `total` planes over `nDev` devices.
-std::vector<int32_t> splitBalanced(int32_t total, int nDev);
 
 }  // namespace neon::dgrid

@@ -3,14 +3,16 @@
 // "the Domain level hides data partitioning behind interchangeable grids").
 //
 //   - GridBase owns the state all grids share — name, backend, bounding
-//     dim, stencil union, halo radius and the precomputed HaloSegment
-//     lists — behind one shared_ptr. A concrete grid derives its Impl from
-//     GridBase::BaseImpl (single allocation, accessed via impl<Derived>())
-//     and adds only its partition-specific tables.
-//   - GridOps<Derived> is a CRTP mixin providing the factory surface
-//     (newField / newContainer) so every grid exposes the identical API
-//     and every freshly built field type is checked against FieldConcept
-//     at compile time.
+//     dim, stencil union, halo radius, the current PartitionPlan and the
+//     precomputed HaloSegment lists — behind one shared_ptr. A concrete
+//     grid derives its Impl from GridBase::BaseImpl (single allocation,
+//     accessed via impl<Derived>()) and adds only its partition-specific
+//     tables.
+//   - GridOps<Derived> is the CRTP base every grid derives from. It
+//     provides the factory surface (newField / newContainer), so every
+//     freshly built field type is checked against FieldConcept at compile
+//     time, and the one regrid path (currentPlan / repartition /
+//     rebindBackend) over three per-grid partition hooks.
 
 #include <memory>
 #include <mutex>
@@ -88,6 +90,9 @@ class GridBase
         index_3d     dim;
         Stencil      stencil;
         int          haloRadius = 1;
+        /// Current decomposition (GridOps::slice keeps it in step with the
+        /// concrete grid's partition tables).
+        PartitionPlan plan;
         /// haloSegments[dev]: segments device `dev` sends (built by the
         /// concrete grid's constructor).
         std::vector<std::vector<HaloSegment>> haloSegments;
@@ -113,14 +118,31 @@ class GridBase
     std::shared_ptr<BaseImpl> mBase;
 };
 
-/// CRTP factory surface. `Derived` must expose `template FieldType<T>`
-/// constructible as FieldType<T>(derived, name, card, outside, layout).
+/// One device's field-buffer geometry under the current decomposition, in
+/// the grid's cell units: what RegridInfo needs to size the new buffers and
+/// move the owned windows.
+struct CellWindow
+{
+    int64_t owned = 0;       ///< owned cells (the migrated window)
+    int64_t allocated = 0;   ///< buffer cells: owned + halo/ghost
+    int64_t ownedStart = 0;  ///< offset of the owned window in the buffer
+};
+
+/// CRTP base of every grid: the factory surface and the regrid path.
+/// `Derived` must expose `template FieldType<T>` constructible as
+/// FieldType<T>(derived, name, card, outside, layout), plus
+/// `partitionUnits()` and `minUnitsPerDev()`, and give GridOps (a friend)
+/// three partition hooks:
+///   - `initialCuts()`: the plan its constructor applies for the current
+///     device count (also the rebindBackend plan);
+///   - `applyUnits(unitsPerDev)`: rebuild the partition tables for a plan;
+///   - `cellWindow(dev)`: device `dev`'s CellWindow under those tables.
 template <typename Derived>
-class GridOps
+class GridOps : public GridBase
 {
    public:
     // Deduced return type (Derived::FieldType<T>): Derived is incomplete
-    // while this mixin is being instantiated inside its own definition.
+    // while this base is being instantiated inside its own definition.
     template <typename T>
     [[nodiscard]] auto newField(std::string name, int cardinality, T outsideValue,
                                 MemLayout layout = MemLayout::structOfArrays) const
@@ -140,8 +162,87 @@ class GridOps
                                        std::forward<LoadingLambda>(fn));
     }
 
+    // --- adaptive repartitioning (docs/robustness.md) -----------------------
+    /// Current decomposition in partition units (Derived::partitionUnits()).
+    [[nodiscard]] PartitionPlan currentPlan() const { return mBase->plan; }
+
+    /// Re-slice the decomposition in place and migrate every registered
+    /// field through the transfer path. Containers built on this grid must
+    /// be rebuild()-ed (and skeletons re-sequenced) afterwards — enforced
+    /// via Backend::geometryEpoch.
+    void repartition(const PartitionPlan& plan)
+    {
+        NEON_CHECK(plan.devCount() == devCount(),
+                   gridName() + "::repartition: plan device count != grid device count");
+        NEON_CHECK(plan.total() == self().partitionUnits(),
+                   gridName() + "::repartition: plan must cover every partition unit");
+        for (const int64_t u : plan.unitsPerDev) {
+            NEON_CHECK(u >= self().minUnitsPerDev(),
+                       gridName() + "::repartition: a device gets fewer than minUnitsPerDev()");
+        }
+        const std::vector<CellWindow> before = windows();
+        slice(plan);
+        regridFields(before, true);
+    }
+
+    /// Online-recovery rebind: move this grid onto `survivor` (fewer
+    /// devices), re-slice with the constructor's cuts and re-allocate the
+    /// fields WITHOUT migrating data (the lost device's buffers are gone);
+    /// the recovery driver restores checkpointed state afterwards.
+    void rebindBackend(set::Backend survivor)
+    {
+        mBase->backend = std::move(survivor);
+        slice(self().initialCuts());
+        regridFields({}, false);
+    }
+
+   protected:
+    /// Adopt `plan` and rebuild the partition tables for it: the grid
+    /// constructors' last step, and the re-slice step of the regrid path.
+    void slice(PartitionPlan plan)
+    {
+        mBase->plan = std::move(plan);
+        self().applyUnits(mBase->plan.unitsPerDev);
+    }
+
    private:
     [[nodiscard]] const Derived& self() const { return static_cast<const Derived&>(*this); }
+    [[nodiscard]] Derived&       self() { return static_cast<Derived&>(*this); }
+
+    [[nodiscard]] std::vector<CellWindow> windows() const
+    {
+        std::vector<CellWindow> w;
+        for (int d = 0; d < devCount(); ++d) {
+            w.push_back(self().cellWindow(d));
+        }
+        return w;
+    }
+
+    /// Hand every registered field the new geometry (and, when `migrate`,
+    /// the owned-window moves from `before`), then bump the geometry epoch.
+    void regridFields(const std::vector<CellWindow>& before, bool migrate)
+    {
+        RegridInfo           info;
+        std::vector<int64_t> newOwned;
+        for (const CellWindow& w : windows()) {
+            info.newCellCounts.push_back(static_cast<size_t>(w.allocated));
+            info.newOwnedStart.push_back(w.ownedStart);
+            newOwned.push_back(w.owned);
+        }
+        info.migrateData = migrate;
+        if (migrate) {
+            std::vector<int64_t> oldOwned;
+            for (const CellWindow& w : before) {
+                oldOwned.push_back(w.owned);
+                info.oldOwnedStart.push_back(w.ownedStart);
+            }
+            info.migrate = migrationSegments(oldOwned, newOwned);
+        } else {
+            info.oldOwnedStart = info.newOwnedStart;
+        }
+        applyRegridToFields(info);
+        backend().noteGeometryChange();
+    }
 };
 
 }  // namespace neon::domain

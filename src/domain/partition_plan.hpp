@@ -1,11 +1,12 @@
 #pragma once
 // PartitionPlan: an explicit 1-D decomposition of a grid's partition units
 // (z-planes for dGrid/eGrid, block rows for bGrid) over the devices of a
-// Backend. The static equal-slab split every grid constructor applies is
-// just PartitionPlan::even(); Repartitioner (src/repartition) produces
-// measured-rate uneven plans, and Grid::repartition(plan) re-slices a live
-// grid — migrating every registered field's cell data through the normal
-// transfer path so the move itself is traced, faultable and costed.
+// Backend. Grid constructors start from a static plan — dGrid from
+// PartitionPlan::even(), eGrid/bGrid from balancedCuts() over their active
+// cells; Repartitioner (src/repartition) produces measured-rate uneven
+// plans, and Grid::repartition(plan) re-slices a live grid — migrating
+// every registered field's cell data through the normal transfer path so
+// the move itself is traced, faultable and costed (domain::GridOps).
 //
 // The migration geometry rides on one invariant all three grids share:
 // every partition enumerates its *owned* units in ascending global order,
@@ -38,8 +39,8 @@ struct PartitionPlan
         return t;
     }
 
-    /// The balanced split the grid constructors apply (remainder to the
-    /// lowest-ranked devices).
+    /// Equal split of `total` units (remainder to the lowest-ranked
+    /// devices): the dGrid constructor's plan.
     static PartitionPlan even(int64_t total, int nDev)
     {
         NEON_CHECK(nDev >= 1, "PartitionPlan: device count must be >= 1");
@@ -120,6 +121,37 @@ struct PartitionPlan
         return os.str();
     }
 };
+
+/// Greedy weight-balanced cuts (the eGrid/bGrid constructor plans, with
+/// active cells per unit as `weights`): every device but the last takes
+/// units until its weight reaches sum(weights) / nDev, but never fewer than
+/// `minUnits` and never so many that a later device would get fewer; the
+/// last device takes the rest.
+inline PartitionPlan balancedCuts(const std::vector<int64_t>& weights, int nDev, int64_t minUnits)
+{
+    const auto total = static_cast<int64_t>(weights.size());
+    NEON_CHECK(nDev >= 1, "balancedCuts: device count must be >= 1");
+    NEON_CHECK(total >= nDev * minUnits, "balancedCuts: fewer than minUnits units per device");
+    int64_t sum = 0;
+    for (const int64_t w : weights) {
+        sum += w;
+    }
+    const double  target = static_cast<double>(sum) / nDev;
+    PartitionPlan plan;
+    int64_t       unit = 0;
+    for (int d = 0; d < nDev - 1; ++d) {
+        const int64_t maxUnits = total - unit - (nDev - d - 1) * minUnits;
+        int64_t       acc = 0;
+        int64_t       used = 0;
+        while (used < maxUnits && (used < minUnits || static_cast<double>(acc) < target)) {
+            acc += weights[static_cast<size_t>(unit++)];
+            ++used;
+        }
+        plan.unitsPerDev.push_back(used);
+    }
+    plan.unitsPerDev.push_back(total - unit);
+    return plan;
+}
 
 /// One contiguous cell move between the old and the new decomposition.
 /// Offsets are relative to the *owned* window of each device's local cell

@@ -23,10 +23,10 @@ struct EGrid::Impl : domain::GridBase::BaseImpl
     std::vector<uint64_t> hostLocal;
 
     /// Kept for repartition/rebind: the activity predicate and the per-plane
-    /// active-cell histogram let rebuildStructure re-derive every table for
+    /// active-cell histogram let applyUnits re-derive every table for
     /// any plane cuts without re-scanning the predicate over planes twice.
     std::function<bool(const index_3d&)> active;
-    std::vector<size_t>                  perPlane;
+    std::vector<int64_t>                 perPlane;
 
     [[nodiscard]] size_t lutSize() const
     {
@@ -67,58 +67,25 @@ EGrid::EGrid(set::Backend backend, index_3d dim,
                 }
             }
         }
-        g.totalActive += g.perPlane[static_cast<size_t>(z)];
+        g.totalActive += static_cast<size_t>(g.perPlane[static_cast<size_t>(z)]);
     }
 
     mBase = std::move(impl);
-    std::vector<int32_t> zFirst;
-    std::vector<int32_t> zCount;
-    computeCuts(devCount(), zFirst, zCount);
-    rebuildStructure(zFirst, zCount);
+    slice(initialCuts());
 }
 
-void EGrid::computeCuts(int nDev, std::vector<int32_t>& zFirst,
-                        std::vector<int32_t>& zCount) const
+domain::PartitionPlan EGrid::initialCuts() const
 {
     // Partition planes so active-cell counts are balanced (paper §IV:
-    // "optimized for load balance"). Greedy cut at ~total/nDev.
-    const Impl&    g = impl<Impl>();
-    const index_3d dim = g.dim;
-    const int      r = g.haloRadius;
-    zFirst.assign(static_cast<size_t>(nDev), 0);
-    zCount.assign(static_cast<size_t>(nDev), 0);
-    NEON_CHECK(dim.z >= nDev * std::max(1, 2 * r),
-               "egrid needs at least 2*haloRadius planes per device");
-    const double target = static_cast<double>(g.totalActive) / nDev;
-    int32_t      plane = 0;
-    for (int d = 0; d < nDev; ++d) {
-        zFirst[static_cast<size_t>(d)] = plane;
-        size_t        acc = 0;
-        const int32_t planesLeft = dim.z - plane;
-        const int     devsLeft = nDev - d;
-        int32_t       minPlanes = std::max(1, 2 * r);
-        int32_t       maxPlanes = planesLeft - (devsLeft - 1) * minPlanes;
-        int32_t       used = 0;
-        while (used < maxPlanes &&
-               (used < minPlanes || (d < nDev - 1 && static_cast<double>(acc) < target))) {
-            acc += g.perPlane[static_cast<size_t>(plane)];
-            ++plane;
-            ++used;
-        }
-        if (d == nDev - 1) {
-            plane = dim.z;
-            used = planesLeft;
-        }
-        zCount[static_cast<size_t>(d)] = used;
-    }
+    // "optimized for load balance").
+    return domain::balancedCuts(impl<Impl>().perPlane, devCount(), minUnitsPerDev());
 }
 
-void EGrid::rebuildStructure(const std::vector<int32_t>& zFirst,
-                             const std::vector<int32_t>& zCount)
+void EGrid::applyUnits(const std::vector<int64_t>& units)
 {
     Impl&          g = impl<Impl>();
     const index_3d dim = g.dim;
-    const int      nDev = static_cast<int>(zCount.size());
+    const int      nDev = static_cast<int>(units.size());
     const int      r = g.haloRadius;
     const bool     dry = g.backend.isDryRun();
     const auto&    active = g.active;
@@ -126,16 +93,18 @@ void EGrid::rebuildStructure(const std::vector<int32_t>& zFirst,
     // Per-partition counts derived from plane counts (works in dry-run too).
     g.parts.assign(static_cast<size_t>(nDev), {});
     auto planesSum = [&](int32_t first, int32_t count) {
-        size_t s = 0;
+        int64_t s = 0;
         for (int32_t z = first; z < first + count; ++z) {
             s += g.perPlane[static_cast<size_t>(z)];
         }
         return static_cast<int32_t>(s);
     };
+    int32_t firstPlane = 0;
     for (int d = 0; d < nDev; ++d) {
         PartInfo& p = g.parts[static_cast<size_t>(d)];
-        p.zFirst = zFirst[static_cast<size_t>(d)];
-        p.zCount = zCount[static_cast<size_t>(d)];
+        p.zFirst = firstPlane;
+        p.zCount = static_cast<int32_t>(units[static_cast<size_t>(d)]);
+        firstPlane += p.zCount;
         p.nOwned = planesSum(p.zFirst, p.zCount);
         p.nBdrLow = d > 0 ? planesSum(p.zFirst, std::min(r, p.zCount)) : 0;
         p.nBdrHigh =
@@ -292,83 +261,17 @@ void EGrid::rebuildStructure(const std::vector<int32_t>& zFirst,
     g.lut.updateDev();
 }
 
-domain::PartitionPlan EGrid::currentPlan() const
-{
-    domain::PartitionPlan plan;
-    for (const PartInfo& p : impl<Impl>().parts) {
-        plan.unitsPerDev.push_back(p.zCount);
-    }
-    return plan;
-}
-
 int64_t EGrid::minUnitsPerDev() const
 {
     return std::max(1, 2 * haloRadius());
 }
 
-void EGrid::repartition(const domain::PartitionPlan& plan)
+domain::CellWindow EGrid::cellWindow(int dev) const
 {
-    Impl&     g = impl<Impl>();
-    const int nDev = devCount();
-    NEON_CHECK(plan.devCount() == nDev,
-               "eGrid::repartition: plan device count != grid device count");
-    NEON_CHECK(plan.total() == dim().z, "eGrid::repartition: plan must cover every z-plane");
-    for (const int64_t u : plan.unitsPerDev) {
-        NEON_CHECK(u >= minUnitsPerDev(),
-                   "eGrid::repartition: every device needs at least 2*haloRadius planes");
-    }
-
-    // Owned cells per device before/after, in the shared global ordering
-    // (active cells ascending (z,y,x) — the class ranges are consecutive
-    // z-intervals, so the owned enumeration is exactly that order).
-    std::vector<int64_t> oldCells;
-    for (const PartInfo& p : g.parts) {
-        oldCells.push_back(p.nOwned);
-    }
-
-    std::vector<int32_t> zFirst;
-    std::vector<int32_t> zCount;
-    int32_t              plane = 0;
-    for (const int64_t u : plan.unitsPerDev) {
-        zFirst.push_back(plane);
-        zCount.push_back(static_cast<int32_t>(u));
-        plane += static_cast<int32_t>(u);
-    }
-    rebuildStructure(zFirst, zCount);
-
-    domain::RegridInfo   info;
-    std::vector<int64_t> newCells;
-    for (const PartInfo& p : g.parts) {
-        newCells.push_back(p.nOwned);
-        info.newCellCounts.push_back(static_cast<size_t>(p.nLocal()));
-        info.oldOwnedStart.push_back(0);
-        info.newOwnedStart.push_back(0);
-    }
-    info.migrate = domain::migrationSegments(oldCells, newCells);
-    info.migrateData = true;
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
-}
-
-void EGrid::rebindBackend(set::Backend survivor)
-{
-    Impl&     g = impl<Impl>();
-    const int nDev = survivor.devCount();
-    g.backend = std::move(survivor);
-    std::vector<int32_t> zFirst;
-    std::vector<int32_t> zCount;
-    computeCuts(nDev, zFirst, zCount);
-    rebuildStructure(zFirst, zCount);
-
-    domain::RegridInfo info;
-    info.migrateData = false;
-    for (const PartInfo& p : g.parts) {
-        info.newCellCounts.push_back(static_cast<size_t>(p.nLocal()));
-        info.oldOwnedStart.push_back(0);
-        info.newOwnedStart.push_back(0);
-    }
-    applyRegridToFields(info);
-    backend().noteGeometryChange();
+    // Owned cells ascend (z, y, x) globally: the class ranges are
+    // consecutive z-intervals. Ghost copies follow them in the buffer.
+    const PartInfo& p = part(dev);
+    return {p.nOwned, p.nLocal(), 0};
 }
 
 ESpan EGrid::span(int dev, DataView view) const

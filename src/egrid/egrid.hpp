@@ -3,7 +3,8 @@
 // stored, together with a connectivity table mapping each cell and stencil
 // point to the neighbour's local index. Partitioning is 1-D along z, with
 // plane cuts chosen to balance the *active* cell count per device. Shared
-// state and the factory surface live in domain::GridBase / domain::GridOps.
+// state, the factory surface and the regrid path live in domain::GridBase /
+// domain::GridOps.
 //
 // Per-partition cell ordering (all in (z,y,x) order within each class):
 //   [boundary-low][internal][boundary-high][ghost-low][ghost-high]
@@ -61,7 +62,7 @@ class ESpan : public domain::Span<ESpanDecoder>
 template <typename T>
 class EField;
 
-class EGrid : public domain::GridBase, public domain::GridOps<EGrid>
+class EGrid : public domain::GridOps<EGrid>
 {
    public:
     using Cell = ECell;
@@ -115,30 +116,25 @@ class EGrid : public domain::GridBase, public domain::GridOps<EGrid>
     [[nodiscard]] int                          lutRadius() const;
     [[nodiscard]] int                          stencilPointCount() const;
 
-    // --- adaptive repartitioning (docs/robustness.md) -----------------------
-    /// Current decomposition in partition units (z-planes per device).
-    [[nodiscard]] domain::PartitionPlan currentPlan() const;
-    /// Total partition units (the grid's z extent).
+    // --- adaptive repartitioning (docs/robustness.md; the regrid path
+    // itself — currentPlan / repartition / rebindBackend — is GridOps') ----
+    /// Total partition units: z-planes (the grid's z extent).
     [[nodiscard]] int64_t partitionUnits() const { return dim().z; }
-    /// Smallest plane count repartition() accepts per device (the ctor's
-    /// 2*haloRadius constraint: boundary classes must not overlap).
+    /// Smallest plane count per device (the 2*haloRadius constraint:
+    /// boundary classes must not overlap).
     [[nodiscard]] int64_t minUnitsPerDev() const;
-    /// Re-slice the plane cuts in place, rebuild connectivity/coords and
-    /// migrate every registered field. Containers must be rebuild()-ed and
-    /// skeletons re-sequenced afterwards (Backend::geometryEpoch enforces).
-    void repartition(const domain::PartitionPlan& plan);
-    /// Online-recovery rebind onto a smaller backend; fields re-allocate
-    /// without migration (the lost device's data is gone) — the recovery
-    /// driver restores checkpointed state.
-    void rebindBackend(set::Backend survivor);
 
    private:
+    friend class domain::GridOps<EGrid>;
     struct Impl;
-    /// Greedy active-balanced plane cuts for `nDev` devices (ctor + rebind).
-    void computeCuts(int nDev, std::vector<int32_t>& zFirst, std::vector<int32_t>& zCount) const;
+
+    // Partition hooks (domain::GridOps): active-balanced plane cuts; a
+    // buffer holds the owned cells, then the ghost copies.
+    [[nodiscard]] domain::PartitionPlan initialCuts() const;
     /// (Re)build parts, halo segments, structure tables and the host map
-    /// from prescribed plane cuts.
-    void rebuildStructure(const std::vector<int32_t>& zFirst, const std::vector<int32_t>& zCount);
+    /// for `units` planes per device.
+    void                             applyUnits(const std::vector<int64_t>& units);
+    [[nodiscard]] domain::CellWindow cellWindow(int dev) const;
 };
 
 }  // namespace neon::egrid

@@ -10,6 +10,17 @@ uint64_t Container::nextSeq()
     return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+Container Container::make(std::string name, Kind kind, int devCount)
+{
+    Container c;
+    c.mImpl = std::make_shared<Impl>();
+    c.mImpl->name = std::move(name);
+    c.mImpl->kind = kind;
+    c.mImpl->devCount = devCount;
+    c.mImpl->seq = nextSeq();
+    return c;
+}
+
 void Container::Impl::ensureParsed()
 {
     if (parsed) {
@@ -46,12 +57,7 @@ void Container::Impl::ensureParsed()
 Container Container::haloUpdate(std::shared_ptr<const HaloOps> halo)
 {
     NEON_CHECK(halo != nullptr, "haloUpdate requires a halo-capable field");
-    Container c;
-    c.mImpl = std::make_shared<Impl>();
-    c.mImpl->name = "halo(" + halo->name() + ")";
-    c.mImpl->kind = Kind::Halo;
-    c.mImpl->devCount = halo->devCount();
-    c.mImpl->seq = nextSeq();
+    Container c = make("halo(" + halo->name() + ")", Kind::Halo, halo->devCount());
     c.mImpl->parser = [halo](AccessList& rec) {
         // A halo update is modeled as a write of the field: the stencil
         // reading it afterwards gets a RaW edge, previous readers a WaR.
@@ -124,17 +130,15 @@ void Container::Impl::ensureSanitized()
         return;
     }
     ensureParsed();
-    if (sanBuilder) {
-        sanBuilder(*this);
-    }
+    builder(*this, true);
     sanBuilt = true;
 }
 
 void Container::rebuild()
 {
     Impl& impl = *mImpl;
-    if (impl.rebuilder) {
-        impl.rebuilder(impl);
+    if (impl.builder) {
+        impl.builder(impl, false);
     }
     {
         std::lock_guard<std::mutex> lock(impl.sanMutex);
@@ -158,7 +162,7 @@ uint64_t Container::geometryEpoch() const
 
 bool Container::sanitizable() const
 {
-    return mImpl->sanBuilder != nullptr;
+    return mImpl->sanitizable;
 }
 
 uint64_t Container::sanitizeSeq() const
@@ -173,7 +177,7 @@ void Container::launch(int dev, sys::Stream& stream, DataView view, bool sanitiz
         // Kernels that cannot be instrumented (concrete-Loader lambdas)
         // fall back to the plain trampoline: the sanitizer then simply has
         // no observations for them.
-        const bool useSan = sanitized && mImpl->sanBuilder != nullptr;
+        const bool useSan = sanitized && mImpl->sanitizable;
         if (useSan) {
             mImpl->ensureSanitized();
         }

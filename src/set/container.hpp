@@ -47,12 +47,7 @@ class Container
         static_assert(neon::domain::GridConcept<Grid>,
                       "Container::factory requires a type satisfying "
                       "neon::domain::GridConcept (see docs/domain.md)");
-        Container c;
-        c.mImpl = std::make_shared<Impl>();
-        c.mImpl->name = std::move(name);
-        c.mImpl->kind = Kind::Compute;
-        c.mImpl->devCount = grid.devCount();
-        c.mImpl->seq = nextSeq();
+        Container c = make(std::move(name), Kind::Compute, grid.devCount());
         c.mImpl->parser = [grid, fn](AccessList& rec) mutable {
             Loader loader = Loader::parsing(&rec);
             (void)fn(loader);
@@ -60,109 +55,15 @@ class Container
         // Devirtualized dispatch: one trampoline per (device, view) is
         // instantiated NOW, so launch() enqueues a precomputed KernelWork
         // with zero per-run span/kernel construction and exactly one
-        // indirect call per chunk (docs/performance.md). The loop lives in
-        // a stored rebuilder so a live container can re-derive its records
-        // after the grid repartitions: the captured grid handle shares the
-        // re-sliced Impl, so re-running the loop picks up the new spans.
-        c.mImpl->rebuilder = [grid, fn](Impl& impl) mutable {
-            impl.devCount = grid.devCount();
-            impl.geomEpoch = grid.backend().geometryEpoch();
-            impl.records.clear();
-            for (int dev = 0; dev < impl.devCount; ++dev) {
-                for (const DataView view : kAllViews) {
-                    auto   span = grid.span(dev, view);
-                    Loader loader = Loader::execution(dev, view);
-                    using SpanT = decltype(span);
-                    using KernelT = decltype(fn(loader));
-                    struct Tramp
-                    {
-                        SpanT   sp;
-                        KernelT kernel;
-                        static void run(void* ctx, int32_t chunk, int32_t nChunks)
-                        {
-                            auto* t = static_cast<Tramp*>(ctx);
-                            t->sp.forEachChunk(chunk, nChunks, t->kernel);
-                        }
-                    };
-                    auto tramp = std::make_shared<Tramp>(Tramp{span, fn(loader)});
-                    LaunchRecord rec;
-                    rec.items = span.count();
-                    rec.work.run = &Tramp::run;
-                    rec.work.ctx = tramp.get();
-                    rec.work.chunks = span.chunkCount();
-                    rec.work.owner = std::move(tramp);
-                    impl.records.push_back(std::move(rec));
-                }
-            }
+        // indirect call per chunk (docs/performance.md). The builder is
+        // stored so a live container can re-derive its records after the
+        // grid repartitions (the captured grid handle shares the re-sliced
+        // Impl) and build its sanitized records on first use.
+        c.mImpl->builder = [grid, fn](Impl& impl, bool sanitized) mutable {
+            buildRecords(impl, grid, fn, NoReduce{}, sanitized);
         };
-        c.mImpl->rebuilder(*c.mImpl);
-        // Sanitized trampolines are built lazily on the first sanitized
-        // launch: sanitize-off pays nothing beyond storing this closure.
-        // Only generic (`auto&`) loading lambdas can be re-run against a
-        // sanitize::Loader; concrete `set::Loader&` lambdas stay plain.
-        if constexpr (std::is_invocable_v<LoadingLambda&, sanitize::Loader&>) {
-            c.mImpl->sanBuilder = [grid, fn](Impl& impl) mutable {
-                for (int dev = 0; dev < impl.devCount; ++dev) {
-                    for (const DataView view : kAllViews) {
-                        auto span = grid.span(dev, view);
-                        auto meta = std::make_shared<sanitize::KernelMeta>();
-                        meta->haloRadius = grid.haloRadius();
-                        sanitize::Loader loader(dev, view, meta.get());
-                        using SpanT = decltype(span);
-                        using KernelT = decltype(fn(loader));
-                        struct STramp
-                        {
-                            SpanT                                 sp;
-                            KernelT                               kernel;
-                            std::shared_ptr<sanitize::KernelMeta> meta;
-                            std::vector<sanitize::Sink>           sinks;  ///< one per chunk
-                            const Impl*                           impl;
-                            int                                   dev;
-                            static void run(void* ctx, int32_t chunk, int32_t nChunks)
-                            {
-                                auto* t = static_cast<STramp*>(ctx);
-                                auto& sink = t->sinks[static_cast<size_t>(chunk)];
-                                sink.clear();
-                                sanitize::ChunkScope scope(&sink);
-                                t->sp.forEachChunk(chunk, nChunks, t->kernel);
-                            }
-                            static void finalize(void* ctx, int32_t, int32_t nChunks)
-                            {
-                                auto* t = static_cast<STramp*>(ctx);
-                                // Merge the chunk sinks in chunk order; every
-                                // merge is monotone, so the result is bitwise
-                                // identical for any NEON_THREADS.
-                                std::vector<sanitize::AccessObs> merged(t->meta->loads.size());
-                                for (int32_t i = 0; i < nChunks; ++i) {
-                                    const auto& obs = t->sinks[static_cast<size_t>(i)].obs();
-                                    for (size_t s = 0; s < merged.size(); ++s) {
-                                        merged[s].merge(obs[s]);
-                                    }
-                                }
-                                sanitize::Session::instance().commit(
-                                    t->impl->seq, t->impl->name, t->dev, t->meta->haloRadius,
-                                    t->impl->accessList, *t->meta, merged);
-                            }
-                        };
-                        auto tramp = std::make_shared<STramp>(
-                            STramp{span, fn(loader), meta, {}, &impl, dev});
-                        tramp->sinks.resize(static_cast<size_t>(span.chunkCount()));
-                        for (auto& s : tramp->sinks) {
-                            s.configure(meta->loads.size(), span.range0(), span.range1());
-                        }
-                        LaunchRecord rec;
-                        rec.items = span.count();
-                        rec.work.run = &STramp::run;
-                        rec.work.finalize = &STramp::finalize;
-                        rec.work.ctx = tramp.get();
-                        rec.work.chunks = span.chunkCount();
-                        rec.work.sanitized = true;
-                        rec.work.owner = std::move(tramp);
-                        impl.sanRecords.push_back(std::move(rec));
-                    }
-                }
-            };
-        }
+        c.mImpl->sanitizable = kSanitizable<LoadingLambda>;
+        c.mImpl->builder(*c.mImpl, false);
         return c;
     }
 
@@ -177,14 +78,9 @@ class Container
         static_assert(neon::domain::GridConcept<Grid>,
                       "Container::reduceFactory requires a type satisfying "
                       "neon::domain::GridConcept (see docs/domain.md)");
-        Container c;
-        c.mImpl = std::make_shared<Impl>();
-        c.mImpl->name = std::move(name);
-        c.mImpl->kind = Kind::Compute;
+        Container c = make(std::move(name), Kind::Compute, grid.devCount());
         c.mImpl->forcedPattern = Compute::REDUCE;
         c.mImpl->hasForcedPattern = true;
-        c.mImpl->devCount = grid.devCount();
-        c.mImpl->seq = nextSeq();
         c.mImpl->parser = [grid, fn, result](AccessList& rec) mutable {
             Loader loader = Loader::parsing(&rec);
             (void)fn(loader);
@@ -197,180 +93,13 @@ class Container
             out.scalar = true;
             rec.push_back(std::move(out));
         };
-        // Chunked deterministic reduction: each chunk accumulates into its
-        // own partial slot; finalize folds the partials with a fixed-shape
-        // pairwise tree. The tree shape depends only on the chunk count
-        // (itself span-derived), so the fold order — and the floating-point
-        // result — is identical for any thread count. Stored as a rebuilder
-        // for the same reason as factory(): repartition support.
-        c.mImpl->rebuilder = [grid, fn, result](Impl& impl) mutable {
-            impl.devCount = grid.devCount();
-            impl.geomEpoch = grid.backend().geometryEpoch();
-            impl.records.clear();
-            for (int dev = 0; dev < impl.devCount; ++dev) {
-            for (const DataView view : kAllViews) {
-                auto   span = grid.span(dev, view);
-                Loader loader = Loader::execution(dev, view);
-                using SpanT = decltype(span);
-                using KernelT = decltype(fn(loader));
-                struct Tramp
-                {
-                    SpanT           sp;
-                    KernelT         kernel;
-                    GlobalScalar<T> out;
-                    int             dev;
-                    DataView        view;
-                    std::vector<T>  partials;  ///< one slot per chunk
-                    std::vector<T>  scratch;   ///< finalize-tree workspace
-                    static void run(void* ctx, int32_t chunk, int32_t nChunks)
-                    {
-                        auto* t = static_cast<Tramp*>(ctx);
-                        T     acc = t->out.identity();
-                        t->sp.forEachChunk(chunk, nChunks,
-                                           [&](const auto& cell) { t->kernel(cell, acc); });
-                        t->partials[static_cast<size_t>(chunk)] = acc;
-                    }
-                    static void finalize(void* ctx, int32_t, int32_t nChunks)
-                    {
-                        auto* t = static_cast<Tramp*>(ctx);
-                        auto& s = t->scratch;
-                        s.assign(t->partials.begin(), t->partials.end());
-                        // Fixed-shape pairwise binary tree over the chunk
-                        // partials; a trailing odd element passes through.
-                        for (int32_t n = nChunks; n > 1;) {
-                            const int32_t pairs = n / 2;
-                            for (int32_t i = 0; i < pairs; ++i) {
-                                T folded = s[static_cast<size_t>(2 * i)];
-                                t->out.fold(folded, s[static_cast<size_t>(2 * i + 1)]);
-                                s[static_cast<size_t>(i)] = folded;
-                            }
-                            if (n % 2 == 1) {
-                                s[static_cast<size_t>(pairs)] = s[static_cast<size_t>(n - 1)];
-                            }
-                            n = pairs + n % 2;
-                        }
-                        t->out.setPartial(t->dev, GlobalScalar<T>::slotOf(t->view), s[0]);
-                        if (t->view == DataView::STANDARD) {
-                            t->out.setPartial(t->dev, 1, t->out.identity());
-                        }
-                    }
-                };
-                const int32_t chunks = span.chunkCount();
-                auto          tramp = std::make_shared<Tramp>(
-                    Tramp{span, fn(loader), result, dev, view,
-                          std::vector<T>(static_cast<size_t>(chunks), result.identity()),
-                          std::vector<T>(static_cast<size_t>(chunks), result.identity())});
-                LaunchRecord rec;
-                rec.items = span.count();
-                rec.work.run = &Tramp::run;
-                rec.work.finalize = &Tramp::finalize;
-                rec.work.ctx = tramp.get();
-                rec.work.chunks = chunks;
-                rec.work.owner = std::move(tramp);
-                impl.records.push_back(std::move(rec));
-            }
-            }
+        // Same trampolines as factory(), with chunk partials folded into
+        // `result` (ReduceInto).
+        c.mImpl->builder = [grid, fn, result](Impl& impl, bool sanitized) mutable {
+            buildRecords(impl, grid, fn, ReduceInto<T>{.out = result}, sanitized);
         };
-        c.mImpl->rebuilder(*c.mImpl);
-        // Sanitized reduce trampolines: same deterministic partial slots and
-        // pairwise fold (results must stay bitwise identical with sanitize
-        // on), plus observation sinks and the result-scalar write record.
-        if constexpr (std::is_invocable_v<LoadingLambda&, sanitize::Loader&>) {
-            c.mImpl->sanBuilder = [grid, fn, result](Impl& impl) mutable {
-                for (int dev = 0; dev < impl.devCount; ++dev) {
-                    for (const DataView view : kAllViews) {
-                        auto span = grid.span(dev, view);
-                        auto meta = std::make_shared<sanitize::KernelMeta>();
-                        meta->haloRadius = grid.haloRadius();
-                        sanitize::Loader loader(dev, view, meta.get());
-                        using SpanT = decltype(span);
-                        using KernelT = decltype(fn(loader));
-                        // The reduce result is written by finalize, not
-                        // through a View: give it a load slot by hand.
-                        const size_t resultSlot = meta->loads.size();
-                        meta->loads.push_back({result.uid(), result.name(), true, false});
-                        struct STramp
-                        {
-                            SpanT                                 sp;
-                            KernelT                               kernel;
-                            GlobalScalar<T>                       out;
-                            int                                   dev;
-                            DataView                              view;
-                            std::vector<T>                        partials;
-                            std::vector<T>                        scratch;
-                            std::shared_ptr<sanitize::KernelMeta> meta;
-                            std::vector<sanitize::Sink>           sinks;
-                            size_t                                resultSlot;
-                            const Impl*                           impl;
-                            static void run(void* ctx, int32_t chunk, int32_t nChunks)
-                            {
-                                auto* t = static_cast<STramp*>(ctx);
-                                auto& sink = t->sinks[static_cast<size_t>(chunk)];
-                                sink.clear();
-                                sanitize::ChunkScope scope(&sink);
-                                T                    acc = t->out.identity();
-                                t->sp.forEachChunk(chunk, nChunks,
-                                                   [&](const auto& cell) { t->kernel(cell, acc); });
-                                t->partials[static_cast<size_t>(chunk)] = acc;
-                            }
-                            static void finalize(void* ctx, int32_t, int32_t nChunks)
-                            {
-                                auto* t = static_cast<STramp*>(ctx);
-                                auto& s = t->scratch;
-                                s.assign(t->partials.begin(), t->partials.end());
-                                for (int32_t n = nChunks; n > 1;) {
-                                    const int32_t pairs = n / 2;
-                                    for (int32_t i = 0; i < pairs; ++i) {
-                                        T folded = s[static_cast<size_t>(2 * i)];
-                                        t->out.fold(folded, s[static_cast<size_t>(2 * i + 1)]);
-                                        s[static_cast<size_t>(i)] = folded;
-                                    }
-                                    if (n % 2 == 1) {
-                                        s[static_cast<size_t>(pairs)] =
-                                            s[static_cast<size_t>(n - 1)];
-                                    }
-                                    n = pairs + n % 2;
-                                }
-                                t->out.setPartial(t->dev, GlobalScalar<T>::slotOf(t->view), s[0]);
-                                if (t->view == DataView::STANDARD) {
-                                    t->out.setPartial(t->dev, 1, t->out.identity());
-                                }
-                                std::vector<sanitize::AccessObs> merged(t->meta->loads.size());
-                                for (int32_t i = 0; i < nChunks; ++i) {
-                                    const auto& obs = t->sinks[static_cast<size_t>(i)].obs();
-                                    for (size_t si = 0; si < merged.size(); ++si) {
-                                        merged[si].merge(obs[si]);
-                                    }
-                                }
-                                merged[t->resultSlot].noteWrite(true, 0, 0);
-                                sanitize::Session::instance().commit(
-                                    t->impl->seq, t->impl->name, t->dev, t->meta->haloRadius,
-                                    t->impl->accessList, *t->meta, merged);
-                            }
-                        };
-                        const int32_t chunks = span.chunkCount();
-                        auto          tramp = std::make_shared<STramp>(STramp{
-                            span, fn(loader), result, dev, view,
-                            std::vector<T>(static_cast<size_t>(chunks), result.identity()),
-                            std::vector<T>(static_cast<size_t>(chunks), result.identity()), meta,
-                            {}, resultSlot, &impl});
-                        tramp->sinks.resize(static_cast<size_t>(chunks));
-                        for (auto& s : tramp->sinks) {
-                            s.configure(meta->loads.size(), span.range0(), span.range1());
-                        }
-                        LaunchRecord rec;
-                        rec.items = span.count();
-                        rec.work.run = &STramp::run;
-                        rec.work.finalize = &STramp::finalize;
-                        rec.work.ctx = tramp.get();
-                        rec.work.chunks = chunks;
-                        rec.work.sanitized = true;
-                        rec.work.owner = std::move(tramp);
-                        impl.sanRecords.push_back(std::move(rec));
-                    }
-                }
-            };
-        }
+        c.mImpl->sanitizable = kSanitizable<LoadingLambda>;
+        c.mImpl->builder(*c.mImpl, false);
         // The combine step the Skeleton appends after the reduce kernels.
         Backend backend = grid.backend();
         c.mImpl->combine = std::make_shared<Container>(makeCombine(backend, result));
@@ -416,13 +145,8 @@ class Container
                               std::vector<GlobalScalar<T>> reads,
                               std::vector<GlobalScalar<T>> writes, std::function<void()> fn)
     {
-        Container c;
-        c.mImpl = std::make_shared<Impl>();
-        c.mImpl->name = std::move(name);
-        c.mImpl->kind = Kind::ScalarOp;
-        c.mImpl->devCount = backend.devCount();
+        Container c = make(std::move(name), Kind::ScalarOp, backend.devCount());
         c.mImpl->geomEpoch = backend.geometryEpoch();
-        c.mImpl->seq = nextSeq();
         const double dur = 2.0 * backend.config().link.latency + 1e-6;
         c.mImpl->parser = [reads, writes](AccessList& rec) {
             for (const auto& s : reads) {
@@ -497,8 +221,13 @@ class Container
     [[nodiscard]] uint64_t geometryEpoch() const;
 
    private:
+    struct Impl;
+
     /// Process-wide container creation counter (sanitizer report keys).
     static uint64_t nextSeq();
+
+    /// A container with a fresh Impl and creation ordinal.
+    static Container make(std::string name, Kind kind, int devCount);
 
     template <typename T>
     static Container makeCombine(Backend& backend, GlobalScalar<T> scalar)
@@ -525,6 +254,234 @@ class Container
     static constexpr DataView kAllViews[3] = {DataView::STANDARD, DataView::INTERNAL,
                                               DataView::BOUNDARY};
 
+    /// Only generic (`auto&`) loading lambdas can be re-run against a
+    /// sanitize::Loader; concrete `set::Loader&` lambdas always run plain.
+    template <typename LoadingLambda>
+    static constexpr bool kSanitizable = std::is_invocable_v<LoadingLambda&, sanitize::Loader&>;
+
+    // --- kernel trampolines -------------------------------------------------
+    // Every compute kernel runs through one Trampoline<Span, Kernel, Reduce,
+    // Observe>, instantiated per (device, view) when its records are built.
+    // Reduce is NoReduce (map) or ReduceInto<T> (per-chunk partials folded
+    // by pairwiseFold); Observe is NoObserve or SanitizeObserve (per-chunk
+    // access sinks). The two "no" policies are empty, so the plain map
+    // trampoline is the bare chunk loop: no sink lookup, no per-chunk
+    // branch and no finalize call.
+
+    /// Fixed-shape pairwise binary tree over `s[0, n)`, folded in place
+    /// with `op`'s operator; a trailing odd element passes through. The
+    /// shape depends only on the chunk count (itself span-derived), so the
+    /// floating-point result is identical for any thread count.
+    template <typename T>
+    static T pairwiseFold(const GlobalScalar<T>& op, std::vector<T>& s, int32_t n)
+    {
+        while (n > 1) {
+            const int32_t pairs = n / 2;
+            for (int32_t i = 0; i < pairs; ++i) {
+                T folded = s[static_cast<size_t>(2 * i)];
+                op.fold(folded, s[static_cast<size_t>(2 * i + 1)]);
+                s[static_cast<size_t>(i)] = folded;
+            }
+            if (n % 2 == 1) {
+                s[static_cast<size_t>(pairs)] = s[static_cast<size_t>(n - 1)];
+            }
+            n = pairs + n % 2;
+        }
+        return s[0];
+    }
+
+    struct NoReduce
+    {
+        static constexpr bool kFolds = false;
+
+        [[nodiscard]] NoReduce at(int, DataView, int32_t) const { return {}; }
+
+        template <typename SpanT, typename KernelT>
+        static void runChunk(const SpanT& sp, KernelT& kernel, int32_t chunk, int32_t nChunks)
+        {
+            sp.forEachChunk(chunk, nChunks, kernel);
+        }
+
+        static void fold(int32_t) {}
+    };
+
+    /// Each chunk accumulates into its own partial slot; finalize folds
+    /// the slots into this (device, view)'s partial of `out`.
+    template <typename T>
+    struct ReduceInto
+    {
+        static constexpr bool kFolds = true;
+
+        GlobalScalar<T> out;
+        int             dev = 0;
+        DataView        view = DataView::STANDARD;
+        std::vector<T>  partials{};  ///< one slot per chunk
+        std::vector<T>  scratch{};   ///< pairwiseFold workspace
+
+        /// The policy for one (device, view) launch of `chunks` chunks.
+        [[nodiscard]] ReduceInto at(int d, DataView v, int32_t chunks) const
+        {
+            const auto n = static_cast<size_t>(chunks);
+            return {out, d, v, std::vector<T>(n, out.identity()),
+                    std::vector<T>(n, out.identity())};
+        }
+
+        template <typename SpanT, typename KernelT>
+        void runChunk(const SpanT& sp, KernelT& kernel, int32_t chunk, int32_t nChunks)
+        {
+            T acc = out.identity();
+            sp.forEachChunk(chunk, nChunks, [&](const auto& cell) { kernel(cell, acc); });
+            partials[static_cast<size_t>(chunk)] = acc;
+        }
+
+        void fold(int32_t nChunks)
+        {
+            scratch.assign(partials.begin(), partials.end());
+            out.setPartial(dev, GlobalScalar<T>::slotOf(view), pairwiseFold(out, scratch, nChunks));
+            if (view == DataView::STANDARD) {
+                out.setPartial(dev, 1, out.identity());
+            }
+        }
+    };
+
+    struct NoObserve
+    {
+        static constexpr bool kObserves = false;
+        struct Scope
+        {
+        };
+
+        static Scope enter(int32_t) { return {}; }
+        static void  commit(int32_t) {}
+    };
+
+    /// Sanitized launches: each chunk records into its own sink; finalize
+    /// merges the sinks in chunk order (every merge is monotone, so the
+    /// result is bitwise identical for any NEON_THREADS) and commits them.
+    struct SanitizeObserve
+    {
+        static constexpr bool   kObserves = true;
+        static constexpr size_t kNoResult = static_cast<size_t>(-1);
+
+        sanitize::KernelMeta        meta;
+        std::vector<sanitize::Sink> sinks;  ///< one per chunk
+        const Impl*                 impl = nullptr;
+        int                         dev = 0;
+        /// Load slot of a reduce's result scalar, which finalize writes
+        /// directly rather than through a View.
+        size_t resultSlot = kNoResult;
+
+        sanitize::ChunkScope enter(int32_t chunk)
+        {
+            auto& sink = sinks[static_cast<size_t>(chunk)];
+            sink.clear();
+            return sanitize::ChunkScope(&sink);
+        }
+
+        void commit(int32_t nChunks) const
+        {
+            std::vector<sanitize::AccessObs> merged(meta.loads.size());
+            for (int32_t i = 0; i < nChunks; ++i) {
+                const auto& obs = sinks[static_cast<size_t>(i)].obs();
+                for (size_t s = 0; s < merged.size(); ++s) {
+                    merged[s].merge(obs[s]);
+                }
+            }
+            if (resultSlot != kNoResult) {
+                merged[resultSlot].noteWrite(true, 0, 0);
+            }
+            sanitize::Session::instance().commit(impl->seq, impl->name, dev, meta.haloRadius,
+                                                 impl->accessList, meta, merged);
+        }
+    };
+
+    template <typename SpanT, typename KernelT, typename Reduce, typename Observe>
+    struct Trampoline
+    {
+        SpanT                         sp;
+        KernelT                       kernel;
+        [[no_unique_address]] Reduce  reduce;
+        [[no_unique_address]] Observe observe;
+
+        static void run(void* ctx, int32_t chunk, int32_t nChunks)
+        {
+            auto*                 t = static_cast<Trampoline*>(ctx);
+            [[maybe_unused]] auto scope = t->observe.enter(chunk);
+            t->reduce.runChunk(t->sp, t->kernel, chunk, nChunks);
+        }
+
+        static void finalize(void* ctx, int32_t, int32_t nChunks)
+        {
+            auto* t = static_cast<Trampoline*>(ctx);
+            t->reduce.fold(nChunks);
+            t->observe.commit(nChunks);
+        }
+    };
+
+    template <typename SpanT, typename KernelT, typename Reduce, typename Observe>
+    static LaunchRecord makeRecord(const SpanT& span, KernelT kernel, Reduce reduce,
+                                   Observe observe)
+    {
+        using Tramp = Trampoline<SpanT, KernelT, Reduce, Observe>;
+        auto tramp = std::make_shared<Tramp>(span, std::move(kernel), std::move(reduce),
+                                             std::move(observe));
+        LaunchRecord rec;
+        rec.items = span.count();
+        rec.work.run = &Tramp::run;
+        if constexpr (Reduce::kFolds || Observe::kObserves) {
+            rec.work.finalize = &Tramp::finalize;
+        }
+        rec.work.ctx = tramp.get();
+        rec.work.chunks = span.chunkCount();
+        rec.work.owner = std::move(tramp);
+        return rec;
+    }
+
+    /// Fill `impl.records` (or, when `sanitized`, `impl.sanRecords`) with
+    /// one trampoline per (device, view) over the grid's current spans.
+    /// Plain builds also adopt the grid's device count and geometry epoch.
+    template <typename Grid, typename LoadingLambda, typename Reduce>
+    static void buildRecords(Impl& impl, const Grid& grid, LoadingLambda& fn,
+                             const Reduce& reduce, bool sanitized)
+    {
+        if (!sanitized) {
+            impl.devCount = grid.devCount();
+            impl.geomEpoch = grid.backend().geometryEpoch();
+        }
+        auto& records = sanitized ? impl.sanRecords : impl.records;
+        records.clear();
+        records.reserve(static_cast<size_t>(impl.devCount) * 3);
+        for (int dev = 0; dev < impl.devCount; ++dev) {
+            for (const DataView view : kAllViews) {
+                auto          span = grid.span(dev, view);
+                const int32_t chunks = span.chunkCount();
+                if (!sanitized) {
+                    Loader loader = Loader::execution(dev, view);
+                    records.push_back(
+                        makeRecord(span, fn(loader), reduce.at(dev, view, chunks), NoObserve{}));
+                } else if constexpr (kSanitizable<LoadingLambda>) {
+                    SanitizeObserve observe;
+                    observe.impl = &impl;
+                    observe.dev = dev;
+                    observe.meta.haloRadius = grid.haloRadius();
+                    auto red = reduce.at(dev, view, chunks);
+                    if constexpr (Reduce::kFolds) {
+                        observe.resultSlot = observe.meta.loads.size();
+                        observe.meta.loads.push_back({red.out.uid(), red.out.name(), true, false});
+                    }
+                    sanitize::Loader loader(dev, view, &observe.meta);
+                    auto             kernel = fn(loader);
+                    observe.sinks.resize(static_cast<size_t>(chunks));
+                    for (auto& sink : observe.sinks) {
+                        sink.configure(observe.meta.loads.size(), span.range0(), span.range1());
+                    }
+                    records.push_back(
+                        makeRecord(span, std::move(kernel), std::move(red), std::move(observe)));
+                }
+            }
+        }
+    }
+
     struct Impl
     {
         std::string name;
@@ -538,21 +495,24 @@ class Container
         std::vector<LaunchRecord>  records;
         std::shared_ptr<Container> combine;  ///< combine step for reductions
 
-        /// Rebuilds `records` from the captured grid (set by the compute
-        /// factories; empty for halo/scalar containers) and the backend
-        /// geometry epoch the current records match (0 = never re-sliced).
-        std::function<void(Impl&)> rebuilder;
-        uint64_t                   geomEpoch = 0;
+        /// Compute containers: builds `records` from the captured grid at
+        /// factory time and on rebuild(), or `sanRecords` on the first
+        /// sanitized launch (buildRecords). Empty for halo/scalar
+        /// containers. `geomEpoch` is the backend geometry epoch the
+        /// current records match (0 = never re-sliced).
+        std::function<void(Impl&, bool sanitized)> builder;
+        uint64_t                                   geomEpoch = 0;
 
         /// Access sanitizer (set/sanitize.hpp): creation ordinal for stable
-        /// report keys, the deferred builder of instrumented trampolines
-        /// and the records it fills (same dev * 3 + view indexing). Guarded
-        /// by a mutex + flag (not std::once_flag) so rebuild() can reset it.
-        uint64_t                   seq = 0;
-        std::function<void(Impl&)> sanBuilder;
-        std::vector<LaunchRecord>  sanRecords;
-        std::mutex                 sanMutex;
-        bool                       sanBuilt = false;
+        /// report keys, whether the kernel can be instrumented, and the
+        /// instrumented records (same dev * 3 + view indexing), built once
+        /// under a mutex + flag (not std::once_flag, so rebuild() can reset
+        /// it).
+        uint64_t                  seq = 0;
+        bool                      sanitizable = false;
+        std::vector<LaunchRecord> sanRecords;
+        std::mutex                sanMutex;
+        bool                      sanBuilt = false;
 
         [[nodiscard]] const LaunchRecord& recordAt(int dev, DataView view) const
         {
@@ -564,8 +524,7 @@ class Container
             return sanRecords[static_cast<size_t>(dev * 3 + viewIndex(view))];
         }
 
-        /// Build the sanitized trampolines once (thread-safe; no-op for
-        /// non-sanitizable containers).
+        /// Build the sanitized trampolines once (thread-safe).
         void ensureSanitized();
 
         // lazily parsed

@@ -512,10 +512,6 @@ struct Skeleton::Impl
     int  windowFirst = -1;
     int  windowLast = -1;
     bool windowClosed = true;
-    /// Fault injection (tests/analysis): chain runs through a skeleton-local
-    /// barrier instead of the backend's per-uid data chains.
-    bool          perSkeletonBarrier = false;
-    sys::EventPtr localBarrier;
     /// Tail barrier of the most recent run issued through this skeleton.
     sys::EventPtr lastTail;
 };
@@ -656,15 +652,6 @@ CompiledSchedule Skeleton::sequence(std::vector<set::Container> containers,
     return handle;
 }
 
-CompiledSchedule Skeleton::sequence(std::vector<set::Container> containers, std::string name,
-                                    Options options)
-{
-    return sequence(std::move(containers), SequenceOptions()
-                                               .withName(std::move(name))
-                                               .withOcc(options.occ)
-                                               .withMaxStreams(options.maxStreams));
-}
-
 analysis::AnalysisReport Skeleton::validate() const
 {
     const Impl& s = *mImpl;
@@ -723,12 +710,6 @@ void Skeleton::debugMutateTasks(const std::function<void(std::vector<Task>&)>& f
     auto next = std::make_shared<ScheduleState>(*s.state);
     fn(next->tasks);
     s.state = std::move(next);
-}
-
-void Skeleton::debugUsePerSkeletonBarrier(bool on)
-{
-    mImpl->perSkeletonBarrier = on;
-    mImpl->localBarrier = nullptr;
 }
 
 void Skeleton::run()
@@ -826,20 +807,7 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     // transfer gaps. The chains live on the *backend*, not this skeleton:
     // alternating skeletons (e.g. the even/odd steps of a ping-pong LBM)
     // are chained too.
-    if (s.perSkeletonBarrier) {
-        // Test hook: the historical per-skeleton barrier (misses the
-        // cross-skeleton chain; the race detector must catch that).
-        if (s.localBarrier != nullptr) {
-            for (int d = 0; d < nDev; ++d) {
-                for (int stIdx = 0; stIdx < st.nStreams; ++stIdx) {
-                    if (d == 0 && stIdx == 0) {
-                        continue;  // FIFO order on the barrier's own stream
-                    }
-                    streamAt(d, stIdx).wait(s.localBarrier);
-                }
-            }
-        }
-    } else if (scope.chainData) {
+    if (scope.chainData) {
         const std::vector<sys::EventPtr> deps =
             s.backend.dataBarriers().acquire(st.readUids, st.writeUids);
         for (const sys::EventPtr& dep : deps) {
@@ -919,9 +887,7 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     }
     auto barrier = std::make_shared<sys::Event>();
     streamAt(0, 0).record(barrier);
-    if (s.perSkeletonBarrier) {
-        s.localBarrier = barrier;
-    } else if (scope.chainData) {
+    if (scope.chainData) {
         s.backend.dataBarriers().publish(st.readUids, st.writeUids, barrier);
     }
     s.lastTail = std::move(barrier);

@@ -32,31 +32,6 @@
 
 namespace neon::skeleton {
 
-/// Legacy scheduling options for the two-argument sequence() overload.
-/// New code should pass SequenceOptions instead:
-///
-///   skl.sequence(ops, SequenceOptions().withName("cg").withOcc(Occ::STANDARD));
-struct Options
-{
-    Occ occ = Occ::NONE;
-    /// Cap on concurrent streams per device (level width beyond this wraps).
-    int maxStreams = 8;
-
-    Options() = default;
-
-    Options& withOcc(Occ o)
-    {
-        occ = o;
-        return *this;
-    }
-    Options& withMaxStreams(int n)
-    {
-        NEON_CHECK(n >= 1, "Options: maxStreams must be >= 1");
-        maxStreams = n;
-        return *this;
-    }
-};
-
 /// Everything sequence() takes besides the containers, configured fluently:
 ///
 ///   SequenceOptions().withName("jacobi").withOcc(Occ::EXTENDED).withMaxStreams(4)
@@ -194,11 +169,6 @@ class Skeleton
     /// CompiledSchedule handle over the (possibly cache-replayed) schedule.
     CompiledSchedule sequence(std::vector<set::Container> containers, SequenceOptions options = {});
 
-    /// Legacy overload (name + Options); delegates to the SequenceOptions
-    /// form. Kept source-compatible for one release.
-    CompiledSchedule sequence(std::vector<set::Container> containers, std::string name,
-                              Options options = {});
-
     /// Enqueue one execution of the scheduled task list (asynchronous).
     /// Under fault injection a RuntimeError aborts the run cleanly: the
     /// engine is quiesced, the error is rethrown enriched with the graph
@@ -262,9 +232,6 @@ class Skeleton
     /// Mutate the scheduled task list (no rescheduling). Supersedes
     /// outstanding CompiledSchedule handles.
     void debugMutateTasks(const std::function<void(std::vector<Task>&)>& fn);
-    /// Revert to the historical per-skeleton inter-run barrier (misses the
-    /// cross-skeleton dependency chain; the race detector must catch it).
-    void debugUsePerSkeletonBarrier(bool on);
 
    private:
     friend class CompiledSchedule;

@@ -39,23 +39,20 @@ struct KernelWork
     ChunkFn finalize = nullptr;  ///< optional, after all chunks (reduce tree)
     void*   ctx = nullptr;
     int32_t chunks = 0;
-    bool    sanitized = false;  ///< access-sanitizer trampoline (set/sanitize.hpp)
     std::shared_ptr<void> owner;
 
     [[nodiscard]] explicit operator bool() const { return run != nullptr; }
 };
 
-/// A device kernel: `work` (preferred) or `body` (legacy std::function path
-/// kept for Stream::kernel users) performs the real computation on host
-/// devices; the simulated duration comes from `items` and `hint`.
+/// A device kernel: `work` performs the real computation on host devices;
+/// the simulated duration comes from `items` and `hint`.
 struct KernelOp
 {
-    std::string           name;
-    size_t                items = 0;
-    KernelCostHint        hint;
-    KernelWork            work;
-    std::function<void()> body;
-    OpAttribution         attr;
+    std::string    name;
+    size_t         items = 0;
+    KernelCostHint hint;
+    KernelWork     work;
+    OpAttribution  attr;
 };
 
 /// One contiguous device-to-device copy; `direction` selects the DMA engine

@@ -73,16 +73,6 @@ void Stream::enqueue(Op op)
     mEngine->enqueue(*this, std::move(op));
 }
 
-void Stream::kernel(std::string name, size_t items, KernelCostHint hint, std::function<void()> body)
-{
-    KernelOp op;
-    op.name = std::move(name);
-    op.items = items;
-    op.hint = hint;
-    op.body = std::move(body);
-    enqueue(std::move(op));
-}
-
 void Stream::transfer(TransferOp op)
 {
     enqueue(std::move(op));
@@ -144,8 +134,6 @@ void Engine::runKernelWork(const Device& dev, int streamId, const KernelOp& op, 
         if (op.work.finalize != nullptr) {
             op.work.finalize(op.work.ctx, 0, op.work.chunks);
         }
-    } else if (op.body) {
-        op.body();
     }
 }
 

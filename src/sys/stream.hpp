@@ -34,7 +34,6 @@ class Stream
     void enqueue(Op op);
 
     // Convenience wrappers -------------------------------------------------
-    void kernel(std::string name, size_t items, KernelCostHint hint, std::function<void()> body);
     void transfer(TransferOp op);
     void hostFn(std::string name, double simDuration, std::function<void()> fn);
     void record(EventPtr event);

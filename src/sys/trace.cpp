@@ -6,8 +6,6 @@
 #include <map>
 #include <sstream>
 
-#include "core/error.hpp"
-
 namespace neon::sys {
 
 namespace {
@@ -46,29 +44,6 @@ std::string usFmt(double seconds)
     os.precision(3);
     os << seconds * 1e6;
     return os.str();
-}
-
-TraceKind kindFromString(const std::string& kind)
-{
-    if (kind == "kernel") {
-        return TraceKind::Kernel;
-    }
-    if (kind == "transfer") {
-        return TraceKind::Transfer;
-    }
-    if (kind == "hostFn") {
-        return TraceKind::HostFn;
-    }
-    if (kind == "wait") {
-        return TraceKind::Wait;
-    }
-    if (kind == "fault") {
-        return TraceKind::Fault;
-    }
-    if (kind == "hostPool") {
-        return TraceKind::HostPool;
-    }
-    throw NeonException("Trace::add: unknown kind string '" + kind + "'");
 }
 
 constexpr size_t kReserveChunk = 1024;
@@ -162,13 +137,6 @@ void Trace::record(int device, int stream, TraceKind kind, std::string_view name
     mStore.waitEventId.push_back(waitEventId);
     mStore.srcDevice.push_back(srcDevice);
     mStore.srcStream.push_back(srcStream);
-}
-
-void Trace::add(const TraceEntry& entry)
-{
-    record(entry.device, entry.stream, kindFromString(entry.kind), entry.name, entry.startV,
-           entry.endV, entry.bytes, entry.containerId, entry.runId, entry.jobId,
-           entry.waitEventId, entry.srcDevice, entry.srcStream);
 }
 
 void Trace::clear()

@@ -77,10 +77,6 @@ class Trace
                 double endV, uint64_t bytes = 0, int containerId = -1, int runId = -1,
                 int jobId = -1, uint64_t waitEventId = 0, int srcDevice = -1, int srcStream = -1);
 
-    /// Compatibility shim over record(): accepts a materialized entry (the
-    /// kind string must be one of the five to_string(TraceKind) spellings).
-    void add(const TraceEntry& entry);
-
     void clear();
 
     [[nodiscard]] size_t size() const;

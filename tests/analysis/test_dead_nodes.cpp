@@ -12,6 +12,7 @@ namespace neon::analysis {
 using set::Backend;
 using set::Container;
 using skeleton::EdgeKind;
+using skeleton::SequenceOptions;
 using skeleton::Skeleton;
 
 TEST(DeadNodes, KillNodeResetsSchedulingState)
@@ -22,7 +23,7 @@ TEST(DeadNodes, KillNodeResetsSchedulingState)
         rig.stencil("sten", rig.f0, rig.f1),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "dead");
+    skl.sequence(seq, SequenceOptions().withName("dead"));
     const int halo = findHaloNode(skl.graph());
     ASSERT_GE(halo, 0);
     ASSERT_GE(skl.graph().node(halo).level, 0) << "halo node must have been scheduled";

@@ -15,7 +15,7 @@ namespace neon::analysis {
 using set::Backend;
 using set::Container;
 using skeleton::EdgeKind;
-using skeleton::Options;
+using skeleton::SequenceOptions;
 using skeleton::Skeleton;
 using skeleton::Task;
 
@@ -39,7 +39,7 @@ TEST(GraphLint, CleanAcrossConfigurations)
         for (Occ occ : {Occ::NONE, Occ::STANDARD, Occ::EXTENDED, Occ::TWO_WAY}) {
             Rig      rig(Backend::cpu(nDev));
             Skeleton skl(rig.backend);
-            skl.sequence(cleanSeq(rig), "clean", Options().withOcc(occ));
+            skl.sequence(cleanSeq(rig), SequenceOptions().withName("clean").withOcc(occ));
             const AnalysisReport rep = skl.validate();
             EXPECT_TRUE(rep.clean())
                 << "nDev=" << nDev << " occ=" << to_string(occ) << "\n" << rep.toString();
@@ -56,7 +56,7 @@ TEST(GraphLint, DetectsDeletedWaRDependency)
         rig.fill("writer", rig.f0, 2.0),     // writes f0 -> WaR reader->writer
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "war");
+    skl.sequence(seq, SequenceOptions().withName("war"));
     ASSERT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     int from = -1;
@@ -95,7 +95,7 @@ TEST(GraphLint, DetectsSkippedHaloUpdate)
         rig.stencil("sten", rig.f0, rig.f1),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "halo");
+    skl.sequence(seq, SequenceOptions().withName("halo"));
     ASSERT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     const int halo = findHaloNode(skl.graph());
@@ -126,7 +126,7 @@ TEST(GraphLint, DetectsSpuriousEdge)
         rig.fill("wb", rig.f1, 2.0),  // independent of wa
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "spurious");
+    skl.sequence(seq, SequenceOptions().withName("spurious"));
     ASSERT_TRUE(skl.validate().clean());
 
     skl.debugMutateGraph([](skeleton::Graph& g) { g.addEdge(0, 1, EdgeKind::RaW); });
@@ -143,7 +143,7 @@ TEST(GraphLint, DetectsTaskOrderInversion)
         rig.copy("r", rig.f0, rig.f1),  // RaW w -> r
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "order");
+    skl.sequence(seq, SequenceOptions().withName("order"));
     ASSERT_TRUE(skl.validate().clean());
 
     skl.debugMutateTasks([](std::vector<Task>& tasks) {
@@ -163,7 +163,7 @@ TEST(GraphLint, DetectsDroppedEventWait)
         rig.add("mix", rig.f0, rig.f1, rig.f2),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "wait");
+    skl.sequence(seq, SequenceOptions().withName("wait"));
     ASSERT_TRUE(skl.validate().clean()) << skl.validate().toString();
     ASSERT_EQ(skl.streamCount(), 2);  // wa/wb run on parallel streams
 
@@ -237,7 +237,7 @@ TEST(GraphLint, SparseBGridWithEmptyBoundaryClaimsNoHaloSegments)
     auto out = grid.newField<double>("out", 1, 0.0);
 
     skeleton::Skeleton skl(backend);
-    skl.sequence(bgridStencilSeq(grid, in, out), "sparse");
+    skl.sequence(bgridStencilSeq(grid, in, out), SequenceOptions().withName("sparse"));
     EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     const skeleton::Graph& g = skl.graph();
@@ -279,7 +279,7 @@ TEST(GraphLint, DenseBGridClaimsOnlyFedHaloHalves)
     auto out = grid.newField<double>("out", 1, 0.0);
 
     skeleton::Skeleton skl(backend);
-    skl.sequence(bgridStencilSeq(grid, in, out), "dense");
+    skl.sequence(bgridStencilSeq(grid, in, out), SequenceOptions().withName("dense"));
     EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     const int stenId = findNode(skl.graph(), [](const skeleton::GraphNode& n) {

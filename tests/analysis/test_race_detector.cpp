@@ -13,7 +13,8 @@ namespace neon::analysis {
 
 using set::Backend;
 using set::Container;
-using skeleton::Options;
+using skeleton::RunScope;
+using skeleton::SequenceOptions;
 using skeleton::Skeleton;
 using skeleton::Task;
 
@@ -39,7 +40,7 @@ TEST(RaceDetector, CleanOnBothEngines)
             auto an = rig.backend.analysis();
             an.enable();
             Skeleton skl(rig.backend);
-            skl.sequence(cleanSeq(rig), "clean", Options().withOcc(occ));
+            skl.sequence(cleanSeq(rig), SequenceOptions().withName("clean").withOcc(occ));
             for (int r = 0; r < 3; ++r) {
                 skl.run();
             }
@@ -61,7 +62,7 @@ TEST(RaceDetector, DetectsDroppedCrossStreamWait)
         rig.add("mix", rig.f0, rig.f1, rig.f2),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "dropped-wait");
+    skl.sequence(seq, SequenceOptions().withName("dropped-wait"));
     ASSERT_EQ(skl.streamCount(), 2);
 
     const int mix = findNode(skl.graph(), [](const skeleton::GraphNode& n) {
@@ -95,11 +96,11 @@ TEST(RaceDetector, DetectsDroppedCrossStreamWait)
 
 TEST(RaceDetector, DetectsMissingInterRunBarrier)
 {
-    for (bool revert : {false, true}) {
+    for (bool unchained : {false, true}) {
         Rig rig(Backend::cpu(2));
         // Skeleton A writes on two parallel streams; skeleton B reads the
-        // stream-1 write from its single stream. The backend-wide inter-run
-        // barrier orders them; the historical per-skeleton barrier does not.
+        // stream-1 write from its single stream. The backend's per-uid data
+        // chains order them; a run that skips the chain does not.
         std::vector<Container> seqA = {
             rig.fill("wa", rig.f0, 1.0),
             rig.fill("wb", rig.f1, 2.0),
@@ -107,22 +108,18 @@ TEST(RaceDetector, DetectsMissingInterRunBarrier)
         std::vector<Container> seqB = {rig.copy("rb", rig.f1, rig.f2)};
         Skeleton               a(rig.backend);
         Skeleton               b(rig.backend);
-        a.sequence(seqA, "a");
-        b.sequence(seqB, "b");
+        a.sequence(seqA, SequenceOptions().withName("a"));
+        b.sequence(seqB, SequenceOptions().withName("b"));
         ASSERT_EQ(a.streamCount(), 2);
-        if (revert) {
-            a.debugUsePerSkeletonBarrier(true);
-            b.debugUsePerSkeletonBarrier(true);
-        }
         auto an = rig.backend.analysis();
         an.enable();
         a.run();
-        b.run();
+        b.run(RunScope{.chainData = !unchained});
         a.sync();
         const AnalysisReport rep = an.raceReport();
-        if (revert) {
+        if (unchained) {
             EXPECT_GE(rep.count(ViolationKind::Race), 1u)
-                << "per-skeleton barrier must race\n" << rep.toString();
+                << "an unchained run must race\n" << rep.toString();
             bool attributed = false;
             for (const auto& v : rep.violations) {
                 if (v.kind == ViolationKind::Race &&
@@ -146,7 +143,7 @@ TEST(RaceDetector, DetectsSkippedHaloUpdateAtRuntime)
         rig.stencil("sten", rig.f0, rig.f1),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "halo");
+    skl.sequence(seq, SequenceOptions().withName("halo"));
     const int halo = findHaloNode(skl.graph());
     ASSERT_GE(halo, 0);
     skl.debugMutateGraph([&](skeleton::Graph& g) { g.killNode(halo); });
@@ -174,7 +171,7 @@ TEST(RaceDetector, IncrementalDrainReportsFindingsOnce)
         rig.add("mix", rig.f0, rig.f1, rig.f2),
     };
     Skeleton skl(rig.backend);
-    skl.sequence(seq, "drain");
+    skl.sequence(seq, SequenceOptions().withName("drain"));
     const int mix = findNode(skl.graph(), [](const skeleton::GraphNode& n) {
         return n.container.name() == "mix";
     });

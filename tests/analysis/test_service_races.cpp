@@ -115,8 +115,9 @@ TEST(ServiceRaces, PingPongChainingAcrossSkeletonsStillHolds)
     an.enable();
     skeleton::Skeleton even(rig.backend);
     skeleton::Skeleton odd(rig.backend);
-    even.sequence({rig.stencil("even", rig.f0, rig.f1)}, "even");
-    odd.sequence({rig.stencil("odd", rig.f1, rig.f0)}, "odd");
+    even.sequence({rig.stencil("even", rig.f0, rig.f1)},
+                  skeleton::SequenceOptions().withName("even"));
+    odd.sequence({rig.stencil("odd", rig.f1, rig.f0)}, skeleton::SequenceOptions().withName("odd"));
     for (int step = 0; step < 3; ++step) {
         even.run();
         odd.run();
@@ -129,7 +130,7 @@ TEST(ServiceRaces, PingPongChainingAcrossSkeletonsStillHolds)
     Rig                ref(Backend::cpu(3));
     skeleton::Skeleton one(ref.backend);
     one.sequence({ref.stencil("even", ref.f0, ref.f1), ref.stencil("odd", ref.f1, ref.f0)},
-                 "pair");
+                 skeleton::SequenceOptions().withName("pair"));
     for (int step = 0; step < 3; ++step) {
         one.run();
     }

@@ -102,8 +102,8 @@ TEST(SplitBalanced, Properties)
             if (total < n) {
                 continue;
             }
-            auto    c = splitBalanced(total, n);
-            int32_t sum = 0;
+            auto    c = domain::PartitionPlan::even(total, n).unitsPerDev;
+            int64_t sum = 0;
             for (auto v : c) {
                 sum += v;
                 EXPECT_GE(v, total / n);

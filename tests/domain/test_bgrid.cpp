@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "bgrid/bfield.hpp"
 #include "core/error.hpp"
@@ -66,6 +67,20 @@ TEST(BGrid, PartitionClassesAreConsistentAcrossDevices)
             ownedCells += static_cast<int64_t>(grid.span(d, DataView::STANDARD).count());
         }
         EXPECT_EQ(static_cast<size_t>(ownedCells), grid.activeCount());
+    }
+
+    // The exact row cuts, pinned: the constructor's plan for 1-4 devices,
+    // and rebindBackend onto fewer devices re-cuts the same way.
+    using Units = std::vector<int64_t>;
+    const std::vector<Units> want = {{12}, {7, 5}, {6, 2, 4}, {6, 2, 2, 2}};
+    for (int n = 1; n <= 4; ++n) {
+        const BGrid grid(Backend::cpu(n), dim, pred, Stencil::laplace7(), 4);
+        EXPECT_EQ(grid.currentPlan().unitsPerDev, want[n - 1]) << n << " devices";
+    }
+    BGrid grid(Backend::cpu(4), dim, pred, Stencil::laplace7(), 4);
+    for (int n = 3; n >= 1; --n) {
+        grid.rebindBackend(Backend::cpu(n));
+        EXPECT_EQ(grid.currentPlan().unitsPerDev, want[n - 1]) << "rebound to " << n;
     }
 }
 

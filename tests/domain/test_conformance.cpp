@@ -127,8 +127,8 @@ std::vector<double> runStencilIterations(EngineKind engine, Occ occ, int iters)
     skeleton::Skeleton bwd(backend);
     auto               cFwd = laplace(grid, a, b);
     auto               cBwd = laplace(grid, b, a);
-    fwd.sequence({cFwd}, "fwd", skeleton::Options().withOcc(occ));
-    bwd.sequence({cBwd}, "bwd", skeleton::Options().withOcc(occ));
+    fwd.sequence({cFwd}, skeleton::SequenceOptions().withName("fwd").withOcc(occ));
+    bwd.sequence({cBwd}, skeleton::SequenceOptions().withName("bwd").withOcc(occ));
 
     for (int i = 0; i < iters; ++i) {
         (i % 2 == 0 ? fwd : bwd).run();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "egrid/egrid.hpp"
 
@@ -144,6 +145,28 @@ TEST(EGrid, LoadBalanceOnSkewedDomain)
     for (int d = 0; d < 4; ++d) {
         // No partition should be wildly overloaded (ideal = total/4).
         EXPECT_LE(static_cast<size_t>(grid.part(d).nOwned), total / 4 + 16 * 16);
+    }
+
+    // The exact plane cuts, pinned: the constructor's plan for 1-4 devices,
+    // and rebindBackend onto fewer devices re-cuts the same way.
+    using Units = std::vector<int64_t>;
+    const std::vector<Units> want = {{32}, {8, 24}, {6, 6, 20}, {4, 4, 4, 20}};
+    for (int n = 1; n <= 4; ++n) {
+        EXPECT_EQ(EGrid(Backend::cpu(n), dim, lowHalf).currentPlan().unitsPerDev, want[n - 1])
+            << n << " devices";
+    }
+    EXPECT_EQ(grid.currentPlan().unitsPerDev, want[3]);
+    for (int n = 3; n >= 1; --n) {
+        grid.rebindBackend(Backend::cpu(n));
+        EXPECT_EQ(grid.currentPlan().unitsPerDev, want[n - 1]) << "rebound to " << n;
+    }
+
+    // Non-uniform weights: the sphere's active-cell count varies per plane.
+    const index_3d           sd{10, 10, 24};
+    const std::vector<Units> wantSphere = {{24}, {13, 11}, {12, 2, 10}, {11, 2, 2, 9}};
+    for (int n = 1; n <= 4; ++n) {
+        EGrid sg(Backend::cpu(n), sd, [&](const index_3d& g) { return sphere(g, sd); });
+        EXPECT_EQ(sg.currentPlan().unitsPerDev, wantSphere[n - 1]) << n << " devices";
     }
 }
 

@@ -72,7 +72,7 @@ struct MiniApp
                 dp(c) = 0.7 * dp(c) + 0.3 * sp(c);
             };
         }));
-        skl.sequence(seq, "mini", Options().withOcc(Occ::STANDARD));
+        skl.sequence(seq, SequenceOptions().withName("mini").withOcc(Occ::STANDARD));
     }
 
     std::vector<double> run(int runs = kRuns)

@@ -46,7 +46,7 @@ struct Fixture
     void runOne(set::Container c)
     {
         skeleton::Skeleton s(grid.backend());
-        s.sequence({std::move(c)}, "op");
+        s.sequence({std::move(c)}, skeleton::SequenceOptions().withName("op"));
         s.run();
         s.sync();
     }
@@ -127,7 +127,8 @@ TEST_P(BlasDense, DotAndNorm)
     GlobalScalar<double>  n2(f.grid.backend(), "n2", 0.0);
 
     skeleton::Skeleton s(f.grid.backend());
-    s.sequence({dot(f.grid, f.x, f.y, d), norm2Sq(f.grid, f.x, n2)}, "reduce");
+    s.sequence({dot(f.grid, f.x, f.y, d), norm2Sq(f.grid, f.x, n2)},
+               skeleton::SequenceOptions().withName("reduce"));
     s.run();
     s.sync();
 
@@ -158,7 +159,8 @@ TEST(BlasSparse, SameOpsOnSparseGrid)
     GlobalScalar<double>  d(f.grid.backend(), "d", 0.0);
 
     skeleton::Skeleton s(f.grid.backend());
-    s.sequence({axpy(f.grid, alpha, f.x, f.y), dot(f.grid, f.x, f.y, d)}, "sparseBlas");
+    s.sequence({axpy(f.grid, alpha, f.x, f.y), dot(f.grid, f.x, f.y, d)},
+               skeleton::SequenceOptions().withName("sparseBlas"));
     s.run();
     s.sync();
 
@@ -185,7 +187,7 @@ TEST(Blas, ScalarUpdateBetweenRunsIsVisible)
     Fixture<dgrid::DGrid> f(denseGrid(2), 1);
     GlobalScalar<double>  alpha(f.grid.backend(), "a", 0.0);
     skeleton::Skeleton    s(f.grid.backend());
-    s.sequence({axpy(f.grid, alpha, f.x, f.y)}, "axpyLoop");
+    s.sequence({axpy(f.grid, alpha, f.x, f.y)}, skeleton::SequenceOptions().withName("axpyLoop"));
 
     alpha.set(1.0);
     s.run();

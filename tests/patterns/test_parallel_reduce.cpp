@@ -1,8 +1,9 @@
 // NEON_THREADS bitwise-determinism guarantee (docs/performance.md, "Host
 // parallelism"): dot / norm2Sq reductions and map field state must be
-// bitwise identical for any host-pool width, on both engines. The chunk
-// partition is span-derived and the per-chunk partials fold through a
-// fixed-shape combine tree, so no float is ever added in a different order.
+// bitwise identical for any host-pool width, on both engines, and with the
+// access sanitizer on or off. The chunk partition is span-derived and the
+// per-chunk partials fold through a fixed-shape combine tree, so no float
+// is ever added in a different order.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "dgrid/dfield.hpp"
 #include "patterns/blas.hpp"
+#include "set/sanitize.hpp"
 #include "skeleton/skeleton.hpp"
 
 namespace neon::patterns {
@@ -20,7 +22,8 @@ using set::GlobalScalar;
 
 namespace {
 
-// Odd extents on purpose: chunk boundaries land mid-partition.
+// Odd extents on purpose: chunk boundaries land mid-partition, and the
+// reduce folds an odd chunk count (7 chunks on 1 device, 3 per device on 2).
 constexpr index_3d kDim{24, 20, 33};
 
 struct RunResult
@@ -31,8 +34,9 @@ struct RunResult
     bool                poolRan = false;  ///< hostPool rows appeared in the trace
 };
 
-/// One full pipeline (map -> dot -> norm2Sq, 3 runs) at a given pool width.
-RunResult runAt(set::EngineKind kind, int hostThreads, int nDev)
+/// One full pipeline (map -> dot -> norm2Sq, 3 runs) at a given pool width,
+/// optionally through the sanitizer's instrumented trampolines.
+RunResult runAt(set::EngineKind kind, int hostThreads, int nDev, bool sanitize = false)
 {
     set::BackendSpec spec = set::BackendSpec::cpu(nDev, kind).withHostThreads(hostThreads);
     Backend          backend = Backend::make(spec);
@@ -56,7 +60,8 @@ RunResult runAt(set::EngineKind kind, int hostThreads, int nDev)
     GlobalScalar<double> n(backend, "n", 0.0);
 
     skeleton::Skeleton skl(backend);
-    skl.sequence({axpy(grid, alpha, x, y), dot(grid, x, y, d), norm2Sq(grid, y, n)}, "reduce");
+    skl.sequence({axpy(grid, alpha, x, y), dot(grid, x, y, d), norm2Sq(grid, y, n)},
+                 skeleton::SequenceOptions().withName("reduce").withSanitize(sanitize));
     for (int r = 0; r < 3; ++r) {
         skl.run();
     }
@@ -112,6 +117,25 @@ TEST_P(ParallelReduce, EnginesAgreeAtEveryWidth)
         EXPECT_EQ(a.dot, b.dot);
         EXPECT_EQ(a.norm, b.norm);
         ASSERT_EQ(a.field, b.field);
+    }
+}
+
+TEST_P(ParallelReduce, SanitizedMatchesPlainAtEveryWidth)
+{
+    const auto kind = GetParam();
+    auto&      session = set::sanitize::Session::instance();
+    for (const int nDev : {1, 2}) {
+        for (const int width : {1, 2, 8}) {
+            const RunResult plain = runAt(kind, width, nDev);
+            session.clear();
+            const RunResult san = runAt(kind, width, nDev, true);
+            EXPECT_FALSE(session.snapshot().empty()) << "sanitized kernels committed nothing";
+            session.clear();
+            EXPECT_EQ(san.dot, plain.dot) << "dot diverged, " << nDev << " dev, width " << width;
+            EXPECT_EQ(san.norm, plain.norm)
+                << "norm2Sq diverged, " << nDev << " dev, width " << width;
+            ASSERT_EQ(san.field, plain.field) << nDev << " dev, width " << width;
+        }
     }
 }
 

@@ -98,15 +98,17 @@ void repartitionDifferential(EngineKind kind)
 template <typename Grid>
 void migrationPreservesData()
 {
-    Harness<Grid>             h(Backend::cpu(3));
-    const std::vector<double> before = snapshot(h.f);
-    h.grid.repartition(skewedPlan(h.grid));
+    Harness<Grid>               h(Backend::cpu(3));
+    const std::vector<double>   before = snapshot(h.f);
+    const domain::PartitionPlan original = h.grid.currentPlan();
+    const domain::PartitionPlan skewed = skewedPlan(h.grid);
+    ASSERT_NE(skewed.unitsPerDev, original.unitsPerDev);
+    h.grid.repartition(skewed);
     expectBitwiseEqual(snapshot(h.f), before, "migrated f");
 
     // And back: the inverse migration restores the original decomposition.
-    domain::PartitionPlan even = domain::PartitionPlan::even(
-        h.grid.partitionUnits(), h.grid.devCount());
-    h.grid.repartition(even);
+    h.grid.repartition(original);
+    EXPECT_EQ(h.grid.currentPlan().unitsPerDev, original.unitsPerDev);
     expectBitwiseEqual(snapshot(h.f), before, "round-trip f");
 }
 
@@ -204,7 +206,7 @@ TEST(UnevenSlabHalo, DGridFeedsExactlyTheFedHalves)
     });
 
     skeleton::Skeleton skl(backend);
-    skl.sequence({fill, sten}, "uneven");
+    skl.sequence({fill, sten}, skeleton::SequenceOptions().withName("uneven"));
     EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     const int stenId = findStencilNode(skl.graph());
@@ -264,7 +266,8 @@ TEST(UnevenSlabHalo, SparseBGridStillClaimsNoHaloAfterRepartition)
     grid.repartition(plan);
 
     skeleton::Skeleton skl(backend);
-    skl.sequence(bgridStencilSeq(grid, in, out), "sparse-uneven");
+    skl.sequence(bgridStencilSeq(grid, in, out),
+                 skeleton::SequenceOptions().withName("sparse-uneven"));
     EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     const int haloId = findNode(skl.graph(), [](const skeleton::GraphNode& n) {
@@ -293,7 +296,8 @@ TEST(UnevenSlabHalo, DenseBGridClaimsOnlyFedHalvesAfterRepartition)
     grid.repartition(plan);  // legal no-op-sized re-slice keeps the claims
 
     skeleton::Skeleton skl(backend);
-    skl.sequence(bgridStencilSeq(grid, in, out), "dense-uneven");
+    skl.sequence(bgridStencilSeq(grid, in, out),
+                 skeleton::SequenceOptions().withName("dense-uneven"));
     EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
 
     const int stenId = findStencilNode(skl.graph());

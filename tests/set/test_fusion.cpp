@@ -35,7 +35,7 @@ TEST(Fusion, FusedMapsMatchSequentialMaps)
 
     auto fused = Container::fusedFactory("fused", grid, mapOne, mapTwo);
     skeleton::Skeleton skl(grid.backend());
-    skl.sequence({fused}, "fused");
+    skl.sequence({fused}, skeleton::SequenceOptions().withName("fused"));
     skl.run();
     skl.sync();
     b.updateHost();
@@ -92,9 +92,11 @@ TEST(Fusion, SavesOneKernelLaunchInVirtualTime)
         };
         skeleton::Skeleton skl(backend);
         if (fuse) {
-            skl.sequence({Container::fusedFactory("fused", grid, one, two)}, "f");
+            skl.sequence({Container::fusedFactory("fused", grid, one, two)},
+                         skeleton::SequenceOptions().withName("f"));
         } else {
-            skl.sequence({grid.newContainer("one", one), grid.newContainer("two", two)}, "s");
+            skl.sequence({grid.newContainer("one", one), grid.newContainer("two", two)},
+                         skeleton::SequenceOptions().withName("s"));
         }
         const double t0 = backend.profiler().makespan();
         skl.run();

@@ -110,7 +110,8 @@ RunResult runPipeline(int nDev, Occ occ, Backend::EngineKind engine,
     auto axpyA = patterns::axpy(grid, alpha, C, A, "axpyA");
 
     Skeleton skl(backend);
-    skl.sequence({mapB, stencilC, dotBC, alphaOp, axpyA}, "pipeline", Options().withOcc(occ));
+    skl.sequence({mapB, stencilC, dotBC, alphaOp, axpyA},
+                 SequenceOptions().withName("pipeline").withOcc(occ));
 
     const double v0 = backend.profiler().makespan();
     for (int it = 0; it < kIters; ++it) {
@@ -207,7 +208,7 @@ TEST(SkeletonVtime, TraceShowsCommunicationComputationOverlap)
     });
 
     Skeleton skl(backend);
-    skl.sequence({mapB, stencilC}, "overlap", Options().withOcc(Occ::STANDARD));
+    skl.sequence({mapB, stencilC}, SequenceOptions().withName("overlap").withOcc(Occ::STANDARD));
     backend.profiler().trace().clear();
     backend.profiler().trace().enable(true);
     skl.run();
@@ -249,7 +250,7 @@ TEST(SkeletonApi, MismatchedBackendIsRejected)
         return [=](const dgrid::DCell& cell) mutable { fp(cell) = 1.0; };
     });
     Skeleton skl(Backend::cpu(4));
-    EXPECT_THROW(skl.sequence({c}, "mismatch"), NeonException);
+    EXPECT_THROW(skl.sequence({c}, SequenceOptions().withName("mismatch")), NeonException);
 }
 
 TEST(SkeletonApi, ReportMentionsTasksAndStreams)
@@ -262,7 +263,7 @@ TEST(SkeletonApi, ReportMentionsTasksAndStreams)
         return [=](const dgrid::DCell& cell) mutable { fp(cell) = 1.0; };
     });
     Skeleton skl(b);
-    skl.sequence({c}, "demo");
+    skl.sequence({c}, SequenceOptions().withName("demo"));
     auto rep = skl.describe();
     EXPECT_NE(rep.find("demo"), std::string::npos);
     EXPECT_NE(rep.find("touch"), std::string::npos);

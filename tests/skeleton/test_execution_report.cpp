@@ -40,7 +40,7 @@ struct Pipeline
             return
                 [=](const dgrid::DCell& cell) mutable { c(cell) = b.nghVal(cell, {0, 0, 1}); };
         });
-        skl.sequence({mapB, stencilC}, "pipeline", Options().withOcc(occ));
+        skl.sequence({mapB, stencilC}, SequenceOptions().withName("pipeline").withOcc(occ));
     }
 
     ExecutionReport profiledRun(int iters = 2)

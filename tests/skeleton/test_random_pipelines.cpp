@@ -121,7 +121,7 @@ struct Pipeline
     Snapshot execute(Occ occ)
     {
         Skeleton skl(grid.backend());
-        skl.sequence(seq, "random", Options().withOcc(occ));
+        skl.sequence(seq, SequenceOptions().withName("random").withOcc(occ));
         for (int r = 0; r < kRuns; ++r) {
             skl.run();
         }

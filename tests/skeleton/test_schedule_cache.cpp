@@ -347,27 +347,6 @@ TEST(CompiledSchedule, EmptyHandleThrows)
     EXPECT_THROW((void)empty.structuralHash(), NeonException);
 }
 
-TEST(SequenceOptionsApi, LegacyOverloadDelegatesToSequenceOptions)
-{
-    resetCache();
-    Backend  backend = Backend::cpu(2);
-    Pipeline p(backend, {6, 4, 13});
-    Skeleton skl(backend);
-    const CompiledSchedule c =
-        skl.sequence(p.ops, "legacy", Options().withOcc(Occ::STANDARD).withMaxStreams(3));
-    EXPECT_EQ(skl.name(), "legacy");
-    EXPECT_LE(skl.streamCount(), 3);
-    EXPECT_TRUE(c.current());
-
-    // The legacy overload goes through the same cache.
-    Pipeline p2(backend, {6, 4, 13});
-    Skeleton s2(backend);
-    const auto c2 =
-        s2.sequence(p2.ops, "legacy2", Options().withOcc(Occ::STANDARD).withMaxStreams(3));
-    EXPECT_TRUE(c2.cacheHit());
-    EXPECT_EQ(c.structuralHash(), c2.structuralHash());
-}
-
 TEST(ScheduleCache, CachedReplayLintsIdenticallyToColdCompile)
 {
     resetCache();

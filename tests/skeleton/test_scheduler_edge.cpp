@@ -66,10 +66,8 @@ struct WideApp
 TEST(SchedulerEdge, StreamCapOneSerializesButStaysCorrect)
 {
     WideApp  app(Backend::cpu(2), 5);
-    Options  options;
-    options.maxStreams = 1;
     Skeleton skl(app.grid.backend());
-    skl.sequence(app.sequence(), "wide", options);
+    skl.sequence(app.sequence(), SequenceOptions().withName("wide").withMaxStreams(1));
     EXPECT_EQ(skl.streamCount(), 1);
     skl.run();
     skl.sync();
@@ -83,7 +81,7 @@ TEST(SchedulerEdge, WideLevelUsesMultipleStreams)
 {
     WideApp  app(Backend::cpu(1), 6);
     Skeleton skl(app.grid.backend());
-    skl.sequence(app.sequence(), "wide");
+    skl.sequence(app.sequence(), SequenceOptions().withName("wide"));
     EXPECT_GE(skl.streamCount(), 6);
     skl.run();
     skl.sync();
@@ -94,10 +92,8 @@ TEST(SchedulerEdge, WideLevelUsesMultipleStreams)
 TEST(SchedulerEdge, StreamCapBelowWidthWrapsRoundRobin)
 {
     WideApp  app(Backend::cpu(1), 6);
-    Options  options;
-    options.maxStreams = 3;
     Skeleton skl(app.grid.backend());
-    skl.sequence(app.sequence(), "wide", options);
+    skl.sequence(app.sequence(), SequenceOptions().withName("wide").withMaxStreams(3));
     EXPECT_EQ(skl.streamCount(), 3);
     for (const auto& t : skl.taskList()) {
         EXPECT_GE(t.stream, 0);
@@ -113,7 +109,7 @@ TEST(SchedulerEdge, SequenceCanBeRedefined)
 {
     WideApp  app(Backend::cpu(2), 2);
     Skeleton skl(app.grid.backend());
-    skl.sequence(app.sequence(), "first");
+    skl.sequence(app.sequence(), SequenceOptions().withName("first"));
     skl.run();
     skl.sync();
 
@@ -123,7 +119,7 @@ TEST(SchedulerEdge, SequenceCanBeRedefined)
         auto fp = l.load(f, Access::WRITE);
         return [=](const dgrid::DCell& cell) mutable { fp(cell) = -3.0; };
     });
-    skl.sequence({c}, "second");
+    skl.sequence({c}, SequenceOptions().withName("second"));
     EXPECT_EQ(skl.graph().aliveCount(), 1);
     skl.run();
     skl.sync();
@@ -135,7 +131,7 @@ TEST(SchedulerEdge, ThreadedEngineHandlesWideGraphs)
 {
     WideApp  app(Backend::cpu(2, Backend::EngineKind::Threaded), 4);
     Skeleton skl(app.grid.backend());
-    skl.sequence(app.sequence(), "wide");
+    skl.sequence(app.sequence(), SequenceOptions().withName("wide"));
     for (int i = 0; i < 5; ++i) {
         skl.run();
     }

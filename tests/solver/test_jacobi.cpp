@@ -28,7 +28,7 @@ TEST(MaxReduce, NormInfAcrossDevices)
 
     GlobalScalar<double> inf(grid.backend(), "inf", 0.0, ReduceOp::Max);
     skeleton::Skeleton   skl(grid.backend());
-    skl.sequence({patterns::normInf(grid, f, inf)}, "inf");
+    skl.sequence({patterns::normInf(grid, f, inf)}, skeleton::SequenceOptions().withName("inf"));
     skl.run();
     skl.sync();
     EXPECT_DOUBLE_EQ(inf.hostValue(), 42.5);

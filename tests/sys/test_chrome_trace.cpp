@@ -17,6 +17,7 @@
 #include "sys/event.hpp"
 #include "sys/stream.hpp"
 #include "sys/trace.hpp"
+#include "enqueue_kernel.hpp"
 
 namespace neon::sys {
 namespace {
@@ -232,7 +233,7 @@ JsonValue recordedChromeTrace(std::string* rawOut = nullptr)
     auto         profiler = b.profiler();
     profiler.enable(true);
 
-    b.stream(0, 0).kernel("produce", 1'000'000, {100.0, 0.0}, [] {});
+    enqueueKernel(b.stream(0, 0), "produce", 1'000'000, {100.0, 0.0}, [] {});
     auto ev = std::make_shared<Event>();
     b.stream(0, 0).record(ev);
     b.stream(1, 0).wait(ev);
@@ -241,7 +242,7 @@ JsonValue recordedChromeTrace(std::string* rawOut = nullptr)
     op.name = "halo";
     op.chunks.push_back({1 << 20, 1, [] {}});
     b.stream(1, 0).transfer(std::move(op));
-    b.stream(1, 0).kernel("consume", 1'000'000, {100.0, 0.0}, [] {});
+    enqueueKernel(b.stream(1, 0), "consume", 1'000'000, {100.0, 0.0}, [] {});
     b.sync();
     profiler.enable(false);
 

@@ -21,6 +21,7 @@
 #include "set/backend.hpp"
 #include "sys/fault.hpp"
 #include "sys/stream.hpp"
+#include "enqueue_kernel.hpp"
 
 namespace neon::sys {
 namespace {
@@ -63,7 +64,7 @@ std::string recordedTrace()
         set::BackendSpec::simGpu(1, SimConfig::dgxA100Like()).withFaults(plan));
     b.profiler().enable();
 
-    b.stream(0).kernel("compute", 1'000'000, {100.0, 0.0}, [] {});
+    enqueueKernel(b.stream(0), "compute", 1'000'000, {100.0, 0.0}, [] {});
     TransferOp op;
     op.name = "halo";
     op.chunks.push_back({1 << 20, 1, [] {}});

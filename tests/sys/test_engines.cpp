@@ -9,6 +9,7 @@
 #include "core/error.hpp"
 #include "set/backend.hpp"
 #include "sys/device.hpp"
+#include "enqueue_kernel.hpp"
 
 namespace neon::set {
 
@@ -27,7 +28,7 @@ TEST_P(EngineTest, StreamIsFifo)
     std::vector<int> order;
     auto&            s = b.stream(0);
     for (int i = 0; i < 10; ++i) {
-        s.kernel("k", 1, {}, [&order, i] { order.push_back(i); });
+        enqueueKernel(s, "k", 1, {}, [&order, i] { order.push_back(i); });
     }
     s.sync();
     ASSERT_EQ(order.size(), 10u);
@@ -44,11 +45,11 @@ TEST_P(EngineTest, EventOrdersAcrossStreams)
 
     auto& s0 = b.stream(0, 0);
     auto& s1 = b.stream(0, 1);
-    s0.kernel("producer", 1, {}, [&stage] { stage = 1; });
+    enqueueKernel(s0, "producer", 1, {}, [&stage] { stage = 1; });
     s0.record(ev);
     s1.wait(ev);
     int observed = -1;
-    s1.kernel("consumer", 1, {}, [&stage, &observed] { observed = stage.load(); });
+    enqueueKernel(s1, "consumer", 1, {}, [&stage, &observed] { observed = stage.load(); });
     b.sync();
     EXPECT_EQ(observed, 1);
 }
@@ -58,7 +59,7 @@ TEST_P(EngineTest, KernelAdvancesVirtualClock)
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     Backend        b = makeBackend(1, cfg);
     auto&          s = b.stream(0);
-    s.kernel("k", 1'000'000, {100.0, 0.0}, [] {});
+    enqueueKernel(s, "k", 1'000'000, {100.0, 0.0}, [] {});
     s.sync();
     const double expected =
         cfg.device.kernelLaunchOverhead + 1e6 * 100.0 / cfg.device.memBandwidth;
@@ -71,9 +72,9 @@ TEST_P(EngineTest, KernelsOnSameDeviceSerialize)
     Backend        b = makeBackend(1, cfg);
     auto&          s0 = b.stream(0, 0);
     auto&          s1 = b.stream(0, 1);
-    s0.kernel("a", 1'000'000, {100.0, 0.0}, [] {});
+    enqueueKernel(s0, "a", 1'000'000, {100.0, 0.0}, [] {});
     s0.sync();  // deterministic ordering for the threaded engine
-    s1.kernel("b", 1'000'000, {100.0, 0.0}, [] {});
+    enqueueKernel(s1, "b", 1'000'000, {100.0, 0.0}, [] {});
     b.sync();
     const double one =
         cfg.device.kernelLaunchOverhead + 1e6 * 100.0 / cfg.device.memBandwidth;
@@ -85,8 +86,8 @@ TEST_P(EngineTest, KernelsOnDifferentDevicesRunConcurrently)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     Backend        b = makeBackend(2, cfg);
-    b.stream(0).kernel("a", 1'000'000, {100.0, 0.0}, [] {});
-    b.stream(1).kernel("b", 1'000'000, {100.0, 0.0}, [] {});
+    enqueueKernel(b.stream(0), "a", 1'000'000, {100.0, 0.0}, [] {});
+    enqueueKernel(b.stream(1), "b", 1'000'000, {100.0, 0.0}, [] {});
     b.sync();
     const double one =
         cfg.device.kernelLaunchOverhead + 1e6 * 100.0 / cfg.device.memBandwidth;
@@ -105,7 +106,7 @@ TEST_P(EngineTest, TransferOverlapsComputeOnDifferentStreams)
         cfg.device.kernelLaunchOverhead + 1e6 * 1000.0 / cfg.device.memBandwidth;
     const double tXfer = sys::transferDuration(cfg, bytes);
 
-    b.stream(0, 0).kernel("compute", 1'000'000, {1000.0, 0.0}, [] {});
+    enqueueKernel(b.stream(0, 0), "compute", 1'000'000, {1000.0, 0.0}, [] {});
     sys::TransferOp op;
     op.name = "halo";
     op.chunks.push_back({bytes, 1, [] {}});
@@ -154,8 +155,8 @@ TEST_P(EngineTest, HostFnRunsAndAdvancesClock)
 TEST_P(EngineTest, ResetClocksZeroesVtime)
 {
     Backend b = makeBackend(2, sys::SimConfig::dgxA100Like());
-    b.stream(0).kernel("k", 1000, {100.0, 0.0}, [] {});
-    b.stream(1).kernel("k", 1000, {100.0, 0.0}, [] {});
+    enqueueKernel(b.stream(0), "k", 1000, {100.0, 0.0}, [] {});
+    enqueueKernel(b.stream(1), "k", 1000, {100.0, 0.0}, [] {});
     b.sync();
     EXPECT_GT(b.profiler().makespan(), 0.0);
     b.resetClocks();
@@ -168,7 +169,7 @@ TEST_P(EngineTest, DryRunSkipsExecutionButKeepsTiming)
     cfg.dryRun = true;
     Backend b = makeBackend(1, cfg);
     bool    ran = false;
-    b.stream(0).kernel("k", 1'000'000, {100.0, 0.0}, [&ran] { ran = true; });
+    enqueueKernel(b.stream(0), "k", 1'000'000, {100.0, 0.0}, [&ran] { ran = true; });
     b.sync();
     EXPECT_FALSE(ran);
     EXPECT_GT(b.profiler().makespan(), 0.0);
@@ -178,7 +179,7 @@ TEST_P(EngineTest, TraceRecordsEntries)
 {
     Backend b = makeBackend(1, sys::SimConfig::dgxA100Like());
     b.profiler().trace().enable(true);
-    b.stream(0).kernel("myKernel", 1000, {8.0, 0.0}, [] {});
+    enqueueKernel(b.stream(0), "myKernel", 1000, {8.0, 0.0}, [] {});
     b.sync();
     auto entries = b.profiler().trace().entries();
     ASSERT_EQ(entries.size(), 1u);

@@ -14,6 +14,7 @@
 #include "set/backend.hpp"
 #include "sys/device.hpp"
 #include "sys/fault.hpp"
+#include "enqueue_kernel.hpp"
 
 namespace neon::set {
 
@@ -141,7 +142,7 @@ TEST_P(FaultEngineTest, RetryExhaustionRaisesTransferFailed)
     }
     EXPECT_FALSE(copied) << "an exhausted transfer must not execute its copy";
     // The abort is sticky: further enqueues and syncs keep reporting it.
-    EXPECT_THROW(b.stream(0).kernel("k", 1, {}, [] {}), RuntimeError);
+    EXPECT_THROW(enqueueKernel(b.stream(0), "k", 1, {}, [] {}), RuntimeError);
     EXPECT_THROW(b.sync(), RuntimeError);
 }
 
@@ -154,7 +155,7 @@ TEST_P(FaultEngineTest, StreamStallAddsVirtualLatency)
     Backend b = faultyBackend(1, cfg, GetParam(), plan);
     b.profiler().enable();
 
-    b.stream(0).kernel("k", 1'000'000, {100.0, 0.0}, [] {});
+    enqueueKernel(b.stream(0), "k", 1'000'000, {100.0, 0.0}, [] {});
     b.sync();
     const double kernel =
         cfg.device.kernelLaunchOverhead + 1e6 * 100.0 / cfg.device.memBandwidth;
@@ -184,7 +185,7 @@ TEST_P(FaultEngineTest, NonMatchingPlanLeavesTimelineUntouched)
     Backend faulty = faultyBackend(1, cfg, GetParam(), plan);
 
     for (Backend* b : {&clean, &faulty}) {
-        b->stream(0).kernel("k", 1'000'000, {100.0, 0.0}, [] {});
+        enqueueKernel(b->stream(0), "k", 1'000'000, {100.0, 0.0}, [] {});
         b->stream(0).transfer(oneChunk(1 << 20));
         b->sync();
     }
@@ -199,8 +200,8 @@ TEST_P(FaultEngineTest, DeviceLossRaisesAttributedError)
 
     bool dev1Ran = false;
     try {
-        b.stream(0).kernel("survivor", 1, {}, [] {});
-        b.stream(1).kernel("victim", 1, {}, [&dev1Ran] { dev1Ran = true; });
+        enqueueKernel(b.stream(0), "survivor", 1, {}, [] {});
+        enqueueKernel(b.stream(1), "victim", 1, {}, [&dev1Ran] { dev1Ran = true; });
         b.sync();
         FAIL() << "expected RuntimeError";
     } catch (const RuntimeError& e) {
@@ -220,7 +221,7 @@ TEST_P(FaultEngineTest, OpTimeoutRaisesStructuredError)
     Backend b = Backend::make(BackendSpec::simGpu(1, cfg, GetParam()));
 
     try {
-        b.stream(0).kernel("slow", 1'000'000, {100.0, 0.0}, [] {});
+        enqueueKernel(b.stream(0), "slow", 1'000'000, {100.0, 0.0}, [] {});
         b.sync();
         FAIL() << "expected RuntimeError";
     } catch (const RuntimeError& e) {
@@ -238,7 +239,7 @@ TEST_P(FaultEngineTest, ClearAbortAllowsReuseAfterFailure)
 
     EXPECT_THROW(
         {
-            b.stream(0).kernel("k", 1, {}, [] {});
+            enqueueKernel(b.stream(0), "k", 1, {}, [] {});
             b.sync();
         },
         RuntimeError);
@@ -248,7 +249,7 @@ TEST_P(FaultEngineTest, ClearAbortAllowsReuseAfterFailure)
     b.engine().clearAbort();
     b.faults().setPlan({});
     bool ran = false;
-    b.stream(0).kernel("k2", 1, {}, [&ran] { ran = true; });
+    enqueueKernel(b.stream(0), "k2", 1, {}, [&ran] { ran = true; });
     b.sync();
     EXPECT_TRUE(ran);
 }
