@@ -4,6 +4,8 @@
 #include <array>
 #include <sstream>
 
+#include "core/json.hpp"
+
 namespace neon::analysis {
 
 std::string to_string(ViolationKind k)
@@ -41,21 +43,6 @@ constexpr std::array<ViolationKind, 16> kAllKinds = {
     ViolationKind::UndeclaredStencil,     ViolationKind::StencilRadiusExceeded,
     ViolationKind::OutOfSpanWrite,        ViolationKind::OverdeclaredAccess,
 };
-
-std::string jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            default: out += c; break;
-        }
-    }
-    return out;
-}
 
 }  // namespace
 

@@ -37,7 +37,7 @@ class Device
     [[nodiscard]] DeviceType type() const { return mType; }
     [[nodiscard]] const SimConfig& config() const { return mConfig; }
 
-    // --- DES engine bookkeeping (sequential engine; guarded by engine) ---
+    // --- DES engine bookkeeping (written by Engine::charge; guarded by the engine) ---
     /// Virtual time at which the compute engine becomes free. Grid kernels
     /// saturate a GPU, so concurrent kernels on one device serialize.
     double computeAvailable = 0.0;

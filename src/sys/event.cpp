@@ -48,13 +48,6 @@ int Event::recordedStream() const
     return mStream;
 }
 
-double Event::blockUntilRecorded() const
-{
-    std::unique_lock<std::mutex> lock(mMutex);
-    mCv.wait(lock, [this] { return mRecorded; });
-    return mVtime;
-}
-
 EventWaitStatus Event::waitRecorded(double timeoutSeconds, const std::atomic<bool>* cancel,
                                     double* vtimeOut) const
 {
@@ -81,15 +74,6 @@ EventWaitStatus Event::waitRecorded(double timeoutSeconds, const std::atomic<boo
         }
         mCv.wait_for(lock, kSlice, [this] { return mRecorded; });
     }
-}
-
-void Event::reset()
-{
-    std::lock_guard<std::mutex> lock(mMutex);
-    mRecorded = false;
-    mVtime = 0.0;
-    mDevice = -1;
-    mStream = -1;
 }
 
 }  // namespace neon::sys

@@ -37,27 +37,17 @@ class Event
     /// Virtual timestamp of the record; only meaningful once recorded().
     [[nodiscard]] double vtime() const;
 
-    /// Process-unique id (stable across reset()).
+    /// Process-unique id.
     [[nodiscard]] uint64_t id() const { return mId; }
     /// (device, stream) that recorded the event; -1 until recorded.
     [[nodiscard]] int recordedDevice() const;
     [[nodiscard]] int recordedStream() const;
-
-    /// Block the calling thread until the event is recorded (threaded
-    /// engine). Returns the recorded virtual time. Waits unconditionally —
-    /// prefer waitRecorded(), which bounds the wait and honours an abort
-    /// flag, so a scheduler bug surfaces as an error instead of a deadlock.
-    double blockUntilRecorded() const;
 
     /// Bounded wait: returns Recorded (vtimeOut filled) once recorded,
     /// TimedOut after `timeoutSeconds` of wall-clock time (0 = no limit),
     /// or Cancelled as soon as `cancel` (optional) becomes true.
     EventWaitStatus waitRecorded(double timeoutSeconds, const std::atomic<bool>* cancel,
                                  double* vtimeOut) const;
-
-    /// Return to the unrecorded state (reuse between skeleton runs on the
-    /// sequential engine only; the threaded engine allocates fresh events).
-    void reset();
 
    private:
     const uint64_t                  mId;

@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 
+#include "core/json.hpp"
+
 namespace neon {
 
 namespace {
@@ -55,19 +57,6 @@ double intersectionLength(const std::vector<Interval>& a, const std::vector<Inte
         }
     }
     return total;
-}
-
-std::string jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
 }
 
 std::string num(double v)

@@ -146,13 +146,6 @@ bool FaultInjector::deviceLost(int device) const
            mLost[static_cast<size_t>(device)].has_value();
 }
 
-void FaultInjector::reset()
-{
-    std::lock_guard<std::mutex> lock(mMutex);
-    mOrdinals.clear();
-    mLost.clear();
-}
-
 FaultDecision FaultInjector::decide(int device, int stream, ScheduleOpKind kind,
                                     const OpAttribution& attr)
 {

@@ -143,9 +143,6 @@ class FaultInjector
     /// True once a PermanentDeviceLoss rule has triggered for `device`.
     [[nodiscard]] bool deviceLost(int device) const;
 
-    /// Drop counters and latches but keep the plan (fresh run in tests).
-    void reset();
-
    private:
     mutable std::mutex                     mMutex;
     FaultPlan                              mPlan;

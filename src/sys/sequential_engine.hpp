@@ -8,10 +8,6 @@
 // a scheduler ordering bug and throws InternalError — a strong built-in
 // correctness check on the Skeleton's task ordering.
 
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
-
 #include "sys/stream.hpp"
 
 namespace neon::sys {
@@ -19,28 +15,12 @@ namespace neon::sys {
 class SequentialEngine final : public Engine
 {
    public:
-    void attach(Stream& stream) override;
-    void detach(Stream& stream) override;
     void enqueue(Stream& stream, Op op) override;
-    void sync(Stream& stream) override;
-    void syncAll() override;
 
-    [[nodiscard]] double streamVtime(const Stream& stream) const override;
-    [[nodiscard]] double maxVtime() const override;
-    void resetClocks() override;
-
-    [[nodiscard]] bool isSequential() const override { return true; }
-
-   private:
-    struct State
-    {
-        double vtime = 0.0;
-    };
-    static State& stateOf(const Stream& stream);
-
-    mutable std::mutex              mMutex;
-    std::unordered_set<Stream*>     mStreams;
-    std::unordered_set<Device*>     mDevices;
+    // Ops already executed eagerly: nothing to wait for — but a stored
+    // abort must surface to hosts that only sync (never enqueue again).
+    void sync(Stream&) override { rethrowAbort(); }
+    void syncAll() override { rethrowAbort(); }
 };
 
 }  // namespace neon::sys

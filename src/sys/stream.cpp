@@ -1,6 +1,7 @@
 #include "sys/stream.hpp"
 
-#include "core/error.hpp"
+#include <algorithm>
+
 #include "sys/device.hpp"
 
 namespace neon::sys {
@@ -45,20 +46,10 @@ void Stream::enqueue(Op op)
             r.stream = mId;
             r.containerId = ctx.containerId;
             r.runId = ctx.runId;
+            r.kind = describe(op).kind;
             std::visit(
                 [&](const auto& o) {
-                    using T = std::decay_t<decltype(o)>;
-                    if constexpr (std::is_same_v<T, KernelOp>) {
-                        r.kind = ScheduleOpKind::Kernel;
-                    } else if constexpr (std::is_same_v<T, TransferOp>) {
-                        r.kind = ScheduleOpKind::Transfer;
-                    } else if constexpr (std::is_same_v<T, HostFnOp>) {
-                        r.kind = ScheduleOpKind::HostFn;
-                    } else if constexpr (std::is_same_v<T, RecordOp>) {
-                        r.kind = ScheduleOpKind::Record;
-                        r.eventId = o.event->id();
-                    } else if constexpr (std::is_same_v<T, WaitOp>) {
-                        r.kind = ScheduleOpKind::Wait;
+                    if constexpr (requires { o.event; }) {
                         r.eventId = o.event->id();
                     }
                     if constexpr (requires { o.attr; }) {
@@ -101,6 +92,60 @@ void Stream::sync()
 double Stream::vtime() const
 {
     return mEngine->streamVtime(*this);
+}
+
+// Engine: stream registry and clocks ---------------------------------------
+
+void Engine::attach(Stream& stream)
+{
+    adopt(stream, std::make_shared<StreamState>());
+}
+
+void Engine::adopt(Stream& stream, std::shared_ptr<StreamState> state)
+{
+    stream.engineState = std::move(state);
+    std::lock_guard<std::mutex> lock(mRegistryMutex);
+    mStreams.insert(&stream);
+    mDevices.insert(&stream.device());
+}
+
+void Engine::detach(Stream& stream)
+{
+    std::lock_guard<std::mutex> lock(mRegistryMutex);
+    mStreams.erase(&stream);
+}
+
+std::vector<Stream*> Engine::streams() const
+{
+    std::lock_guard<std::mutex> lock(mRegistryMutex);
+    return {mStreams.begin(), mStreams.end()};
+}
+
+double Engine::streamVtime(const Stream& stream) const
+{
+    std::lock_guard<std::mutex> lock(mClockMutex);
+    return stream.engineState->vtime;
+}
+
+double Engine::maxVtime() const
+{
+    std::scoped_lock lock(mRegistryMutex, mClockMutex);
+    double v = 0.0;
+    for (const Stream* s : mStreams) {
+        v = std::max(v, s->engineState->vtime);
+    }
+    return v;
+}
+
+void Engine::resetClocks()
+{
+    std::scoped_lock lock(mRegistryMutex, mClockMutex);
+    for (Stream* s : mStreams) {
+        s->engineState->vtime = 0.0;
+    }
+    for (Device* d : mDevices) {
+        d->resetClocks();
+    }
 }
 
 // Engine: kernel-body execution ----------------------------------------------
@@ -171,77 +216,32 @@ void Engine::clearAbort()
     mAborted.store(false, std::memory_order_release);
 }
 
-FaultDecision Engine::consultFaults(const Device& dev, int stream, ScheduleOpKind kind,
-                                    const OpAttribution& attr, const char* opKindName,
-                                    const std::string& opName)
+FaultDecision Engine::consultFaults(const Stream& stream, const OpDescriptor& desc,
+                                    const std::string& opName, const OpAttribution& attr)
 {
-    FaultDecision d = mFaults.decide(dev.id(), stream, kind, attr);
+    FaultDecision d = mFaults.decide(stream.device().id(), stream.id(), desc.kind, attr);
     if (d.deviceLost) {
-        RuntimeError::Info info;
-        info.kind = RuntimeError::Kind::DeviceLost;
-        info.device = dev.id();
-        info.stream = stream;
-        info.opKind = opKindName;
-        info.opName = opName;
-        info.containerId = d.lostAttr.containerId;
-        info.runId = d.lostAttr.runId;
-        info.jobId = d.lostAttr.jobId;
-        auto error = std::make_exception_ptr(RuntimeError(std::move(info)));
-        raiseAbort(error);
-        std::rethrow_exception(error);
+        throwRuntimeError(RuntimeError::Kind::DeviceLost, stream.device().id(), stream.id(),
+                          desc.name, opName, d.lostAttr);
     }
     return d;
 }
 
-void Engine::throwOpTimeout(const Device& dev, int stream, const char* opKindName,
-                            const std::string& opName, const OpAttribution& attr, double limit)
+void Engine::throwRuntimeError(RuntimeError::Kind kind, int device, int stream,
+                               const char* opKind, const std::string& opName,
+                               const OpAttribution& attr, int attempts, double timeout)
 {
     RuntimeError::Info info;
-    info.kind = RuntimeError::Kind::OpTimeout;
-    info.device = dev.id();
+    info.kind = kind;
+    info.device = device;
     info.stream = stream;
-    info.opKind = opKindName;
-    info.opName = opName;
-    info.containerId = attr.containerId;
-    info.runId = attr.runId;
-    info.jobId = attr.jobId;
-    info.timeout = limit;
-    auto error = std::make_exception_ptr(RuntimeError(std::move(info)));
-    raiseAbort(error);
-    std::rethrow_exception(error);
-}
-
-void Engine::throwTransferExhausted(const Device& dev, int stream, const std::string& opName,
-                                    const OpAttribution& attr, int attempts)
-{
-    RuntimeError::Info info;
-    info.kind = RuntimeError::Kind::TransferFailed;
-    info.device = dev.id();
-    info.stream = stream;
-    info.opKind = "transfer";
+    info.opKind = opKind;
     info.opName = opName;
     info.containerId = attr.containerId;
     info.runId = attr.runId;
     info.jobId = attr.jobId;
     info.attempts = attempts;
-    auto error = std::make_exception_ptr(RuntimeError(std::move(info)));
-    raiseAbort(error);
-    std::rethrow_exception(error);
-}
-
-void Engine::throwSyncTimeout(int device, int stream, const char* opKindName,
-                              const std::string& opName, const OpAttribution& attr, double limit)
-{
-    RuntimeError::Info info;
-    info.kind = RuntimeError::Kind::SyncTimeout;
-    info.device = device;
-    info.stream = stream;
-    info.opKind = opKindName;
-    info.opName = opName;
-    info.containerId = attr.containerId;
-    info.runId = attr.runId;
-    info.jobId = attr.jobId;
-    info.timeout = limit;
+    info.timeout = timeout;
     auto error = std::make_exception_ptr(RuntimeError(std::move(info)));
     raiseAbort(error);
     std::rethrow_exception(error);

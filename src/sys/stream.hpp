@@ -3,12 +3,17 @@
 // paper §IV-A). All enqueue operations are asynchronous with respect to the
 // host; sync() blocks until the queue drains.
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "core/error.hpp"
 #include "sys/fault.hpp"
 #include "sys/op.hpp"
 #include "sys/schedule_log.hpp"
@@ -19,6 +24,47 @@ namespace neon::sys {
 
 class Engine;
 class Device;
+
+/// What the engine core needs to know about one Op alternative: the kind
+/// fault rules and the schedule log match on, and the opKind spelling a
+/// RuntimeError carries.
+struct OpDescriptor
+{
+    ScheduleOpKind kind;
+    const char*    name;
+};
+
+/// Indexed by Op::index(): Op's alternatives are declared in
+/// ScheduleOpKind order.
+inline constexpr OpDescriptor kOpDescriptors[] = {
+    {ScheduleOpKind::Kernel, "kernel"}, {ScheduleOpKind::Transfer, "transfer"},
+    {ScheduleOpKind::HostFn, "hostFn"}, {ScheduleOpKind::Record, "record"},
+    {ScheduleOpKind::Wait, "wait"},
+};
+static_assert(std::is_same_v<Op, std::variant<KernelOp, TransferOp, HostFnOp, RecordOp, WaitOp>>,
+              "kOpDescriptors follows Op's alternative order");
+
+[[nodiscard]] inline const OpDescriptor& describe(const Op& op)
+{
+    return kOpDescriptors[op.index()];
+}
+
+/// Descriptor of the Op alternative `O`.
+template <class O>
+[[nodiscard]] constexpr const OpDescriptor& describe()
+{
+    constexpr size_t index = []<size_t... I>(std::index_sequence<I...>) {
+        return ((std::is_same_v<O, std::variant_alternative_t<I, Op>> ? I : 0) + ...);
+    }(std::make_index_sequence<std::variant_size_v<Op>>());
+    return kOpDescriptors[index];
+}
+
+/// Engine-owned per-stream state. The base Engine keeps the stream's
+/// virtual clock here; engines that queue work extend it.
+struct StreamState
+{
+    double vtime = 0.0;  ///< virtual time at which the stream's last op ends
+};
 
 class Stream
 {
@@ -50,7 +96,7 @@ class Stream
     [[nodiscard]] Engine& engine() const { return *mEngine; }
 
     /// Engine-private per-stream state, owned here for lifetime simplicity.
-    std::shared_ptr<void> engineState;
+    std::shared_ptr<StreamState> engineState;
 
    private:
     Engine* mEngine;
@@ -58,28 +104,30 @@ class Stream
     int     mId;
 };
 
-/// Execution engine interface: how enqueued ops are processed. Two
-/// implementations exist (DESIGN.md §4): a deterministic sequential
-/// discrete-event engine and a threaded engine with real cross-stream
-/// synchronization used to validate scheduler correctness.
+/// Execution engine: how enqueued ops are processed. Two implementations
+/// exist (DESIGN.md §4): a deterministic sequential discrete-event engine
+/// and a threaded engine with real cross-stream synchronization used to
+/// validate scheduler correctness. What an op costs is decided once, here:
+/// both engines run every op through execute() (sys/engine_core.hpp) and
+/// differ only in how they queue work and how a wait blocks.
 class Engine
 {
    public:
     virtual ~Engine() = default;
 
-    virtual void attach(Stream& stream) = 0;
-    virtual void detach(Stream& stream) = 0;
+    /// Register `stream` with a plain StreamState (engines that queue work
+    /// override and extend it).
+    virtual void attach(Stream& stream);
+    virtual void detach(Stream& stream);
     virtual void enqueue(Stream& stream, Op op) = 0;
     virtual void sync(Stream& stream) = 0;
     virtual void syncAll() = 0;
 
-    [[nodiscard]] virtual double streamVtime(const Stream& stream) const = 0;
+    [[nodiscard]] double streamVtime(const Stream& stream) const;
     /// Max vtime across every stream (virtual makespan of the work so far).
-    [[nodiscard]] virtual double maxVtime() const = 0;
+    [[nodiscard]] double maxVtime() const;
     /// Zero every stream/device clock (between measured runs).
-    virtual void resetClocks() = 0;
-
-    [[nodiscard]] virtual bool isSequential() const = 0;
+    void resetClocks();
 
     [[nodiscard]] Trace& trace() { return mTrace; }
 
@@ -113,44 +161,95 @@ class Engine
     void clearAbort();
 
    protected:
-    /// Consult the fault injector for the op about to be processed; on
-    /// permanent device loss, latch the abort and throw a RuntimeError that
-    /// names this op and carries the container/run/job attribution of the
-    /// op that triggered the loss. `opKindName`/`opName` feed the message.
-    FaultDecision consultFaults(const Device& dev, int stream, ScheduleOpKind kind,
-                                const OpAttribution& attr, const char* opKindName,
-                                const std::string& opName);
-    /// Latch the abort and throw an OpTimeout RuntimeError.
-    [[noreturn]] void throwOpTimeout(const Device& dev, int stream, const char* opKindName,
-                                     const std::string& opName, const OpAttribution& attr,
-                                     double limit);
-    /// Latch the abort and throw a TransferFailed RuntimeError.
-    [[noreturn]] void throwTransferExhausted(const Device& dev, int stream,
-                                             const std::string& opName, const OpAttribution& attr,
-                                             int attempts);
-    /// Latch the abort and throw a SyncTimeout RuntimeError.
-    [[noreturn]] void throwSyncTimeout(int device, int stream, const char* opKindName,
-                                       const std::string& opName, const OpAttribution& attr,
-                                       double limit);
+    /// Clock lock of an engine that runs every op on the enqueuing thread.
+    struct NoClockLock
+    {
+        void lock() {}
+        void unlock() {}
+    };
+
+    /// Run `op` on `stream`, whose clock is `vtime`, through the
+    /// op-execution core (sys/engine_core.hpp) — one dispatch on the op's
+    /// alternative: charge() under `clockLock`; for a wait,
+    /// `await(waitOp, eventVtime)` blocks until the event is recorded
+    /// (false: cancelled, the op ends there) and joinWait() charges the
+    /// join under `clockLock`; then finish() runs the body outside the lock.
+    template <class ClockLock, class Await>
+    void execute(const Stream& stream, double& vtime, const Op& op, ClockLock& clockLock,
+                 Await&& await);
+
+    /// Latch the abort and throw a RuntimeError of `kind` naming the op.
+    [[noreturn]] void throwRuntimeError(RuntimeError::Kind kind, int device, int stream,
+                                        const char* opKind, const std::string& opName,
+                                        const OpAttribution& attr, int attempts = 0,
+                                        double timeout = 0.0);
     /// The abort latch, exposed to bounded event waits as a cancel flag.
     [[nodiscard]] const std::atomic<bool>* abortFlag() const { return &mAborted; }
 
-    /// Execute a KernelOp's computation on `dev`. Chunked work on a CPU
-    /// device goes through the host pool (when it helps); everything else
-    /// runs inline. Records TraceKind::HostPool utilization rows anchored
-    /// at `startV` when the trace is enabled. Virtual-clock accounting is
-    /// the caller's job — this only runs the body.
-    void runKernelWork(const Device& dev, int streamId, const KernelOp& op, double startV);
+    /// Set `stream.engineState` and add the stream to the registry.
+    void adopt(Stream& stream, std::shared_ptr<StreamState> state);
+    /// Snapshot of the attached streams.
+    [[nodiscard]] std::vector<Stream*> streams() const;
 
     Trace         mTrace;
     ScheduleLog   mScheduleLog;
     FaultInjector mFaults;
     std::shared_ptr<ThreadPool> mHostPool;
+    /// Guards stream vtimes and device clocks on engines that process
+    /// streams concurrently.
+    mutable std::mutex mClockMutex;
 
    private:
-    std::atomic<bool>          mAborted{false};
-    mutable std::mutex         mAbortMutex;
-    std::exception_ptr         mAbortError;
+    /// Virtual-time charge of one op: charge() or joinWait() computes it,
+    /// finish() consumes it. Kernel/hostFn: busy over [start, end] (after
+    /// any stall). Record: fires at end. Wait: the stream idled from start
+    /// (its clock before the join) to end (the event's vtime).
+    struct OpCharge
+    {
+        double start = 0.0;
+        double end = 0.0;
+    };
+
+    /// Accounting step of `op` on `stream`, whose clock is `vtime`: fault
+    /// consult and stall row, start time, cost (kernel duration, transfer
+    /// plan with failed attempts and backoff rows, hostFn duration), the
+    /// opTimeout check, the clock commit and a transfer's per-chunk rows.
+    /// Records only read the clock; a wait only consults the faults.
+    template <class O>
+    OpCharge charge(const Stream& stream, double& vtime, const O& op);
+    /// Clock join after a wait's event recorded at `eventVtime`.
+    static OpCharge joinWait(double& vtime, double eventVtime)
+    {
+        const OpCharge c{vtime, eventVtime};
+        vtime = std::max(vtime, eventVtime);
+        return c;
+    }
+    /// Body (unless dry-run) and remaining trace rows of a charged op;
+    /// records fire their event.
+    template <class O>
+    void finish(const Stream& stream, const O& op, const OpCharge& c);
+
+    /// Consult the fault injector for the op about to be charged; on
+    /// permanent device loss, throw with the attribution of the op that
+    /// triggered the loss.
+    FaultDecision consultFaults(const Stream& stream, const OpDescriptor& desc,
+                                const std::string& opName, const OpAttribution& attr);
+    /// Execute a KernelOp's computation on `dev`. Chunked work on a CPU
+    /// device goes through the host pool (when it helps); everything else
+    /// runs inline. Records TraceKind::HostPool utilization rows anchored
+    /// at `startV` when the trace is enabled.
+    void runKernelWork(const Device& dev, int streamId, const KernelOp& op, double startV);
+    /// One trace row of a work op (or of its stall/retry) on `stream`.
+    void traceRow(const Stream& stream, TraceKind kind, std::string_view name, double startV,
+                  double endV, uint64_t bytes, const OpAttribution& attr);
+
+    std::atomic<bool>  mAborted{false};
+    mutable std::mutex mAbortMutex;
+    std::exception_ptr mAbortError;
+
+    mutable std::mutex          mRegistryMutex;
+    std::unordered_set<Stream*> mStreams;
+    std::unordered_set<Device*> mDevices;
 };
 
 }  // namespace neon::sys

@@ -10,7 +10,6 @@
 #include <deque>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 
 #include "sys/stream.hpp"
 
@@ -19,25 +18,17 @@ namespace neon::sys {
 class ThreadedEngine final : public Engine
 {
    public:
-    ~ThreadedEngine() override;
-
     void attach(Stream& stream) override;
     void detach(Stream& stream) override;
     void enqueue(Stream& stream, Op op) override;
     void sync(Stream& stream) override;
     void syncAll() override;
 
-    [[nodiscard]] double streamVtime(const Stream& stream) const override;
-    [[nodiscard]] double maxVtime() const override;
-    void resetClocks() override;
-
-    [[nodiscard]] bool isSequential() const override { return false; }
-
     /// Drain every stream's queue without throwing (abort-recovery path).
     void quiesce() override;
 
    private:
-    struct State
+    struct State : StreamState
     {
         std::deque<Op>          queue;
         std::mutex              mutex;
@@ -46,18 +37,15 @@ class ThreadedEngine final : public Engine
         bool                    stop = false;
         bool                    busy = false;
         std::atomic<bool>       cancel{false};  ///< detach in progress: give up waits
-        double                  vtime = 0.0;    ///< guarded by engine clock mutex
         std::thread             worker;
     };
     static State& stateOf(const Stream& stream);
 
     void workerLoop(Stream* stream, State* state);
-    void process(Stream& stream, State& state, Op& op);
-
-    mutable std::mutex          mClockMutex;  ///< guards vtimes + device clocks
-    mutable std::mutex          mRegistryMutex;
-    std::unordered_set<Stream*> mStreams;
-    std::unordered_set<Device*> mDevices;
+    void process(Stream& stream, State& state, const Op& op);
+    /// Block until `state`'s queue is drained and its worker idle, or until
+    /// `limitSeconds` of wall time passed (0: no limit). True when idle.
+    static bool waitIdle(State& state, double limitSeconds);
 };
 
 }  // namespace neon::sys

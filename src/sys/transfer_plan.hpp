@@ -1,8 +1,9 @@
 #pragma once
-// Shared DMA-engine scheduling for TransferOps: one place computes how an
-// op's chunks occupy a device's two copy engines (chunks serialize within a
-// direction, directions run in parallel — paper §IV-C2) so the sequential
-// and threaded engines, and the retry path, stay arithmetically identical.
+// DMA-engine scheduling for TransferOps: how an op's chunks occupy a
+// device's two copy engines (chunks serialize within a direction, directions
+// run in parallel — paper §IV-C2). Its one caller is the engine core's
+// accounting step (Engine::charge), for every failed attempt and for the
+// final one, so both engines share the arithmetic.
 
 #include <cstdint>
 #include <vector>
@@ -30,7 +31,8 @@ struct TransferSchedule
 
 /// Schedule `op`'s chunks onto `dev`'s DMA engines starting at stream time
 /// `vtime` and commit dev.copyAvailable. `slowdown` scales each chunk's
-/// duration (link degradation). Caller must hold the engine's clock lock.
+/// duration (link degradation). The threaded engine calls it with its clock
+/// lock held.
 TransferSchedule planTransfer(Device& dev, double vtime, const TransferOp& op, double slowdown);
 
 }  // namespace neon::sys

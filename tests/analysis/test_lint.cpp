@@ -31,7 +31,37 @@ std::vector<Container> cleanSeq(Rig& rig)
     };
 }
 
+/// True when a byte below 0x20 sits inside a JSON string literal of `json`.
+bool rawControlByteInString(const std::string& json)
+{
+    bool inString = false;
+    for (size_t i = 0; i < json.size(); ++i) {
+        const auto c = static_cast<unsigned char>(json[i]);
+        if (inString && c == '\\') {
+            ++i;  // skip the escaped character
+        } else if (c == '"') {
+            inString = !inString;
+        } else if (inString && c < 0x20) {
+            return true;
+        }
+    }
+    return false;
+}
+
 }  // namespace
+
+TEST(AnalysisReport, JsonEscapesControlCharacters)
+{
+    AnalysisReport rep;
+    Violation      v;
+    v.message = "race on\tf0\x02";
+    v.containerA = "sten\r";
+    rep.violations.push_back(v);
+    const auto json = rep.toJson();
+    EXPECT_NE(json.find("\"message\":\"race on\\tf0\\u0002\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"containerA\":\"sten\\r\""), std::string::npos) << json;
+    EXPECT_FALSE(rawControlByteInString(json)) << json;
+}
 
 TEST(GraphLint, CleanAcrossConfigurations)
 {

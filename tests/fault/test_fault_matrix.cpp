@@ -6,7 +6,8 @@
 //     be invisible to the computed data: the run converges bitwise
 //     identical to the fault-free run on the same backend shape,
 //   - a fixed-seed probabilistic plan fires the same faults on the
-//     sequential and threaded engines,
+//     sequential and threaded engines and, with one stream per device,
+//     produces the same trace row for row,
 //   - retry exhaustion and permanent device loss surface as structured
 //     RuntimeErrors with container/run attribution — never a hang — and
 //     after a device loss the sequential engine's survivor state is
@@ -15,7 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/error.hpp"
@@ -40,7 +44,7 @@ struct MiniApp
     std::vector<dgrid::DField<double>> fields;
     Skeleton                           skl;
 
-    explicit MiniApp(Backend backend)
+    explicit MiniApp(Backend backend, SequenceOptions opts = SequenceOptions().withName("mini"))
         : grid(std::move(backend), kDim, Stencil::laplace7()), skl(grid.backend())
     {
         for (int i = 0; i < 2; ++i) {
@@ -72,7 +76,7 @@ struct MiniApp
                 dp(c) = 0.7 * dp(c) + 0.3 * sp(c);
             };
         }));
-        skl.sequence(seq, SequenceOptions().withName("mini").withOcc(Occ::STANDARD));
+        skl.sequence(seq, opts.withOcc(Occ::STANDARD));
     }
 
     std::vector<double> run(int runs = kRuns)
@@ -102,6 +106,35 @@ Backend makeBackend(int nDev, Backend::EngineKind kind, const sys::FaultPlan& pl
         b.faults().setPlan(plan);
     }
     return b;
+}
+
+/// Every field of one trace row.
+using TraceRow = std::tuple<int, int, std::string, std::string, double, double, uint64_t, int,
+                            int, int, uint64_t, int, int>;
+
+/// The trace as a sorted list of rows. Event ids are process-unique, so
+/// awaited ids are replaced by their rank within the run.
+std::vector<TraceRow> sortedRows(const std::vector<sys::TraceEntry>& entries)
+{
+    std::map<uint64_t, uint64_t> rank;
+    for (const auto& e : entries) {
+        if (e.waitEventId != 0) {
+            rank[e.waitEventId] = 0;
+        }
+    }
+    uint64_t next = 0;
+    for (auto& [id, r] : rank) {
+        r = ++next;
+    }
+    std::vector<TraceRow> rows;
+    for (const auto& e : entries) {
+        rows.emplace_back(e.device, e.stream, e.kind, e.name, e.startV, e.endV, e.bytes,
+                          e.containerId, e.runId, e.jobId,
+                          e.waitEventId != 0 ? rank.at(e.waitEventId) : 0, e.srcDevice,
+                          e.srcStream);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
 }
 
 void expectBitwiseEqual(const std::vector<double>& got, const std::vector<double>& want)
@@ -137,24 +170,62 @@ TEST_P(FaultMatrix, TransientRetriesConvergeBitwiseIdentical)
     EXPECT_TRUE(races.clean()) << races.toString();
 }
 
+// Case 1: zero-cost CPU devices — the engines must make the same fault
+// decisions and compute the same data. Case 2: dgxA100Like SIM_GPU devices
+// with one stream each, so every compute and DMA clock has one user and the
+// threaded timeline is fully determined — the whole trace must match too,
+// row for row and bit for bit.
 TEST(FaultMatrixCross, FixedSeedPlanFiresIdenticallyOnBothEngines)
 {
-    sys::FaultPlan plan(77);
-    plan.add(sys::FaultSpec::transientTransfer(1).withProbability(0.5));
+    sys::FaultPlan transient(77);
+    transient.add(sys::FaultSpec::transientTransfer(1).withProbability(0.5));
+    sys::FaultPlan mixed = transient;
+    mixed.add(sys::FaultSpec::streamStall(3e-6).onDevice(1));
+    mixed.add(sys::FaultSpec::linkDegrade(2.0).onDevice(2));
 
-    int                 events[2] = {0, 0};
-    std::vector<double> data[2];
+    struct Case
+    {
+        sys::DeviceType type;
+        sys::SimConfig  config;
+        sys::FaultPlan  plan;
+        bool            oneStreamPerDevice;
+    };
+    const Case cases[] = {
+        {sys::DeviceType::CPU, sys::SimConfig::zeroCost(), transient, false},
+        {sys::DeviceType::SIM_GPU, sys::SimConfig::dgxA100Like(), mixed, true},
+    };
     const Backend::EngineKind kinds[] = {Backend::EngineKind::Sequential,
                                          Backend::EngineKind::Threaded};
-    for (int k = 0; k < 2; ++k) {
-        Backend b = makeBackend(3, kinds[k], plan);
-        b.profiler().enable();
-        data[k] = MiniApp(b).run();
-        events[k] = b.profiler().faultEvents();
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.oneStreamPerDevice ? "SIM_GPU, one stream per device" : "CPU");
+        int                   events[2] = {0, 0};
+        double                makespan[2] = {0.0, 0.0};
+        std::vector<double>   data[2];
+        std::vector<TraceRow> rows[2];
+        for (int k = 0; k < 2; ++k) {
+            Backend b(3, c.type, c.config, kinds[k]);
+            b.faults().setPlan(c.plan);
+            b.profiler().enable();
+            auto opts = SequenceOptions().withName("mini");
+            if (c.oneStreamPerDevice) {
+                opts.withMaxStreams(1);
+            }
+            data[k] = MiniApp(b, opts).run();
+            events[k] = b.profiler().faultEvents();
+            makespan[k] = b.profiler().makespan();
+            rows[k] = sortedRows(b.profiler().trace().entries());
+        }
+        EXPECT_GT(events[0], 0) << "seed 77 must fire at least once for this test to mean anything";
+        EXPECT_EQ(events[0], events[1]) << "fault decisions must not depend on the engine";
+        expectBitwiseEqual(data[1], data[0]);
+        if (c.oneStreamPerDevice) {
+            EXPECT_EQ(makespan[0], makespan[1]);
+            ASSERT_EQ(rows[0].size(), rows[1].size());
+            for (size_t i = 0; i < rows[0].size(); ++i) {
+                ASSERT_EQ(rows[0][i], rows[1][i]) << "sorted trace rows diverge at row " << i;
+            }
+        }
     }
-    EXPECT_GT(events[0], 0) << "seed 77 must fire at least once for this test to mean anything";
-    EXPECT_EQ(events[0], events[1]) << "fault decisions must not depend on the engine";
-    expectBitwiseEqual(data[1], data[0]);
 }
 
 TEST_P(FaultMatrix, StreamStallsPreserveResults)

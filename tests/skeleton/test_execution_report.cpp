@@ -57,6 +57,23 @@ struct Pipeline
     }
 };
 
+/// True when a byte below 0x20 sits inside a JSON string literal of `json`.
+bool rawControlByteInString(const std::string& json)
+{
+    bool inString = false;
+    for (size_t i = 0; i < json.size(); ++i) {
+        const auto c = static_cast<unsigned char>(json[i]);
+        if (inString && c == '\\') {
+            ++i;  // skip the escaped character
+        } else if (c == '"') {
+            inString = !inString;
+        } else if (inString && c < 0x20) {
+            return true;
+        }
+    }
+    return false;
+}
+
 TEST(ExecutionReport, EmptyBeforeAnyRun)
 {
     Pipeline p(Occ::NONE);
@@ -150,6 +167,17 @@ TEST(ExecutionReport, SerializesToJsonAndText)
     }
     const auto text = report.toString();
     EXPECT_NE(text.find("overlap"), std::string::npos);
+}
+
+TEST(ExecutionReport, JsonEscapesControlCharactersInNames)
+{
+    sys::TraceEntry e;
+    e.kind = "kernel";
+    e.name = "step\t1\x01";
+    e.endV = 1e-6;
+    const auto json = ExecutionReport::fromEntries({e}, 1).toJson();
+    EXPECT_NE(json.find("\"name\": \"step\\t1\\u0001\""), std::string::npos) << json;
+    EXPECT_FALSE(rawControlByteInString(json)) << json;
 }
 
 }  // namespace
