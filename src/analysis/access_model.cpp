@@ -37,7 +37,7 @@ void addUnique(std::vector<Segment>& v, Segment s)
 }
 
 /// Field parts touched by one access of a Compute node on its own device.
-void fieldParts(std::vector<Segment>& out, const sys::MetaAccess& a, DataView view, int dev,
+void fieldParts(std::vector<Segment>& out, const MetaAccess& a, DataView view, int dev,
                 int devCount)
 {
     if (a.access == Access::READ && a.compute == Compute::STENCIL) {
@@ -77,11 +77,11 @@ void fieldParts(std::vector<Segment>& out, const sys::MetaAccess& a, DataView vi
 
 }  // namespace
 
-AccessSets segmentsFor(const sys::ContainerMeta& meta, int dev, int devCount)
+AccessSets segmentsFor(const ContainerMeta& meta, int dev, int devCount)
 {
     AccessSets sets;
 
-    if (meta.kind == sys::MetaNodeKind::Halo) {
+    if (meta.kind == MetaNodeKind::Halo) {
         // The op on `dev` reads dev's boundary cells and writes them into
         // the neighbours' halo buffers. A device with no receiving peers
         // (zero-count segment lists toward both sides) performs no work, so
@@ -103,7 +103,7 @@ AccessSets segmentsFor(const sys::ContainerMeta& meta, int dev, int devCount)
         return sets;
     }
 
-    if (meta.kind == sys::MetaNodeKind::ScalarOp) {
+    if (meta.kind == MetaNodeKind::ScalarOp) {
         // Host fn on device 0's stream. Reads see the global value and (for
         // the reduce combine) every device's partials; writes broadcast the
         // global value.

@@ -17,11 +17,54 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "sys/schedule_log.hpp"
+#include "core/types.hpp"
 
 namespace neon::analysis {
+
+/// One access of a container distilled to core types (a mirror of
+/// set::DataAccess without the set-layer halo handle).
+struct MetaAccess
+{
+    uint64_t    uid = 0;
+    Access      access = Access::READ;
+    Compute     compute = Compute::MAP;
+    bool        scalar = false;       ///< GlobalScalar (global/partial segments)
+    bool        stencilHalo = false;  ///< stencil read of a halo-carrying field
+    std::string name;
+    /// Stencil halo reads only: per device, whether the lower/upper halo
+    /// half is actually fed by a neighbour (derived from HaloOps::peers —
+    /// segment-list fields like BField can have empty boundaries toward a
+    /// neighbour, and then no segments ever land in that halo half). Empty
+    /// vectors mean "unknown": consumers fall back to the dense ±1 rule.
+    std::vector<uint8_t> haloLoFed;
+    std::vector<uint8_t> haloHiFed;
+};
+
+enum class MetaNodeKind : uint8_t
+{
+    Compute,
+    Halo,
+    ScalarOp,
+};
+
+/// What one graph node does, as needed to derive per-device read/write
+/// segment sets (node_meta.hpp builds it from a skeleton graph node).
+struct ContainerMeta
+{
+    std::string             label;
+    MetaNodeKind            kind = MetaNodeKind::Compute;
+    DataView                view = DataView::STANDARD;
+    Compute                 pattern = Compute::MAP;
+    std::vector<MetaAccess> accesses;
+    /// Halo nodes only: per sending device, the receiving neighbour devices.
+    std::vector<std::vector<int>> haloPeers;
+};
+
+/// Keyed by skeleton graph-node id (== OpAttribution::containerId).
+using ContainerMetaMap = std::unordered_map<int, ContainerMeta>;
 
 enum class Part : uint8_t
 {
@@ -73,6 +116,6 @@ struct AccessSets
 /// global + every partial, write global; Compute nodes map their field
 /// accesses through view/pattern and their scalar accesses through
 /// global/partial.
-AccessSets segmentsFor(const sys::ContainerMeta& meta, int dev, int devCount);
+AccessSets segmentsFor(const ContainerMeta& meta, int dev, int devCount);
 
 }  // namespace neon::analysis

@@ -6,7 +6,7 @@
 #include <mutex>
 
 #include "analysis/race_detector.hpp"
-#include "set/backend.hpp"
+#include "set/analyzer.hpp"
 
 namespace neon::analysis {
 
@@ -39,20 +39,12 @@ bool envEnabled()
 
 void installEnvHooks(const set::Backend& backend)
 {
-    sys::ScheduleLog& log = backend.engine().scheduleLog();
-    if (log.enabled()) {
-        return;  // this backend's hooks are already in place
+    set::Analyzer races = backend.analysis();
+    if (races.enabled()) {
+        return;  // this backend's detector is already fed
     }
-    log.enable();
-    const int devCount = backend.devCount();
-    // The callback is owned by the log it drains, so the reference capture
-    // cannot outlive its target.
-    log.setSyncCallback([&log, devCount] {
-        const AnalysisReport rep = drainRaces(log, devCount);
-        if (!rep.clean()) {
-            reportEnvViolations("race detector", rep);
-        }
-    });
+    races.enable();
+    RaceSession::of(backend.engine())->reportFindings();
 }
 
 void reportEnvViolations(const std::string& what, const AnalysisReport& report)

@@ -1,9 +1,10 @@
 #pragma once
 // NEON_ANALYSIS=1 environment switch (docs/analysis.md). When the variable
-// is set, Skeleton::sequence() lints every schedule it builds and
-// Backend::sync() drains the race detector; any violation is printed to
-// stderr and latches the process exit code to 3 so tools/neon-lint can run
-// unmodified examples and benches under the detector and fail on findings.
+// is set, Skeleton::sequence() lints every schedule it builds and arms the
+// race detector, which reports each finding as it is made; any violation is
+// printed to stderr and latches the process exit code to 3 so
+// tools/neon-lint can run unmodified examples and benches under the
+// detector and fail on findings.
 
 #include <string>
 
@@ -20,8 +21,8 @@ namespace neon::analysis {
 /// marker tools/neon-lint keys on to tell instrumented from plain runs.
 bool envEnabled();
 
-/// Enable schedule logging on the backend's engine and hook the race
-/// detector drain into Backend::sync(). Idempotent per backend.
+/// Enable race analysis on the backend and print each finding as the
+/// detector makes it. Idempotent per backend.
 void installEnvHooks(const set::Backend& backend);
 
 /// Print the report's violations to stderr and latch exit code 3 (via an

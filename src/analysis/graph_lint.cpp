@@ -27,12 +27,12 @@ struct NodeSets
 
 struct LintContext
 {
-    const Graph&                    g;
-    int                             devCount;
-    std::vector<int>                alive;
-    std::vector<sys::ContainerMeta> meta;      // by node id
-    std::vector<NodeSets>           sets;      // union over devices, by id
-    std::vector<std::vector<bool>>  reach;     // data-edge reachability
+    const Graph&                   g;
+    int                            devCount;
+    std::vector<int>               alive;
+    std::vector<ContainerMeta>     meta;   // by node id
+    std::vector<NodeSets>          sets;   // union over devices, by id
+    std::vector<std::vector<bool>> reach;  // data-edge reachability
 };
 
 Violation pairViolation(ViolationKind kind, const Graph& g, int a, int b, std::string message)
@@ -146,7 +146,7 @@ bool segmentConflict(const NodeSets& a, const NodeSets& b)
 }
 
 /// Uid-level conflict: a uid both nodes access with at least one WRITE.
-bool uidConflict(const sys::ContainerMeta& a, const sys::ContainerMeta& b)
+bool uidConflict(const ContainerMeta& a, const ContainerMeta& b)
 {
     for (const auto& aa : a.accesses) {
         for (const auto& ba : b.accesses) {
@@ -159,9 +159,9 @@ bool uidConflict(const sys::ContainerMeta& a, const sys::ContainerMeta& b)
     return false;
 }
 
-bool writesUid(const sys::ContainerMeta& m, uint64_t uid)
+bool writesUid(const ContainerMeta& m, uint64_t uid)
 {
-    return std::any_of(m.accesses.begin(), m.accesses.end(), [&](const sys::MetaAccess& a) {
+    return std::any_of(m.accesses.begin(), m.accesses.end(), [&](const MetaAccess& a) {
         return a.uid == uid && a.access == Access::WRITE;
     });
 }
@@ -214,7 +214,7 @@ void checkHaloFreshness(const LintContext& ctx, AnalysisReport& rep)
     }
     for (int s : ctx.alive) {
         const auto& m = ctx.meta[static_cast<size_t>(s)];
-        if (m.kind != sys::MetaNodeKind::Compute || m.view == DataView::INTERNAL) {
+        if (m.kind != MetaNodeKind::Compute || m.view == DataView::INTERNAL) {
             continue;
         }
         for (const auto& a : m.accesses) {
@@ -227,7 +227,7 @@ void checkHaloFreshness(const LintContext& ctx, AnalysisReport& rep)
             bool fresh = false;
             for (int h : ctx.alive) {
                 const auto& hm = ctx.meta[static_cast<size_t>(h)];
-                if (hm.kind != sys::MetaNodeKind::Halo || !writesUid(hm, a.uid)) {
+                if (hm.kind != MetaNodeKind::Halo || !writesUid(hm, a.uid)) {
                     continue;
                 }
                 if (!ctx.reach[static_cast<size_t>(h)][static_cast<size_t>(s)]) {
@@ -236,7 +236,7 @@ void checkHaloFreshness(const LintContext& ctx, AnalysisReport& rep)
                 bool restaled = false;
                 for (int w : ctx.alive) {
                     const auto& wm = ctx.meta[static_cast<size_t>(w)];
-                    if (w == h || w == s || wm.kind == sys::MetaNodeKind::Halo ||
+                    if (w == h || w == s || wm.kind == MetaNodeKind::Halo ||
                         !writesUid(wm, a.uid)) {
                         continue;
                     }

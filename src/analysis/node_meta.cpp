@@ -2,20 +2,20 @@
 
 namespace neon::analysis {
 
-sys::ContainerMeta metaFor(const skeleton::GraphNode& node, int devCount)
+ContainerMeta metaFor(const skeleton::GraphNode& node, int devCount)
 {
-    sys::ContainerMeta m;
+    ContainerMeta m;
     m.label = node.label();
     m.view = node.view;
     m.pattern = node.pattern();
     switch (node.kind()) {
-        case set::Container::Kind::Compute: m.kind = sys::MetaNodeKind::Compute; break;
-        case set::Container::Kind::Halo: m.kind = sys::MetaNodeKind::Halo; break;
-        case set::Container::Kind::ScalarOp: m.kind = sys::MetaNodeKind::ScalarOp; break;
+        case set::Container::Kind::Compute: m.kind = MetaNodeKind::Compute; break;
+        case set::Container::Kind::Halo: m.kind = MetaNodeKind::Halo; break;
+        case set::Container::Kind::ScalarOp: m.kind = MetaNodeKind::ScalarOp; break;
     }
     std::shared_ptr<const set::HaloOps> halo;
     for (const auto& a : node.container.accesses()) {
-        sys::MetaAccess ma{a.uid, a.access, a.compute, a.scalar, a.halo != nullptr, a.name, {}, {}};
+        MetaAccess ma{a.uid, a.access, a.compute, a.scalar, a.halo != nullptr, a.name, {}, {}};
         if (a.halo != nullptr) {
             // Which halo halves are actually fed: device d's lower half
             // receives segments iff d-1 lists d as a peer (and symmetrically
@@ -41,7 +41,7 @@ sys::ContainerMeta metaFor(const skeleton::GraphNode& node, int devCount)
             halo = a.halo;
         }
     }
-    if (m.kind == sys::MetaNodeKind::Halo && halo != nullptr) {
+    if (m.kind == MetaNodeKind::Halo && halo != nullptr) {
         m.haloPeers.resize(static_cast<size_t>(devCount));
         for (int d = 0; d < devCount; ++d) {
             m.haloPeers[static_cast<size_t>(d)] = halo->peers(d);
@@ -50,10 +50,9 @@ sys::ContainerMeta metaFor(const skeleton::GraphNode& node, int devCount)
     return m;
 }
 
-std::shared_ptr<const sys::ContainerMetaMap> metaMapFor(const skeleton::Graph& graph,
-                                                        int                    devCount)
+std::shared_ptr<const ContainerMetaMap> metaMapFor(const skeleton::Graph& graph, int devCount)
 {
-    auto map = std::make_shared<sys::ContainerMetaMap>();
+    auto map = std::make_shared<ContainerMetaMap>();
     for (int id = 0; id < graph.nodeCount(); ++id) {
         if (graph.node(id).alive) {
             (*map)[id] = metaFor(graph.node(id), devCount);

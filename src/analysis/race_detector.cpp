@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "analysis/env.hpp"
+#include "sys/device.hpp"
+
 namespace neon::analysis {
 
 namespace {
@@ -126,7 +129,7 @@ void RaceDetector::pruneEvents()
     mEventOrder.erase(mEventOrder.begin(), mEventOrder.begin() + static_cast<ptrdiff_t>(i));
 }
 
-void RaceDetector::feed(const sys::ScheduleRecord& r, const sys::ContainerMetaMap* meta)
+void RaceDetector::feed(const EnqueueRecord& r, const ContainerMetaMap* meta)
 {
     ++mReport.opsAnalyzed;
     const int slot = slotOf(r.device, r.stream);
@@ -136,7 +139,7 @@ void RaceDetector::feed(const sys::ScheduleRecord& r, const sys::ContainerMetaMa
     }
 
     switch (r.kind) {
-        case sys::ScheduleOpKind::Record: {
+        case sys::OpKind::Record: {
             mEventClock[r.eventId] = vc;
             mEventOrder.push_back(r.eventId);
             if (auto it = mPendingWaits.find(r.eventId); it != mPendingWaits.end()) {
@@ -155,7 +158,7 @@ void RaceDetector::feed(const sys::ScheduleRecord& r, const sys::ContainerMetaMa
             pruneEvents();
             return;
         }
-        case sys::ScheduleOpKind::Wait: {
+        case sys::OpKind::Wait: {
             if (auto it = mEventClock.find(r.eventId); it != mEventClock.end()) {
                 joinInto(vc, it->second);
             } else if (mPrunedEvents.count(r.eventId) == 0) {
@@ -170,7 +173,7 @@ void RaceDetector::feed(const sys::ScheduleRecord& r, const sys::ContainerMetaMa
     }
 
     vc[static_cast<size_t>(slot)] += 1;
-    const sys::ContainerMeta* m = nullptr;
+    const ContainerMeta* m = nullptr;
     if (meta != nullptr && r.containerId >= 0) {
         if (auto it = meta->find(r.containerId); it != meta->end()) {
             m = &it->second;
@@ -190,7 +193,7 @@ void RaceDetector::feed(const sys::ScheduleRecord& r, const sys::ContainerMetaMa
     if (haloIt == mHaloUids.end()) {
         std::unordered_set<uint64_t> uids;
         for (const auto& [id, cm] : *meta) {
-            if (cm.kind == sys::MetaNodeKind::Halo) {
+            if (cm.kind == MetaNodeKind::Halo) {
                 for (const auto& a : cm.accesses) {
                     uids.insert(a.uid);
                 }
@@ -244,63 +247,80 @@ AnalysisReport RaceDetector::takeNew()
     return out;
 }
 
-namespace {
-
-/// Shared per-record meta resolution with a one-entry cache (records of one
-/// run arrive consecutively).
-class MetaResolver
+RaceSession* RaceSession::of(const sys::Engine& engine)
 {
-   public:
-    explicit MetaResolver(const sys::ScheduleLog& log) : mLog(log) {}
-
-    const sys::ContainerMetaMap* resolve(int runId)
-    {
-        if (runId != mLastRun) {
-            mLastRun = runId;
-            mLastMap = runId >= 0 ? mLog.metaForRun(runId) : nullptr;
-        }
-        return mLastMap.get();
-    }
-
-   private:
-    const sys::ScheduleLog&                 mLog;
-    int                                     mLastRun = -2;
-    std::shared_ptr<const sys::ContainerMetaMap> mLastMap;
-};
-
-struct DrainState
-{
-    RaceDetector detector;
-    size_t       cursor = 0;
-    explicit DrainState(int devCount) : detector(devCount) {}
-};
-
-}  // namespace
-
-AnalysisReport raceReport(const sys::ScheduleLog& log, int devCount)
-{
-    RaceDetector det(devCount);
-    MetaResolver metas(log);
-    for (const auto& r : log.records()) {
-        det.feed(r, metas.resolve(r.runId));
-    }
-    return det.report();
+    return dynamic_cast<RaceSession*>(engine.enqueueHook());
 }
 
-AnalysisReport drainRaces(sys::ScheduleLog& log, int devCount)
+void RaceSession::onEnqueue(const sys::Stream& stream, const sys::Op& op)
 {
-    auto state = std::static_pointer_cast<DrainState>(log.consumerState());
-    if (state == nullptr) {
-        state = std::make_shared<DrainState>(devCount);
-        log.consumerState() = state;
+    EnqueueRecord r;
+    r.device = stream.device().id();
+    r.stream = stream.id();
+    r.kind = sys::kindOf(op);
+    std::visit(
+        [&r](const auto& o) {
+            if constexpr (requires { o.event; }) {
+                r.eventId = o.event->id();
+            }
+            r.containerId = o.attr.containerId;
+            r.runId = o.attr.runId;
+        },
+        op);
+    std::lock_guard<std::mutex> lock(mMutex);
+    if (!mEnabled) {
+        return;
     }
-    const auto   recs = log.recordsFrom(state->cursor);
-    MetaResolver metas(log);
-    for (const auto& r : recs) {
-        state->detector.feed(r, metas.resolve(r.runId));
+    r.seq = mNextSeq++;
+    const auto meta = r.runId >= 0 ? mMetaByRun.find(r.runId) : mMetaByRun.end();
+    mDetector.feed(r, meta == mMetaByRun.end() ? nullptr : meta->second.get());
+    if (mReportFindings) {
+        reportEnvViolations("race detector", mDetector.takeNew());
     }
-    state->cursor += recs.size();
-    return state->detector.takeNew();
+}
+
+void RaceSession::registerRun(int runId, std::shared_ptr<const ContainerMetaMap> meta)
+{
+    std::lock_guard<std::mutex> lock(mMutex);
+    mMetaByRun[runId] = std::move(meta);
+}
+
+void RaceSession::setEnabled(bool on)
+{
+    std::lock_guard<std::mutex> lock(mMutex);
+    mEnabled = on;
+}
+
+bool RaceSession::enabled() const
+{
+    std::lock_guard<std::mutex> lock(mMutex);
+    return mEnabled;
+}
+
+void RaceSession::reportFindings()
+{
+    std::lock_guard<std::mutex> lock(mMutex);
+    mReportFindings = true;
+}
+
+AnalysisReport RaceSession::report() const
+{
+    std::lock_guard<std::mutex> lock(mMutex);
+    return mDetector.report();
+}
+
+AnalysisReport RaceSession::takeNew()
+{
+    std::lock_guard<std::mutex> lock(mMutex);
+    return mDetector.takeNew();
+}
+
+void RaceSession::clear()
+{
+    std::lock_guard<std::mutex> lock(mMutex);
+    mDetector = RaceDetector(mDevCount);
+    mNextSeq = 0;
+    mMetaByRun.clear();
 }
 
 }  // namespace neon::analysis

@@ -1,15 +1,17 @@
 #pragma once
-// Happens-before race detector over the ScheduleLog (neon::analysis,
-// docs/analysis.md). Every (device, stream) pair owns a vector clock;
-// work ops tick their stream's component, event records snapshot the
-// stream's clock, event waits join the snapshot in. Each op's read/write
+// Happens-before race detector over the enqueued command stream
+// (neon::analysis, docs/analysis.md). Every (device, stream) pair owns a
+// vector clock; work ops tick their stream's component, event records
+// snapshot the stream's clock, event waits join the snapshot in. Each op's read/write
 // segment sets (access_model.hpp, resolved through the per-run
 // ContainerMeta maps) are checked against per-segment epochs: the last
 // write plus the per-stream reads since. A conflicting pair not ordered by
 // the resulting partial order is a race — regardless of which engine
-// happened to execute the schedule, because the log is engine-independent.
+// happened to execute the schedule, because ops are fed in host enqueue
+// order, before any engine runs them.
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -17,9 +19,21 @@
 
 #include "analysis/access_model.hpp"
 #include "analysis/report.hpp"
-#include "sys/schedule_log.hpp"
+#include "sys/stream.hpp"
 
 namespace neon::analysis {
+
+/// One enqueued op as the detector sees it.
+struct EnqueueRecord
+{
+    uint64_t    seq = 0;  ///< enqueue ordinal within the race session
+    int         device = -1;
+    int         stream = -1;
+    sys::OpKind kind = sys::OpKind::Kernel;
+    uint64_t    eventId = 0;       ///< Record/Wait only
+    int         containerId = -1;  ///< skeleton graph-node id, -1 outside
+    int         runId = -1;        ///< skeleton run() window id, -1 outside
+};
 
 /// Incremental detector: feed() records strictly in enqueue order.
 class RaceDetector
@@ -30,7 +44,7 @@ class RaceDetector
     /// Consume one record. `meta` is the ContainerMeta map of the record's
     /// run window (may be null: unattributed ops advance clocks but carry
     /// no read/write sets).
-    void feed(const sys::ScheduleRecord& r, const sys::ContainerMetaMap* meta);
+    void feed(const EnqueueRecord& r, const ContainerMetaMap* meta);
 
     /// All findings so far (cumulative).
     [[nodiscard]] const AnalysisReport& report() const { return mReport; }
@@ -74,23 +88,57 @@ class RaceDetector
     std::vector<uint64_t>               mEventOrder;  ///< for pruning
     std::unordered_set<uint64_t>        mPrunedEvents;
     /// Waits seen before their event's record (enqueue-order inversion).
-    std::unordered_map<uint64_t, sys::ScheduleRecord> mPendingWaits;
+    std::unordered_map<uint64_t, EnqueueRecord> mPendingWaits;
 
     std::unordered_map<Segment, SegState, SegmentHash> mSegs;
     std::unordered_map<uint64_t, std::string>          mFieldName;
     /// Meta maps whose halo-carrying uids were already collected.
-    std::unordered_map<const sys::ContainerMetaMap*, std::unordered_set<uint64_t>> mHaloUids;
+    std::unordered_map<const ContainerMetaMap*, std::unordered_set<uint64_t>> mHaloUids;
 
     std::unordered_set<std::string> mDedup;
     AnalysisReport                  mReport;
     size_t                          mNewFrom = 0;
 };
 
-/// One-shot: analyze every record currently in `log`.
-AnalysisReport raceReport(const sys::ScheduleLog& log, int devCount);
+/// A backend's live race analysis (set::Analyzer): installed as the
+/// engine's enqueue hook, it feeds every op to one RaceDetector as the op is
+/// enqueued, and owns the container metadata the Skeleton registers per run.
+/// No op is stored. Thread-safe.
+class RaceSession final : public sys::EnqueueHook
+{
+   public:
+    explicit RaceSession(int devCount) : mDevCount(devCount), mDetector(devCount) {}
 
-/// Incremental: analyze only records appended since the previous drain
-/// (detector state lives in log.consumerState()); returns new findings.
-AnalysisReport drainRaces(sys::ScheduleLog& log, int devCount);
+    /// The session installed on `engine`, or null.
+    [[nodiscard]] static RaceSession* of(const sys::Engine& engine);
+
+    void onEnqueue(const sys::Stream& stream, const sys::Op& op) override;
+
+    /// Attach the metadata of the graph that issues run `runId`; called
+    /// before the run's first op is enqueued.
+    void registerRun(int runId, std::shared_ptr<const ContainerMetaMap> meta);
+
+    /// Pause/resume feeding (findings so far stay readable).
+    void setEnabled(bool on);
+    [[nodiscard]] bool enabled() const;
+    /// Print each finding to stderr as it is made (NEON_ANALYSIS).
+    void reportFindings();
+
+    /// All findings so far.
+    [[nodiscard]] AnalysisReport report() const;
+    /// Findings made since the previous takeNew().
+    [[nodiscard]] AnalysisReport takeNew();
+    /// Drop every finding, the detector state and the registered metadata.
+    void clear();
+
+   private:
+    mutable std::mutex mMutex;
+    int                mDevCount;
+    RaceDetector       mDetector;
+    uint64_t           mNextSeq = 0;
+    bool               mEnabled = true;
+    bool               mReportFindings = false;
+    std::unordered_map<int, std::shared_ptr<const ContainerMetaMap>> mMetaByRun;
+};
 
 }  // namespace neon::analysis

@@ -54,10 +54,12 @@ class SegmentHalo final : public set::HaloOps
     {
     }
 
-    void enqueueHaloSend(int dev, sys::Stream& stream) const override
+    void enqueueHaloSend(int dev, sys::Stream& stream,
+                         const sys::OpAttribution& attr) const override
     {
         sys::TransferOp op;
         op.name = "halo(" + mName + ")";
+        op.attr = attr;
 
         for (const HaloSegment& seg : mSegments[static_cast<size_t>(dev)]) {
             if (seg.count == 0) {

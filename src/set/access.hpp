@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/types.hpp"
+#include "sys/op.hpp"
 
 namespace neon::sys {
 class Stream;
@@ -24,8 +25,10 @@ class HaloOps
     virtual ~HaloOps() = default;
 
     /// Enqueue on `stream` (bound to device `dev`) the transfers that send
-    /// this device's boundary data into its neighbours' halo buffers.
-    virtual void enqueueHaloSend(int dev, sys::Stream& stream) const = 0;
+    /// this device's boundary data into its neighbours' halo buffers,
+    /// attributed to `attr`.
+    virtual void enqueueHaloSend(int dev, sys::Stream& stream,
+                                 const sys::OpAttribution& attr = {}) const = 0;
 
     [[nodiscard]] virtual uint64_t    uid() const = 0;
     [[nodiscard]] virtual std::string name() const = 0;

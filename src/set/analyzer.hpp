@@ -3,18 +3,17 @@
 // mirroring the Profiler facade:
 //
 //   auto an = backend.analysis();
-//   an.enable();                  // start recording the schedule log
+//   an.enable();                  // feed the race detector from now on
 //   app.run(); app.sync();
 //   auto report = an.raceReport();  // happens-before race check
 //
-// Analyzer is a cheap value handle onto the backend's engine-owned
-// ScheduleLog; copies observe the same recording. The check is engine-
-// independent: the log captures host enqueue order, so sequential and
-// threaded engines produce the same verdict for the same schedule.
+// Analyzer is a cheap value handle onto the race session installed as the
+// backend engine's enqueue hook; copies observe the same session. The check
+// is engine-independent: ops are fed in host enqueue order, so sequential
+// and threaded engines produce the same verdict for the same schedule.
 
 #include "analysis/report.hpp"
 #include "set/backend.hpp"
-#include "sys/schedule_log.hpp"
 
 namespace neon::set {
 
@@ -23,20 +22,17 @@ class Analyzer
    public:
     explicit Analyzer(Backend backend) : mBackend(std::move(backend)) {}
 
-    /// Start/stop recording schedule records (off by default; recording
-    /// costs one small entry per enqueued op).
-    void enable(bool on = true) { log().enable(on); }
-    [[nodiscard]] bool enabled() const { return log().enabled(); }
-    /// Drop all recorded ops, run metadata and detector state.
-    void clear() { log().clear(); }
+    /// Start/pause feeding enqueued ops to the race detector (off by
+    /// default). The detector keeps per-segment state, not a record per op;
+    /// pausing keeps the findings so far.
+    void enable(bool on = true);
+    [[nodiscard]] bool enabled() const;
+    /// Drop all findings, run metadata and detector state.
+    void clear();
 
-    /// The underlying engine-owned schedule log.
-    [[nodiscard]] sys::ScheduleLog& log() const { return mBackend.engine().scheduleLog(); }
-
-    /// Happens-before race report over every op recorded so far.
+    /// Every finding since enable() (or the last clear()).
     [[nodiscard]] analysis::AnalysisReport raceReport() const;
-    /// Incremental drain: report only findings from ops appended since the
-    /// previous drain (detector state persists inside the log).
+    /// Incremental drain: only the findings made since the previous drain.
     [[nodiscard]] analysis::AnalysisReport drainRaces() const;
 
    private:

@@ -330,11 +330,6 @@ sys::Stream& Backend::stream(int dev, int streamIdx) const
 void Backend::sync() const
 {
     mImpl->engine->syncAll();
-    // All work is drained: a good moment for the NEON_ANALYSIS race-detector
-    // drain (analysis/env.cpp installs the callback).
-    if (mImpl->engine->scheduleLog().enabled()) {
-        mImpl->engine->scheduleLog().runSyncCallback();
-    }
 }
 
 sys::FaultInjector& Backend::faults() const

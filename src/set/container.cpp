@@ -64,9 +64,8 @@ Container Container::haloUpdate(std::shared_ptr<const HaloOps> halo)
         rec.push_back({halo->uid(), Access::WRITE, Compute::MAP, 0.0, halo->name(), halo});
     };
     c.mImpl->itemsFn = [](int, DataView) -> size_t { return 0; };
-    c.mImpl->launcher = [halo](int dev, sys::Stream& stream, DataView,
-                               const sys::KernelCostHint&) {
-        halo->enqueueHaloSend(dev, stream);
+    c.mImpl->launcher = [halo](int dev, sys::Stream& stream, const sys::OpAttribution& attr) {
+        halo->enqueueHaloSend(dev, stream, attr);
     };
     return c;
 }
@@ -170,7 +169,8 @@ uint64_t Container::sanitizeSeq() const
     return mImpl->seq;
 }
 
-void Container::launch(int dev, sys::Stream& stream, DataView view, bool sanitized) const
+void Container::launch(int dev, sys::Stream& stream, DataView view, bool sanitized,
+                       const sys::OpAttribution& attr) const
 {
     mImpl->ensureParsed();
     if (!mImpl->records.empty()) {
@@ -194,10 +194,11 @@ void Container::launch(int dev, sys::Stream& stream, DataView view, bool sanitiz
         op.items = rec.items;
         op.hint = mImpl->hint;
         op.work = rec.work;
+        op.attr = attr;
         stream.enqueue(std::move(op));
         return;
     }
-    mImpl->launcher(dev, stream, view, mImpl->hint);
+    mImpl->launcher(dev, stream, attr);
 }
 
 void Container::run(const StreamSet& streams, DataView view, bool sanitized) const

@@ -157,12 +157,12 @@ class Container
             }
         };
         c.mImpl->itemsFn = [](int, DataView) -> size_t { return 1; };
-        c.mImpl->launcher = [fn, dur, name = c.mImpl->name](int dev, sys::Stream& stream, DataView,
-                                                            const sys::KernelCostHint&) {
+        c.mImpl->launcher = [fn, dur, name = c.mImpl->name](int dev, sys::Stream& stream,
+                                                            const sys::OpAttribution& attr) {
             if (dev != 0) {
                 return;
             }
-            stream.hostFn(name, dur, fn);
+            stream.hostFn(name, dur, fn, attr);
         };
         return c;
     }
@@ -187,11 +187,12 @@ class Container
     [[nodiscard]] const Container& combineStep() const;
     [[nodiscard]] bool             isReduce() const;
 
-    /// Enqueue this container's work for one device on `stream`. With
-    /// `sanitized` set (and a sanitizable kernel, see sanitizable()) the
-    /// instrumented trampoline is enqueued instead of the plain one.
+    /// Enqueue this container's work for one device on `stream`, attributed
+    /// to `attr`. With `sanitized` set (and a sanitizable kernel, see
+    /// sanitizable()) the instrumented trampoline is enqueued instead of the
+    /// plain one.
     void launch(int dev, sys::Stream& stream, DataView view = DataView::STANDARD,
-                bool sanitized = false) const;
+                bool sanitized = false, const sys::OpAttribution& attr = {}) const;
 
     /// Convenience: launch on stream set 0 of `backend` for every device
     /// (Set-level manual execution; the Skeleton does this per task).
@@ -487,9 +488,9 @@ class Container
         std::string name;
         Kind        kind = Kind::Compute;
         int         devCount = 1;
-        std::function<void(AccessList&)>                                           parser;
-        std::function<size_t(int, DataView)>                                       itemsFn;
-        std::function<void(int, sys::Stream&, DataView, const sys::KernelCostHint&)> launcher;
+        std::function<void(AccessList&)>                                  parser;
+        std::function<size_t(int, DataView)>                              itemsFn;
+        std::function<void(int, sys::Stream&, const sys::OpAttribution&)> launcher;
         /// Compute containers: one record per (device, view); empty for
         /// halo/scalar containers, which keep the launcher closure.
         std::vector<LaunchRecord>  records;

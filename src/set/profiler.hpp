@@ -59,7 +59,7 @@ class Profiler
     /// transfer retries and stream stalls; docs/robustness.md).
     [[nodiscard]] int faultEvents() const
     {
-        return static_cast<int>(trace().countKind(sys::TraceKind::Fault));
+        return static_cast<int>(trace().countKind(sys::OpKind::Fault));
     }
 
    private:

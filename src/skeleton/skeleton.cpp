@@ -7,13 +7,12 @@
 
 #include "analysis/env.hpp"
 #include "analysis/graph_lint.hpp"
-#include "analysis/sanitizer.hpp"
 #include "analysis/node_meta.hpp"
+#include "analysis/race_detector.hpp"
+#include "analysis/sanitizer.hpp"
 #include "core/error.hpp"
 #include "core/log.hpp"
 #include "skeleton/schedule_cache.hpp"
-#include "sys/fault.hpp"
-#include "sys/schedule_log.hpp"
 #include "sys/stream.hpp"
 
 namespace neon::skeleton {
@@ -499,8 +498,8 @@ struct Skeleton::ScheduleState
     /// stream-map mutex per task per device.
     std::vector<sys::Stream*> streams;
     /// Container metadata of this graph, registered per run window with the
-    /// schedule log; built lazily on the first logged run.
-    std::shared_ptr<const sys::ContainerMetaMap> metaCache;
+    /// race session; built lazily on the first analyzed run.
+    std::shared_ptr<const analysis::ContainerMetaMap> metaCache;
 };
 
 struct Skeleton::Impl
@@ -529,14 +528,13 @@ struct CompiledSchedule::Impl
 
 namespace {
 
-/// Abort path shared by run()/sync(): leave the engine drained and the
-/// trace context clean so the caller can inspect reports and re-sequence()
-/// on surviving devices, then rethrow the fault enriched with skeleton
-/// attribution (graph-node label, last consistently completed run).
+/// Abort path shared by run()/sync(): leave the engine drained so the caller
+/// can inspect reports and re-sequence() on surviving devices, then rethrow
+/// the fault enriched with skeleton attribution (graph-node label, last
+/// consistently completed run).
 [[noreturn]] void rethrowEnriched(set::Backend& backend, const Graph& graph,
                                   const RuntimeError& e)
 {
-    backend.engine().trace().clearContext();
     backend.engine().quiesce();
     RuntimeError::Info info = e.info;
     if (info.containerId >= 0 && info.containerId < graph.nodeCount() &&
@@ -729,26 +727,23 @@ void Skeleton::run(const RunScope& scope)
                    "); rebuild the containers and re-sequence()");
     const int nDev = s.backend.devCount();
 
-    // Open/extend the observability run window and stamp every op this run
-    // enqueues with its run id (and, per task, its graph-node id) so the
-    // trace can be sliced per window and attributed per container.
-    sys::Trace& trace = s.backend.engine().trace();
-    const int   runId = trace.nextRunId();
+    // Open/extend the observability run window. runBody attributes every op
+    // of the run to its run id (and, per task, its graph-node id) so the
+    // trace can be sliced per window and errors name their container.
+    const int runId = s.backend.engine().trace().nextRunId();
     if (s.windowClosed) {
         s.windowFirst = runId;
         s.windowClosed = false;
     }
     s.windowLast = runId;
-    trace.setContext({-1, runId, scope.jobId});
 
-    // While the schedule log records, attribute this run's ops to the graph
-    // that issued them so the race detector can attach read/write sets.
-    sys::ScheduleLog& slog = s.backend.engine().scheduleLog();
-    if (slog.enabled()) {
+    // While race analysis is on, give it the graph that issues this run so
+    // the detector can attach read/write sets to the run's ops.
+    if (auto* races = analysis::RaceSession::of(s.backend.engine())) {
         if (s.state->metaCache == nullptr) {
             s.state->metaCache = analysis::metaMapFor(s.state->graph, nDev);
         }
-        slog.registerRunMeta(runId, s.state->metaCache);
+        races->registerRun(runId, s.state->metaCache);
     }
 
     try {
@@ -772,13 +767,8 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     const std::shared_ptr<ScheduleState> statePtr = s.state;
     ScheduleState&                       st = *statePtr;
     const int                            nDev = s.backend.devCount();
-    sys::Engine&                         engine = s.backend.engine();
-    sys::Trace&                          trace = engine.trace();
-    // Per-task trace contexts only matter while something records
-    // attribution (same condition as Stream::enqueue); setContext takes a
-    // mutex, so skip it on the fast path.
-    const bool attributing =
-        trace.enabled() || engine.scheduleLog().enabled() || engine.faults().active();
+    // Data-chain waits and the tail barrier belong to the run, not a node.
+    const sys::OpAttribution runAttr{-1, runId, scope.jobId};
 
     // Leased runs resolve their stream block here instead of using the
     // base-0 pointers prefetched at sequence() time; the extra mutex hops
@@ -816,7 +806,7 @@ void Skeleton::runBody(int runId, const RunScope& scope)
             // is safe across leases).
             for (int d = 0; d < nDev; ++d) {
                 for (int stIdx = 0; stIdx < st.nStreams; ++stIdx) {
-                    streamAt(d, stIdx).wait(dep);
+                    streamAt(d, stIdx).wait(dep, runAttr);
                 }
             }
         }
@@ -832,38 +822,36 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     }
 
     for (const Task& t : st.tasks) {
-        const GraphNode& n = st.graph.node(t.nodeId);
-        if (attributing) {
-            trace.setContext({t.nodeId, runId, scope.jobId});
-        }
+        const GraphNode&         n = st.graph.node(t.nodeId);
+        const sys::OpAttribution attr{t.nodeId, runId, scope.jobId};
         for (int d = 0; d < nDev; ++d) {
             sys::Stream& stream = streamAt(d, t.stream);
             for (const auto& w : t.waits) {
                 const set::EventSet& ev = completion[static_cast<size_t>(w.parent)];
                 switch (w.scope) {
                     case WaitScope::SameDev:
-                        stream.wait(ev[d]);
+                        stream.wait(ev[d], attr);
                         break;
                     case WaitScope::Neighbours:
                         for (int dd = d - 1; dd <= d + 1; ++dd) {
                             if (dd >= 0 && dd < nDev) {
-                                stream.wait(ev[dd]);
+                                stream.wait(ev[dd], attr);
                             }
                         }
                         break;
                     case WaitScope::Root:
-                        stream.wait(ev[0]);
+                        stream.wait(ev[0], attr);
                         break;
                     case WaitScope::All:
                         for (int dd = 0; dd < nDev; ++dd) {
-                            stream.wait(ev[dd]);
+                            stream.wait(ev[dd], attr);
                         }
                         break;
                 }
             }
-            n.container.launch(d, stream, n.view, st.options.sanitize);
+            n.container.launch(d, stream, n.view, st.options.sanitize, attr);
             if (n.needsEvent) {
-                stream.record(completion[static_cast<size_t>(t.nodeId)][d]);
+                stream.record(completion[static_cast<size_t>(t.nodeId)][d], attr);
             }
         }
     }
@@ -871,9 +859,6 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     // Record the tail barrier: the run's stream (0, base) gathers every
     // other stream's tail event and records one barrier whose virtual
     // timestamp is the run's completion time.
-    if (attributing) {
-        trace.setContext({-1, runId, scope.jobId});
-    }
     set::EventSet tails = set::EventSet::make(nDev * st.nStreams);
     for (int d = 0; d < nDev; ++d) {
         for (int stIdx = 0; stIdx < st.nStreams; ++stIdx) {
@@ -881,17 +866,16 @@ void Skeleton::runBody(int runId, const RunScope& scope)
                 continue;
             }
             const int slot = d * st.nStreams + stIdx;
-            streamAt(d, stIdx).record(tails[slot]);
-            streamAt(0, 0).wait(tails[slot]);
+            streamAt(d, stIdx).record(tails[slot], runAttr);
+            streamAt(0, 0).wait(tails[slot], runAttr);
         }
     }
     auto barrier = std::make_shared<sys::Event>();
-    streamAt(0, 0).record(barrier);
+    streamAt(0, 0).record(barrier, runAttr);
     if (scope.chainData) {
         s.backend.dataBarriers().publish(st.readUids, st.writeUids, barrier);
     }
     s.lastTail = std::move(barrier);
-    trace.clearContext();
 }
 
 void Skeleton::sync()

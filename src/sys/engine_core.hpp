@@ -16,11 +16,10 @@
 
 namespace neon::sys {
 
-inline void Engine::traceRow(const Stream& stream, TraceKind kind, std::string_view name,
+inline void Engine::traceRow(const Stream& stream, OpKind kind, std::string_view name,
                              double startV, double endV, uint64_t bytes, const OpAttribution& attr)
 {
-    mTrace.record(stream.device().id(), stream.id(), kind, name, startV, endV, bytes,
-                  attr.containerId, attr.runId, attr.jobId);
+    mTrace.record(stream.device().id(), stream.id(), kind, name, startV, endV, bytes, attr);
 }
 
 template <class ClockLock, class Await>
@@ -55,7 +54,7 @@ Engine::OpCharge Engine::charge(const Stream& stream, double& vtime, const O& op
         return {vtime, vtime};
     } else if constexpr (std::is_same_v<O, WaitOp>) {
         if (mFaults.active()) {
-            consultFaults(stream, describe<O>(), "wait", op.attr);
+            consultFaults(stream, OpKind::Wait, "wait", op.attr);
         }
         return {vtime, vtime};
     } else {
@@ -68,10 +67,10 @@ Engine::OpCharge Engine::charge(const Stream& stream, double& vtime, const O& op
             start = std::max(vtime, dev.computeAvailable);
         }
         if (mFaults.active()) {
-            d = consultFaults(stream, describe<O>(), op.name, op.attr);
+            d = consultFaults(stream, kKindOf<O>, op.name, op.attr);
             if (d.stallSeconds > 0.0) {
-                traceRow(stream, TraceKind::Fault, "stall:" + op.name, start,
-                         start + d.stallSeconds, 0, op.attr);
+                traceRow(stream, OpKind::Fault, "stall:" + op.name, start, start + d.stallSeconds,
+                         0, op.attr);
                 start += d.stallSeconds;
             }
         }
@@ -87,7 +86,7 @@ Engine::OpCharge Engine::charge(const Stream& stream, double& vtime, const O& op
             for (int attempt = 1; attempt <= failed; ++attempt) {
                 const TransferSchedule bad = planTransfer(dev, start, op, d.slowdown);
                 const double           retryAt = bad.end + retryBackoff(cfg, attempt);
-                traceRow(stream, TraceKind::Fault,
+                traceRow(stream, OpKind::Fault,
                          "retry#" + std::to_string(attempt) + ":" + op.name, start, retryAt,
                          bad.totalBytes, op.attr);
                 start = retryAt;
@@ -95,21 +94,21 @@ Engine::OpCharge Engine::charge(const Stream& stream, double& vtime, const O& op
             if (d.failedAttempts >= cfg.retry.maxAttempts) {
                 vtime = start;
                 throwRuntimeError(RuntimeError::Kind::TransferFailed, dev.id(), stream.id(),
-                                  describe<O>().name, op.name, op.attr, cfg.retry.maxAttempts);
+                                  to_string(kKindOf<O>), op.name, op.attr, cfg.retry.maxAttempts);
             }
             plan = planTransfer(dev, start, op, d.slowdown);
             end = std::max(plan.end, start);
         }
         if (cfg.opTimeout > 0.0 && end - vtime > cfg.opTimeout) {
             throwRuntimeError(RuntimeError::Kind::OpTimeout, dev.id(), stream.id(),
-                              describe<O>().name, op.name, op.attr, 0, cfg.opTimeout);
+                              to_string(kKindOf<O>), op.name, op.attr, 0, cfg.opTimeout);
         }
         if constexpr (std::is_same_v<O, KernelOp>) {
             dev.computeAvailable = end;
         }
         vtime = end;
         for (const TransferWindow& w : plan.windows) {
-            traceRow(stream, TraceKind::Transfer, op.name, w.start, w.end, w.bytes, op.attr);
+            traceRow(stream, OpKind::Transfer, op.name, w.start, w.end, w.bytes, op.attr);
         }
         return {start, end};
     }
@@ -123,9 +122,8 @@ void Engine::finish(const Stream& stream, const O& op, const OpCharge& c)
         op.event->record(c.end, dev.id(), stream.id());
     } else if constexpr (std::is_same_v<O, WaitOp>) {
         if (c.end > c.start && mTrace.enabled()) {
-            mTrace.record(dev.id(), stream.id(), TraceKind::Wait, "wait", c.start, c.end, 0,
-                          op.attr.containerId, op.attr.runId, op.attr.jobId, op.event->id(),
-                          op.event->recordedDevice(), op.event->recordedStream());
+            mTrace.record(dev.id(), stream.id(), OpKind::Wait, "wait", c.start, c.end, 0, op.attr,
+                          op.event->id(), op.event->recordedDevice(), op.event->recordedStream());
         }
     } else if constexpr (std::is_same_v<O, TransferOp>) {
         // The rows were recorded by charge().
@@ -137,16 +135,14 @@ void Engine::finish(const Stream& stream, const O& op, const OpCharge& c)
             }
         }
     } else {
-        constexpr bool kKernel = std::is_same_v<O, KernelOp>;
         if (!dev.config().dryRun) {
-            if constexpr (kKernel) {
+            if constexpr (std::is_same_v<O, KernelOp>) {
                 runKernelWork(dev, stream.id(), op, c.start);
             } else if (op.fn) {
                 op.fn();
             }
         }
-        traceRow(stream, kKernel ? TraceKind::Kernel : TraceKind::HostFn, op.name, c.start, c.end,
-                 0, op.attr);
+        traceRow(stream, kKindOf<O>, op.name, c.start, c.end, 0, op.attr);
     }
 }
 

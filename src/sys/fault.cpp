@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/error.hpp"
+
 namespace neon::sys {
 
 namespace {
@@ -28,17 +30,16 @@ double draw(uint64_t seed, size_t specIdx, int device, int stream, uint64_t ordi
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-uint64_t ordinalKey(int device, int stream, ScheduleOpKind kind)
+uint64_t ordinalKey(int device, int stream, OpKind kind)
 {
     return static_cast<uint64_t>(static_cast<uint32_t>(device)) << 40 |
            static_cast<uint64_t>(static_cast<uint32_t>(stream)) << 8 |
            static_cast<uint64_t>(kind);
 }
 
-bool isWorkOp(ScheduleOpKind kind)
+bool isWorkOp(OpKind kind)
 {
-    return kind == ScheduleOpKind::Kernel || kind == ScheduleOpKind::Transfer ||
-           kind == ScheduleOpKind::HostFn;
+    return kind == OpKind::Kernel || kind == OpKind::Transfer || kind == OpKind::HostFn;
 }
 
 }  // namespace
@@ -52,6 +53,14 @@ std::string to_string(FaultKind k)
         case FaultKind::LinkDegradation: return "linkDegradation";
     }
     return "?";
+}
+
+FaultSpec& FaultSpec::onOp(OpKind k)
+{
+    NEON_CHECK(k != OpKind::Fault && k != OpKind::HostPool,
+               "FaultSpec::onOp: '" + to_string(k) + "' names trace rows, not ops");
+    opKind = k;
+    return *this;
 }
 
 FaultSpec FaultSpec::transientTransfer(int failAttempts)
@@ -146,8 +155,7 @@ bool FaultInjector::deviceLost(int device) const
            mLost[static_cast<size_t>(device)].has_value();
 }
 
-FaultDecision FaultInjector::decide(int device, int stream, ScheduleOpKind kind,
-                                    const OpAttribution& attr)
+FaultDecision FaultInjector::decide(int device, int stream, OpKind kind, const OpAttribution& attr)
 {
     if (!active()) {
         return {};
@@ -201,7 +209,7 @@ FaultDecision FaultInjector::decide(int device, int stream, ScheduleOpKind kind,
         }
         switch (spec.kind) {
             case FaultKind::TransientTransferFailure:
-                if (kind == ScheduleOpKind::Transfer) {
+                if (kind == OpKind::Transfer) {
                     d.failedAttempts = std::max(d.failedAttempts, spec.failAttempts);
                 }
                 break;
@@ -211,7 +219,7 @@ FaultDecision FaultInjector::decide(int device, int stream, ScheduleOpKind kind,
                 }
                 break;
             case FaultKind::LinkDegradation:
-                if (kind == ScheduleOpKind::Transfer) {
+                if (kind == OpKind::Transfer) {
                     d.slowdown *= spec.slowdownFactor;
                 }
                 break;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "sys/op.hpp"
-#include "sys/schedule_log.hpp"
 
 namespace neon::sys {
 
@@ -46,12 +45,12 @@ struct FaultSpec
     /// PermanentDeviceLoss: first lost run — ops of run >= this fail, and
     /// once triggered the device stays lost for everything after (negative:
     /// lost immediately, including pre-run setup ops).
-    int                           run = -1;
-    std::optional<ScheduleOpKind> opKind;  ///< restrict to one op kind
-    double                        probability = 1.0;
-    int                           failAttempts = 1;      ///< TransientTransferFailure
-    double                        stallSeconds = 0.0;    ///< StreamStall
-    double                        slowdownFactor = 1.0;  ///< LinkDegradation
+    int                   run = -1;
+    std::optional<OpKind> opKind;  ///< restrict to one op kind
+    double                probability = 1.0;
+    int                   failAttempts = 1;      ///< TransientTransferFailure
+    double                stallSeconds = 0.0;    ///< StreamStall
+    double                slowdownFactor = 1.0;  ///< LinkDegradation
 
     static FaultSpec transientTransfer(int failAttempts = 1);
     static FaultSpec deviceLoss(int device, int fromRun = 0);
@@ -73,11 +72,9 @@ struct FaultSpec
         run = r;
         return *this;
     }
-    FaultSpec& onOp(ScheduleOpKind k)
-    {
-        opKind = k;
-        return *this;
-    }
+    /// Restrict to ops of kind `k`; throws NeonException for the row-only
+    /// kinds (Fault, HostPool), which no op has.
+    FaultSpec& onOp(OpKind k);
     FaultSpec& withProbability(double p)
     {
         probability = p;
@@ -138,7 +135,7 @@ class FaultInjector
 
     /// Decision for the op about to be processed. Increments the op ordinal
     /// for (device, stream, kind).
-    FaultDecision decide(int device, int stream, ScheduleOpKind kind, const OpAttribution& attr);
+    FaultDecision decide(int device, int stream, OpKind kind, const OpAttribution& attr);
 
     /// True once a PermanentDeviceLoss rule has triggered for `device`.
     [[nodiscard]] bool deviceLost(int device) const;

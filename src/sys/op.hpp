@@ -3,12 +3,14 @@
 // queue-based (paper §IV-A): each stream processes its ops in FIFO order;
 // cross-stream ordering is expressed only through events.
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
-
-#include <memory>
 
 #include "sys/cost_model.hpp"
 #include "sys/event.hpp"
@@ -16,10 +18,32 @@
 
 namespace neon::sys {
 
-/// Trace attribution carried by work ops: which skeleton graph node,
-/// which run() window and which service job enqueued the op. Stamped by
-/// Stream::enqueue from the engine trace's current context
-/// (sys/trace.hpp); -1 outside a skeleton / outside a service job.
+/// What an op is, for fault rules, trace rows, race analysis and errors. The
+/// first five kinds follow Op's alternative order, so an op's kind is its
+/// index(); Fault and HostPool name trace rows only. The string spellings
+/// ("kernel", "transfer", ...) are stable public API: reports, tests and the
+/// chrome-trace export key on them.
+enum class OpKind : uint8_t
+{
+    Kernel,
+    Transfer,
+    HostFn,
+    Record,
+    Wait,
+    Fault,     ///< injected stall or failed transfer attempt (trace row)
+    HostPool,  ///< one pool worker's share of a CPU kernel (trace row)
+};
+
+[[nodiscard]] inline const std::string& to_string(OpKind k)
+{
+    static const std::string kNames[] = {"kernel", "transfer", "hostFn",  "record",
+                                         "wait",   "fault",    "hostPool"};
+    return kNames[static_cast<size_t>(k)];
+}
+
+/// Attribution carried by every op: which skeleton graph node, which run()
+/// window and which service job enqueued it. Passed in by the enqueuer (the
+/// Skeleton per task); -1 outside a skeleton / outside a service job.
 struct OpAttribution
 {
     int containerId = -1;
@@ -87,7 +111,8 @@ struct HostFnOp
 /// Record `event` when the stream reaches this op.
 struct RecordOp
 {
-    EventPtr event;
+    EventPtr      event;
+    OpAttribution attr;
 };
 
 /// Hold the stream until `event` is recorded.
@@ -98,5 +123,22 @@ struct WaitOp
 };
 
 using Op = std::variant<KernelOp, TransferOp, HostFnOp, RecordOp, WaitOp>;
+
+[[nodiscard]] inline OpKind kindOf(const Op& op)
+{
+    return static_cast<OpKind>(op.index());
+}
+
+/// The kind of the Op alternative `O`.
+template <class O>
+inline constexpr OpKind kKindOf = []<size_t... I>(std::index_sequence<I...>) {
+    return static_cast<OpKind>(((std::is_same_v<O, std::variant_alternative_t<I, Op>> ? I : 0) +
+                                ...));
+}(std::make_index_sequence<std::variant_size_v<Op>>());
+
+static_assert(kKindOf<KernelOp> == OpKind::Kernel && kKindOf<TransferOp> == OpKind::Transfer &&
+                  kKindOf<HostFnOp> == OpKind::HostFn && kKindOf<RecordOp> == OpKind::Record &&
+                  kKindOf<WaitOp> == OpKind::Wait,
+              "Op lists its alternatives in OpKind order");
 
 }  // namespace neon::sys

@@ -19,47 +19,8 @@ Stream::~Stream()
 
 void Stream::enqueue(Op op)
 {
-    // Stamp skeleton attribution at enqueue time: the host thread that
-    // enqueues is the one that set the trace context, while the threaded
-    // engine may process the op on a worker thread much later.
-    Trace&       trace = mEngine->trace();
-    ScheduleLog& slog = mEngine->scheduleLog();
-    const bool   logging = slog.enabled();
-    // Fault rules match on run id, so attribution must also be stamped when
-    // a plan is active even if neither trace nor schedule log is on.
-    if (trace.enabled() || logging || mEngine->faults().active()) {
-        const TraceContext ctx = trace.context();
-        if (ctx.containerId >= 0 || ctx.runId >= 0 || ctx.jobId >= 0) {
-            std::visit(
-                [&](auto& o) {
-                    if constexpr (requires { o.attr; }) {
-                        if (o.attr.containerId < 0) {
-                            o.attr = {ctx.containerId, ctx.runId, ctx.jobId};
-                        }
-                    }
-                },
-                op);
-        }
-        if (logging) {
-            ScheduleRecord r;
-            r.device = mDevice->id();
-            r.stream = mId;
-            r.containerId = ctx.containerId;
-            r.runId = ctx.runId;
-            r.kind = describe(op).kind;
-            std::visit(
-                [&](const auto& o) {
-                    if constexpr (requires { o.event; }) {
-                        r.eventId = o.event->id();
-                    }
-                    if constexpr (requires { o.attr; }) {
-                        r.containerId = o.attr.containerId;
-                        r.runId = o.attr.runId;
-                    }
-                },
-                op);
-            slog.add(r);
-        }
+    if (EnqueueHook* hook = mEngine->enqueueHook()) {
+        hook->onEnqueue(*this, op);
     }
     mEngine->enqueue(*this, std::move(op));
 }
@@ -69,19 +30,20 @@ void Stream::transfer(TransferOp op)
     enqueue(std::move(op));
 }
 
-void Stream::hostFn(std::string name, double simDuration, std::function<void()> fn)
+void Stream::hostFn(std::string name, double simDuration, std::function<void()> fn,
+                    const OpAttribution& attr)
 {
-    enqueue(HostFnOp{std::move(name), simDuration, std::move(fn), {}});
+    enqueue(HostFnOp{std::move(name), simDuration, std::move(fn), attr});
 }
 
-void Stream::record(EventPtr event)
+void Stream::record(EventPtr event, const OpAttribution& attr)
 {
-    enqueue(RecordOp{std::move(event)});
+    enqueue(RecordOp{std::move(event), attr});
 }
 
-void Stream::wait(EventPtr event)
+void Stream::wait(EventPtr event, const OpAttribution& attr)
 {
-    enqueue(WaitOp{std::move(event), {}});
+    enqueue(WaitOp{std::move(event), attr});
 }
 
 void Stream::sync()
@@ -164,10 +126,9 @@ void Engine::runKernelWork(const Device& dev, int streamId, const KernelOp& op, 
             std::vector<WorkerSample> samples;
             pool->parallelFor(op.work.chunks, op.work.run, op.work.ctx, &samples);
             for (const auto& s : samples) {
-                mTrace.record(dev.id(), streamId, TraceKind::HostPool, op.name, startV,
-                              startV + s.busySeconds, static_cast<uint64_t>(s.chunks),
-                              op.attr.containerId, op.attr.runId, op.attr.jobId, 0, s.worker,
-                              streamId);
+                mTrace.record(dev.id(), streamId, OpKind::HostPool, op.name, startV,
+                              startV + s.busySeconds, static_cast<uint64_t>(s.chunks), op.attr, 0,
+                              s.worker, streamId);
             }
         } else if (usePool) {
             pool->parallelFor(op.work.chunks, op.work.run, op.work.ctx);
@@ -216,19 +177,19 @@ void Engine::clearAbort()
     mAborted.store(false, std::memory_order_release);
 }
 
-FaultDecision Engine::consultFaults(const Stream& stream, const OpDescriptor& desc,
-                                    const std::string& opName, const OpAttribution& attr)
+FaultDecision Engine::consultFaults(const Stream& stream, OpKind kind, const std::string& opName,
+                                    const OpAttribution& attr)
 {
-    FaultDecision d = mFaults.decide(stream.device().id(), stream.id(), desc.kind, attr);
+    FaultDecision d = mFaults.decide(stream.device().id(), stream.id(), kind, attr);
     if (d.deviceLost) {
         throwRuntimeError(RuntimeError::Kind::DeviceLost, stream.device().id(), stream.id(),
-                          desc.name, opName, d.lostAttr);
+                          to_string(kind), opName, d.lostAttr);
     }
     return d;
 }
 
 void Engine::throwRuntimeError(RuntimeError::Kind kind, int device, int stream,
-                               const char* opKind, const std::string& opName,
+                               std::string_view opKind, const std::string& opName,
                                const OpAttribution& attr, int attempts, double timeout)
 {
     RuntimeError::Info info;

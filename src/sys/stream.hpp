@@ -16,7 +16,6 @@
 #include "core/error.hpp"
 #include "sys/fault.hpp"
 #include "sys/op.hpp"
-#include "sys/schedule_log.hpp"
 #include "sys/thread_pool.hpp"
 #include "sys/trace.hpp"
 
@@ -24,40 +23,6 @@ namespace neon::sys {
 
 class Engine;
 class Device;
-
-/// What the engine core needs to know about one Op alternative: the kind
-/// fault rules and the schedule log match on, and the opKind spelling a
-/// RuntimeError carries.
-struct OpDescriptor
-{
-    ScheduleOpKind kind;
-    const char*    name;
-};
-
-/// Indexed by Op::index(): Op's alternatives are declared in
-/// ScheduleOpKind order.
-inline constexpr OpDescriptor kOpDescriptors[] = {
-    {ScheduleOpKind::Kernel, "kernel"}, {ScheduleOpKind::Transfer, "transfer"},
-    {ScheduleOpKind::HostFn, "hostFn"}, {ScheduleOpKind::Record, "record"},
-    {ScheduleOpKind::Wait, "wait"},
-};
-static_assert(std::is_same_v<Op, std::variant<KernelOp, TransferOp, HostFnOp, RecordOp, WaitOp>>,
-              "kOpDescriptors follows Op's alternative order");
-
-[[nodiscard]] inline const OpDescriptor& describe(const Op& op)
-{
-    return kOpDescriptors[op.index()];
-}
-
-/// Descriptor of the Op alternative `O`.
-template <class O>
-[[nodiscard]] constexpr const OpDescriptor& describe()
-{
-    constexpr size_t index = []<size_t... I>(std::index_sequence<I...>) {
-        return ((std::is_same_v<O, std::variant_alternative_t<I, Op>> ? I : 0) + ...);
-    }(std::make_index_sequence<std::variant_size_v<Op>>());
-    return kOpDescriptors[index];
-}
 
 /// Engine-owned per-stream state. The base Engine keeps the stream's
 /// virtual clock here; engines that queue work extend it.
@@ -81,9 +46,10 @@ class Stream
 
     // Convenience wrappers -------------------------------------------------
     void transfer(TransferOp op);
-    void hostFn(std::string name, double simDuration, std::function<void()> fn);
-    void record(EventPtr event);
-    void wait(EventPtr event);
+    void hostFn(std::string name, double simDuration, std::function<void()> fn,
+                const OpAttribution& attr = {});
+    void record(EventPtr event, const OpAttribution& attr = {});
+    void wait(EventPtr event, const OpAttribution& attr = {});
 
     /// Host blocks until every enqueued op completed.
     void sync();
@@ -102,6 +68,16 @@ class Stream
     Engine* mEngine;
     Device* mDevice;
     int     mId;
+};
+
+/// Sees every op at enqueue, in enqueue order and before the engine runs it
+/// (neon::analysis feeds its race detector from here, docs/analysis.md).
+/// Called on the enqueuing host thread.
+class EnqueueHook
+{
+   public:
+    virtual ~EnqueueHook() = default;
+    virtual void onEnqueue(const Stream& stream, const Op& op) = 0;
 };
 
 /// Execution engine: how enqueued ops are processed. Two implementations
@@ -131,8 +107,10 @@ class Engine
 
     [[nodiscard]] Trace& trace() { return mTrace; }
 
-    /// Enqueue-order op log consumed by neon::analysis (off by default).
-    [[nodiscard]] ScheduleLog& scheduleLog() { return mScheduleLog; }
+    /// The engine's one enqueue hook (none by default). Install it before
+    /// other threads enqueue on this engine.
+    void setEnqueueHook(std::shared_ptr<EnqueueHook> hook) { mEnqueueHook = std::move(hook); }
+    [[nodiscard]] EnqueueHook* enqueueHook() const { return mEnqueueHook.get(); }
 
     /// Deterministic fault injection (docs/robustness.md; off by default).
     [[nodiscard]] FaultInjector& faults() { return mFaults; }
@@ -180,7 +158,7 @@ class Engine
 
     /// Latch the abort and throw a RuntimeError of `kind` naming the op.
     [[noreturn]] void throwRuntimeError(RuntimeError::Kind kind, int device, int stream,
-                                        const char* opKind, const std::string& opName,
+                                        std::string_view opKind, const std::string& opName,
                                         const OpAttribution& attr, int attempts = 0,
                                         double timeout = 0.0);
     /// The abort latch, exposed to bounded event waits as a cancel flag.
@@ -191,10 +169,10 @@ class Engine
     /// Snapshot of the attached streams.
     [[nodiscard]] std::vector<Stream*> streams() const;
 
-    Trace         mTrace;
-    ScheduleLog   mScheduleLog;
-    FaultInjector mFaults;
-    std::shared_ptr<ThreadPool> mHostPool;
+    Trace                        mTrace;
+    FaultInjector                mFaults;
+    std::shared_ptr<EnqueueHook> mEnqueueHook;
+    std::shared_ptr<ThreadPool>  mHostPool;
     /// Guards stream vtimes and device clocks on engines that process
     /// streams concurrently.
     mutable std::mutex mClockMutex;
@@ -232,15 +210,15 @@ class Engine
     /// Consult the fault injector for the op about to be charged; on
     /// permanent device loss, throw with the attribution of the op that
     /// triggered the loss.
-    FaultDecision consultFaults(const Stream& stream, const OpDescriptor& desc,
-                                const std::string& opName, const OpAttribution& attr);
+    FaultDecision consultFaults(const Stream& stream, OpKind kind, const std::string& opName,
+                                const OpAttribution& attr);
     /// Execute a KernelOp's computation on `dev`. Chunked work on a CPU
     /// device goes through the host pool (when it helps); everything else
-    /// runs inline. Records TraceKind::HostPool utilization rows anchored
+    /// runs inline. Records OpKind::HostPool utilization rows anchored
     /// at `startV` when the trace is enabled.
     void runKernelWork(const Device& dev, int streamId, const KernelOp& op, double startV);
     /// One trace row of a work op (or of its stall/retry) on `stream`.
-    void traceRow(const Stream& stream, TraceKind kind, std::string_view name, double startV,
+    void traceRow(const Stream& stream, OpKind kind, std::string_view name, double startV,
                   double endV, uint64_t bytes, const OpAttribution& attr);
 
     std::atomic<bool>  mAborted{false};

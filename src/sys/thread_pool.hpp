@@ -22,7 +22,7 @@ namespace neon::sys {
 using ChunkFn = void (*)(void*, int32_t, int32_t);
 
 /// Per-worker utilization sample for one parallelFor, fed into
-/// sys::Trace as TraceKind::HostPool rows.
+/// sys::Trace as OpKind::HostPool rows.
 struct WorkerSample
 {
     int32_t worker = 0;       ///< pool slot (0 = the submitting thread)

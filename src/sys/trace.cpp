@@ -22,55 +22,10 @@ std::string usFmt(double seconds)
     return os.str();
 }
 
-constexpr size_t kReserveChunk = 1024;
+/// Rows reserved by the first record: short traces never reallocate.
+constexpr size_t kFirstRows = 1024;
 
 }  // namespace
-
-const std::string& to_string(TraceKind k)
-{
-    static const std::string kNames[] = {"kernel",  "transfer", "hostFn",
-                                         "wait",    "fault",    "hostPool"};
-    return kNames[static_cast<size_t>(k)];
-}
-
-void Trace::Store::reserveMore(size_t extra)
-{
-    const size_t want = size() + extra;
-    if (device.capacity() >= want) {
-        return;
-    }
-    const size_t cap = std::max(want, size() + kReserveChunk);
-    device.reserve(cap);
-    stream.reserve(cap);
-    kind.reserve(cap);
-    nameId.reserve(cap);
-    startV.reserve(cap);
-    endV.reserve(cap);
-    bytes.reserve(cap);
-    containerId.reserve(cap);
-    runId.reserve(cap);
-    jobId.reserve(cap);
-    waitEventId.reserve(cap);
-    srcDevice.reserve(cap);
-    srcStream.reserve(cap);
-}
-
-void Trace::Store::clear()
-{
-    device.clear();
-    stream.clear();
-    kind.clear();
-    nameId.clear();
-    startV.clear();
-    endV.clear();
-    bytes.clear();
-    containerId.clear();
-    runId.clear();
-    jobId.clear();
-    waitEventId.clear();
-    srcDevice.clear();
-    srcStream.clear();
-}
 
 void Trace::enable(bool on)
 {
@@ -79,9 +34,8 @@ void Trace::enable(bool on)
 
 uint32_t Trace::internName(std::string_view name)
 {
-    // Called with mMutex held. The transient string only allocates on a
-    // miss path for genuinely new names.
-    auto it = mNameIds.find(std::string(name));
+    // Called with mMutex held. Only a new name allocates.
+    auto it = mNameIds.find(name);
     if (it != mNameIds.end()) {
         return it->second;
     }
@@ -91,34 +45,25 @@ uint32_t Trace::internName(std::string_view name)
     return id;
 }
 
-void Trace::record(int device, int stream, TraceKind kind, std::string_view name, double startV,
-                   double endV, uint64_t bytes, int containerId, int runId, int jobId,
-                   uint64_t waitEventId, int srcDevice, int srcStream)
+void Trace::record(int device, int stream, OpKind kind, std::string_view name, double startV,
+                   double endV, uint64_t bytes, const OpAttribution& attr, uint64_t waitEventId,
+                   int srcDevice, int srcStream)
 {
     if (!enabled()) {
         return;
     }
     std::lock_guard<std::mutex> lock(mMutex);
-    mStore.reserveMore(1);
-    mStore.device.push_back(device);
-    mStore.stream.push_back(stream);
-    mStore.kind.push_back(static_cast<uint8_t>(kind));
-    mStore.nameId.push_back(internName(name));
-    mStore.startV.push_back(startV);
-    mStore.endV.push_back(endV);
-    mStore.bytes.push_back(bytes);
-    mStore.containerId.push_back(containerId);
-    mStore.runId.push_back(runId);
-    mStore.jobId.push_back(jobId);
-    mStore.waitEventId.push_back(waitEventId);
-    mStore.srcDevice.push_back(srcDevice);
-    mStore.srcStream.push_back(srcStream);
+    if (mRows.capacity() == 0) {
+        mRows.reserve(kFirstRows);
+    }
+    mRows.push_back({device, stream, kind, internName(name), startV, endV, bytes, attr,
+                     waitEventId, srcDevice, srcStream});
 }
 
 void Trace::clear()
 {
     std::lock_guard<std::mutex> lock(mMutex);
-    mStore.clear();
+    mRows.clear();
     mNames.clear();
     mNameIds.clear();
 }
@@ -126,80 +71,51 @@ void Trace::clear()
 size_t Trace::size() const
 {
     std::lock_guard<std::mutex> lock(mMutex);
-    return mStore.size();
+    return mRows.size();
 }
 
-size_t Trace::countKind(TraceKind kind) const
+size_t Trace::countKind(OpKind kind) const
 {
     std::lock_guard<std::mutex> lock(mMutex);
-    return static_cast<size_t>(
-        std::count(mStore.kind.begin(), mStore.kind.end(), static_cast<uint8_t>(kind)));
+    return static_cast<size_t>(std::count_if(mRows.begin(), mRows.end(),
+                                             [kind](const Row& r) { return r.kind == kind; }));
 }
 
-TraceEntry Trace::materialize(size_t i) const
+TraceEntry Trace::materialize(const Row& r) const
 {
-    TraceEntry e;
-    e.device = mStore.device[i];
-    e.stream = mStore.stream[i];
-    e.kind = to_string(static_cast<TraceKind>(mStore.kind[i]));
-    e.name = mNames[mStore.nameId[i]];
-    e.startV = mStore.startV[i];
-    e.endV = mStore.endV[i];
-    e.bytes = mStore.bytes[i];
-    e.containerId = mStore.containerId[i];
-    e.runId = mStore.runId[i];
-    e.jobId = mStore.jobId[i];
-    e.waitEventId = mStore.waitEventId[i];
-    e.srcDevice = mStore.srcDevice[i];
-    e.srcStream = mStore.srcStream[i];
-    return e;
+    return {r.device,      r.stream,    to_string(r.kind),  mNames[r.nameId], r.startV,
+            r.endV,        r.bytes,     r.attr.containerId, r.attr.runId,     r.attr.jobId,
+            r.waitEventId, r.srcDevice, r.srcStream};
+}
+
+template <class Keep>
+std::vector<TraceEntry> Trace::entriesWhere(Keep keep) const
+{
+    std::lock_guard<std::mutex> lock(mMutex);
+    std::vector<TraceEntry>     out;
+    for (const Row& r : mRows) {
+        if (keep(r)) {
+            out.push_back(materialize(r));
+        }
+    }
+    return out;
 }
 
 std::vector<TraceEntry> Trace::entries() const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
-    std::vector<TraceEntry>     out;
-    out.reserve(mStore.size());
-    for (size_t i = 0; i < mStore.size(); ++i) {
-        out.push_back(materialize(i));
-    }
-    return out;
+    return entriesWhere([](const Row&) { return true; });
 }
 
 std::vector<TraceEntry> Trace::entriesForRuns(int firstRunId, int lastRunId) const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
-    std::vector<TraceEntry>     out;
-    for (size_t i = 0; i < mStore.size(); ++i) {
-        if (mStore.runId[i] >= firstRunId && mStore.runId[i] <= lastRunId) {
-            out.push_back(materialize(i));
-        }
-    }
-    return out;
+    return entriesWhere([=](const Row& r) {
+        return r.attr.runId >= firstRunId && r.attr.runId <= lastRunId;
+    });
 }
 
 std::vector<TraceEntry> Trace::entriesForJob(int jobId) const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
-    std::vector<TraceEntry>     out;
-    for (size_t i = 0; i < mStore.size(); ++i) {
-        if (mStore.jobId[i] == jobId) {
-            out.push_back(materialize(i));
-        }
-    }
-    return out;
-}
-
-void Trace::setContext(TraceContext ctx)
-{
-    std::lock_guard<std::mutex> lock(mMutex);
-    mContext = ctx;
-}
-
-TraceContext Trace::context() const
-{
-    std::lock_guard<std::mutex> lock(mMutex);
-    return mContext;
+    return entriesWhere([=](const Row& r) { return r.attr.jobId == jobId; });
 }
 
 int Trace::nextRunId()

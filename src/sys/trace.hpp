@@ -6,41 +6,29 @@
 // Gantt chart, by the chrome://tracing / Perfetto JSON exporter and by
 // neon::ExecutionReport aggregation.
 //
-// Storage is struct-of-arrays with an interned name table: recording an
-// event on the engine hot path appends plain scalars plus one name-id
-// lookup, instead of constructing two heap strings per entry. The AoS
+// Storage is one plain row per event with an interned name table:
+// recording an event on the engine hot path appends one row of scalars plus
+// one name-id lookup, instead of constructing two heap strings per entry. The
 // TraceEntry view is materialized on demand by entries().
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "sys/op.hpp"
+
 namespace neon::sys {
-
-/// Event category. The string spellings ("kernel", "transfer", ...) are
-/// stable public API: reports, tests and the chrome-trace export key on
-/// them through TraceEntry::kind / to_string(TraceKind).
-enum class TraceKind : uint8_t
-{
-    Kernel,
-    Transfer,
-    HostFn,
-    Wait,
-    Fault,
-    HostPool,  ///< one pool worker's share of a CPU kernel ("hostPool")
-};
-
-const std::string& to_string(TraceKind k);
 
 struct TraceEntry
 {
     int         device = 0;
     int         stream = 0;
-    std::string kind;  ///< "kernel" | "transfer" | "hostFn" | "wait" | "fault" | "hostPool"
+    std::string kind;  ///< to_string(OpKind): every kind but "record"
     std::string name;
     double      startV = 0.0;
     double      endV = 0.0;
@@ -55,16 +43,6 @@ struct TraceEntry
     int      srcStream = -1;
 };
 
-/// Attribution stamped onto ops at enqueue time (set by the Skeleton around
-/// each task) so engine-side trace entries can name their graph node, run
-/// and owning service job.
-struct TraceContext
-{
-    int containerId = -1;
-    int runId = -1;
-    int jobId = -1;
-};
-
 class Trace
 {
    public:
@@ -73,15 +51,15 @@ class Trace
 
     /// Hot-path recording: no TraceEntry construction, the name is interned
     /// (repeated kernel/transfer names share one stored string).
-    void record(int device, int stream, TraceKind kind, std::string_view name, double startV,
-                double endV, uint64_t bytes = 0, int containerId = -1, int runId = -1,
-                int jobId = -1, uint64_t waitEventId = 0, int srcDevice = -1, int srcStream = -1);
+    void record(int device, int stream, OpKind kind, std::string_view name, double startV,
+                double endV, uint64_t bytes = 0, const OpAttribution& attr = {},
+                uint64_t waitEventId = 0, int srcDevice = -1, int srcStream = -1);
 
     void clear();
 
     [[nodiscard]] size_t size() const;
     /// Number of recorded events of `kind` (e.g. injected fault rows).
-    [[nodiscard]] size_t countKind(TraceKind kind) const;
+    [[nodiscard]] size_t countKind(OpKind kind) const;
 
     [[nodiscard]] std::vector<TraceEntry> entries() const;
     /// Entries whose runId lies in [firstRunId, lastRunId].
@@ -89,10 +67,6 @@ class Trace
     /// Entries attributed to one neon::service job.
     [[nodiscard]] std::vector<TraceEntry> entriesForJob(int jobId) const;
 
-    // --- attribution ------------------------------------------------------
-    void setContext(TraceContext ctx);
-    void clearContext() { setContext({}); }
-    [[nodiscard]] TraceContext context() const;
     /// Fresh id for one Skeleton::run() window (monotone per trace).
     [[nodiscard]] int nextRunId();
 
@@ -107,39 +81,42 @@ class Trace
     [[nodiscard]] std::string chromeTrace() const;
 
    private:
-    /// Columnar event store: one vector per field, grown in lockstep.
-    struct Store
+    struct Row
     {
-        std::vector<int32_t>  device;
-        std::vector<int32_t>  stream;
-        std::vector<uint8_t>  kind;
-        std::vector<uint32_t> nameId;
-        std::vector<double>   startV;
-        std::vector<double>   endV;
-        std::vector<uint64_t> bytes;
-        std::vector<int32_t>  containerId;
-        std::vector<int32_t>  runId;
-        std::vector<int32_t>  jobId;
-        std::vector<uint64_t> waitEventId;
-        std::vector<int32_t>  srcDevice;
-        std::vector<int32_t>  srcStream;
-
-        [[nodiscard]] size_t size() const { return device.size(); }
-        void                 reserveMore(size_t extra);
-        void                 clear();
+        int32_t       device = 0;
+        int32_t       stream = 0;
+        OpKind        kind = OpKind::Kernel;
+        uint32_t      nameId = 0;
+        double        startV = 0.0;
+        double        endV = 0.0;
+        uint64_t      bytes = 0;
+        OpAttribution attr;
+        uint64_t      waitEventId = 0;
+        int32_t       srcDevice = -1;
+        int32_t       srcStream = -1;
     };
 
-    [[nodiscard]] uint32_t    internName(std::string_view name);
-    [[nodiscard]] TraceEntry  materialize(size_t i) const;
+    /// Transparent hash: interning looks names up by string_view, so a hit
+    /// allocates nothing.
+    struct NameHash
+    {
+        using is_transparent = void;
+        size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+    };
+
+    [[nodiscard]] uint32_t   internName(std::string_view name);
+    [[nodiscard]] TraceEntry materialize(const Row& r) const;
+    /// Materialized rows that pass `keep`.
+    template <class Keep>
+    [[nodiscard]] std::vector<TraceEntry> entriesWhere(Keep keep) const;
 
     mutable std::mutex mMutex;
     std::atomic<bool>  mEnabled{false};
-    Store              mStore;
+    std::vector<Row>   mRows;
     /// Interned name table: id -> string, plus the reverse lookup.
-    std::vector<std::string>                  mNames;
-    std::unordered_map<std::string, uint32_t> mNameIds;
-    TraceContext                              mContext;
-    std::atomic<int>                          mNextRunId{0};
+    std::vector<std::string>                                           mNames;
+    std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>> mNameIds;
+    std::atomic<int>                                                   mNextRunId{0};
 };
 
 }  // namespace neon::sys

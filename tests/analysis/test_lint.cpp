@@ -273,7 +273,7 @@ TEST(GraphLint, SparseBGridWithEmptyBoundaryClaimsNoHaloSegments)
     const skeleton::Graph& g = skl.graph();
     const int              haloId = findHaloNode(g);
     ASSERT_GE(haloId, 0);
-    const sys::ContainerMeta hm = metaFor(g.node(haloId), 2);
+    const ContainerMeta hm = metaFor(g.node(haloId), 2);
     ASSERT_EQ(hm.haloPeers.size(), 2u);
     EXPECT_TRUE(hm.haloPeers[0].empty());
     EXPECT_TRUE(hm.haloPeers[1].empty());
@@ -288,7 +288,7 @@ TEST(GraphLint, SparseBGridWithEmptyBoundaryClaimsNoHaloSegments)
                n.label().find("sten") != std::string::npos;
     });
     ASSERT_GE(stenId, 0);
-    const sys::ContainerMeta cm = metaFor(g.node(stenId), 2);
+    const ContainerMeta cm = metaFor(g.node(stenId), 2);
     for (int dev = 0; dev < 2; ++dev) {
         for (const Segment& s : segmentsFor(cm, dev, 2).reads) {
             EXPECT_NE(s.part, Part::HaloLo) << "dev " << dev;
@@ -317,7 +317,7 @@ TEST(GraphLint, DenseBGridClaimsOnlyFedHaloHalves)
                n.label().find("sten") != std::string::npos;
     });
     ASSERT_GE(stenId, 0);
-    const sys::ContainerMeta cm = metaFor(skl.graph().node(stenId), 2);
+    const ContainerMeta cm = metaFor(skl.graph().node(stenId), 2);
 
     auto claims = [&](int dev, Part part) {
         const AccessSets sets = segmentsFor(cm, dev, 2);

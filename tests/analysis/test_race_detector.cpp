@@ -1,7 +1,8 @@
 // Happens-before race detector tests: clean pipelines stay clean on both
-// engines (the log is engine-independent), and each seeded synchronization
-// bug — dropped cross-stream wait, reverted backend-wide inter-run barrier,
-// skipped halo update — is detected with correct attribution.
+// engines (the detector is fed in enqueue order, engine-independent), and
+// each seeded synchronization bug — dropped cross-stream wait, reverted
+// backend-wide inter-run barrier, skipped halo update — is detected with
+// correct attribution and the same report on both engines.
 
 #include <gtest/gtest.h>
 
@@ -191,20 +192,121 @@ TEST(RaceDetector, IncrementalDrainReportsFindingsOnce)
     EXPECT_TRUE(an.drainRaces().clean()) << "second drain must report nothing new";
 }
 
+// --- engine independence of the race report --------------------------------
+
+namespace {
+
+/// The three seeded synchronization bugs above.
+enum class SeededBug
+{
+    DroppedWait,
+    MissingInterRunBarrier,
+    KilledHaloNode,
+};
+
+struct RaceRun
+{
+    AnalysisReport report;   ///< raceReport() after both phases
+    AnalysisReport drained;  ///< both drainRaces() results, concatenated
+};
+
+/// Seed `bug`, then run it in two sync()'d phases with a drain after each.
+/// The seeded bugs are real data races, so the run is dry: no kernel body
+/// executes, while the detector sees the same enqueued ops.
+RaceRun runSeededBug(SeededBug bug, Backend::EngineKind engine)
+{
+    sys::SimConfig cfg = sys::SimConfig::zeroCost();
+    cfg.dryRun = true;
+    const int nDev = bug == SeededBug::KilledHaloNode ? 3 : 2;
+    Rig       rig(Backend(nDev, sys::DeviceType::CPU, cfg, engine));
+    Skeleton  a(rig.backend);
+    Skeleton  b(rig.backend);
+    switch (bug) {
+        case SeededBug::DroppedWait: {
+            a.sequence({rig.fill("wa", rig.f0, 1.0), rig.fill("wb", rig.f1, 2.0),
+                        rig.add("mix", rig.f0, rig.f1, rig.f2)},
+                       SequenceOptions().withName("dropped-wait"));
+            const int mix = findNode(a.graph(), [](const skeleton::GraphNode& n) {
+                return n.container.name() == "mix";
+            });
+            a.debugMutateTasks([&](std::vector<Task>& tasks) {
+                for (auto& t : tasks) {
+                    if (t.nodeId == mix) {
+                        t.waits.clear();
+                    }
+                }
+            });
+            break;
+        }
+        case SeededBug::MissingInterRunBarrier:
+            a.sequence({rig.fill("wa", rig.f0, 1.0), rig.fill("wb", rig.f1, 2.0)},
+                       SequenceOptions().withName("a"));
+            b.sequence({rig.copy("rb", rig.f1, rig.f2)}, SequenceOptions().withName("b"));
+            break;
+        case SeededBug::KilledHaloNode: {
+            a.sequence({rig.fill("w", rig.f0, 1.0), rig.stencil("sten", rig.f0, rig.f1)},
+                       SequenceOptions().withName("halo"));
+            const int halo = findHaloNode(a.graph());
+            a.debugMutateGraph([&](skeleton::Graph& g) { g.killNode(halo); });
+            break;
+        }
+    }
+    auto an = rig.backend.analysis();
+    an.enable();
+    RaceRun out;
+    for (int phase = 0; phase < 2; ++phase) {
+        a.run();
+        if (bug == SeededBug::MissingInterRunBarrier) {
+            b.run(RunScope{.chainData = false});
+        }
+        a.sync();
+        const AnalysisReport fresh = an.drainRaces();
+        out.drained.violations.insert(out.drained.violations.end(), fresh.violations.begin(),
+                                      fresh.violations.end());
+    }
+    out.report = an.raceReport();
+    out.drained.opsAnalyzed = out.report.opsAnalyzed;
+    return out;
+}
+
+}  // namespace
+
+TEST(RaceDetector, ReportIsIdenticalAcrossEnginesAndDrains)
+{
+    for (SeededBug bug : {SeededBug::DroppedWait, SeededBug::MissingInterRunBarrier,
+                          SeededBug::KilledHaloNode}) {
+        std::string reference;
+        for (int repetition = 0; repetition < 3; ++repetition) {
+            for (auto engine : {Backend::EngineKind::Sequential, Backend::EngineKind::Threaded}) {
+                const RaceRun     run = runSeededBug(bug, engine);
+                const std::string json = run.report.toJson();
+                EXPECT_FALSE(run.report.clean()) << json;
+                EXPECT_EQ(run.drained.toJson(), json) << "the drains must split the findings";
+                if (reference.empty()) {
+                    reference = json;
+                }
+                EXPECT_EQ(json, reference) << "bug " << static_cast<int>(bug) << " on "
+                                           << set::to_string(engine) << ", repetition "
+                                           << repetition;
+            }
+        }
+    }
+}
+
 // --- detector unit tests over synthetic logs ------------------------------
 
 namespace {
 
-sys::ContainerMetaMap twoWriters()
+ContainerMetaMap twoWriters()
 {
-    sys::ContainerMeta w;
+    ContainerMeta w;
     w.label = "writerA";
-    w.kind = sys::MetaNodeKind::Compute;
+    w.kind = MetaNodeKind::Compute;
     w.pattern = Compute::MAP;
     w.accesses.push_back({7, Access::WRITE, Compute::MAP, false, false, "f"});
-    sys::ContainerMeta w2 = w;
+    ContainerMeta w2 = w;
     w2.label = "writerB";
-    sys::ContainerMetaMap meta;
+    ContainerMetaMap meta;
     meta[0] = std::move(w);
     meta[1] = std::move(w2);
     return meta;
@@ -214,10 +316,10 @@ sys::ContainerMetaMap twoWriters()
 
 TEST(RaceDetector, FlagsCrossStreamWaWWithoutEvent)
 {
-    const sys::ContainerMetaMap meta = twoWriters();
-    RaceDetector                det(1);
-    det.feed({0, 0, 0, sys::ScheduleOpKind::Kernel, 0, 0, 0}, &meta);
-    det.feed({1, 0, 1, sys::ScheduleOpKind::Kernel, 0, 1, 0}, &meta);
+    const ContainerMetaMap meta = twoWriters();
+    RaceDetector           det(1);
+    det.feed({0, 0, 0, sys::OpKind::Kernel, 0, 0, 0}, &meta);
+    det.feed({1, 0, 1, sys::OpKind::Kernel, 0, 1, 0}, &meta);
     const AnalysisReport& rep = det.report();
     ASSERT_GE(rep.count(ViolationKind::Race), 1u) << rep.toString();
     EXPECT_NE(rep.violations[0].message.find("WaW"), std::string::npos);
@@ -227,20 +329,20 @@ TEST(RaceDetector, FlagsCrossStreamWaWWithoutEvent)
 
 TEST(RaceDetector, EventOrderingSuppressesWaW)
 {
-    const sys::ContainerMetaMap meta = twoWriters();
-    RaceDetector                det(1);
-    det.feed({0, 0, 0, sys::ScheduleOpKind::Kernel, 0, 0, 0}, &meta);
-    det.feed({1, 0, 0, sys::ScheduleOpKind::Record, 42, -1, -1}, nullptr);
-    det.feed({2, 0, 1, sys::ScheduleOpKind::Wait, 42, -1, -1}, nullptr);
-    det.feed({3, 0, 1, sys::ScheduleOpKind::Kernel, 0, 1, 0}, &meta);
+    const ContainerMetaMap meta = twoWriters();
+    RaceDetector           det(1);
+    det.feed({0, 0, 0, sys::OpKind::Kernel, 0, 0, 0}, &meta);
+    det.feed({1, 0, 0, sys::OpKind::Record, 42, -1, -1}, nullptr);
+    det.feed({2, 0, 1, sys::OpKind::Wait, 42, -1, -1}, nullptr);
+    det.feed({3, 0, 1, sys::OpKind::Kernel, 0, 1, 0}, &meta);
     EXPECT_TRUE(det.report().clean()) << det.report().toString();
 }
 
 TEST(RaceDetector, FlagsWaitEnqueuedBeforeRecord)
 {
     RaceDetector det(1);
-    det.feed({0, 0, 1, sys::ScheduleOpKind::Wait, 42, -1, -1}, nullptr);
-    det.feed({1, 0, 0, sys::ScheduleOpKind::Record, 42, -1, -1}, nullptr);
+    det.feed({0, 0, 1, sys::OpKind::Wait, 42, -1, -1}, nullptr);
+    det.feed({1, 0, 0, sys::OpKind::Record, 42, -1, -1}, nullptr);
     EXPECT_EQ(det.report().count(ViolationKind::WaitBeforeRecord), 1u)
         << det.report().toString();
 }

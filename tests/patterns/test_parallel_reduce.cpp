@@ -72,7 +72,7 @@ RunResult runAt(set::EngineKind kind, int hostThreads, int nDev, bool sanitize =
     out.norm = n.hostValue();
     y.updateHost();
     y.forEachHost([&](const index_3d&, int, double& v) { out.field.push_back(v); });
-    out.poolRan = backend.profiler().trace().countKind(sys::TraceKind::HostPool) > 0;
+    out.poolRan = backend.profiler().trace().countKind(sys::OpKind::HostPool) > 0;
     return out;
 }
 

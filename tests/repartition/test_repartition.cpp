@@ -211,7 +211,7 @@ TEST(UnevenSlabHalo, DGridFeedsExactlyTheFedHalves)
 
     const int stenId = findStencilNode(skl.graph());
     ASSERT_GE(stenId, 0);
-    const sys::ContainerMeta cm = analysis::metaFor(skl.graph().node(stenId), 3);
+    const analysis::ContainerMeta cm = analysis::metaFor(skl.graph().node(stenId), 3);
 
     auto claims = [&](int dev, analysis::Part part) {
         const analysis::AccessSets sets = analysis::segmentsFor(cm, dev, 3);
@@ -274,7 +274,7 @@ TEST(UnevenSlabHalo, SparseBGridStillClaimsNoHaloAfterRepartition)
         return n.kind() == Container::Kind::Halo;
     });
     ASSERT_GE(haloId, 0);
-    const sys::ContainerMeta hm = analysis::metaFor(skl.graph().node(haloId), 2);
+    const analysis::ContainerMeta hm = analysis::metaFor(skl.graph().node(haloId), 2);
     ASSERT_EQ(hm.haloPeers.size(), 2u);
     EXPECT_TRUE(hm.haloPeers[0].empty());
     EXPECT_TRUE(hm.haloPeers[1].empty());
@@ -302,7 +302,7 @@ TEST(UnevenSlabHalo, DenseBGridClaimsOnlyFedHalvesAfterRepartition)
 
     const int stenId = findStencilNode(skl.graph());
     ASSERT_GE(stenId, 0);
-    const sys::ContainerMeta cm = analysis::metaFor(skl.graph().node(stenId), 2);
+    const analysis::ContainerMeta cm = analysis::metaFor(skl.graph().node(stenId), 2);
     auto claims = [&](int dev, analysis::Part part) {
         const analysis::AccessSets sets = analysis::segmentsFor(cm, dev, 2);
         for (const analysis::Segment& s : sets.reads) {

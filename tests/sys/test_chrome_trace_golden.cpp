@@ -57,8 +57,8 @@ std::string normalizeTimes(const std::string& raw)
 std::string recordedTrace()
 {
     FaultPlan plan(42);
-    plan.add(FaultSpec::transientTransfer(2).onOp(ScheduleOpKind::Transfer));
-    plan.add(FaultSpec::streamStall(1e-3).onOp(ScheduleOpKind::Kernel));
+    plan.add(FaultSpec::transientTransfer(2).onOp(OpKind::Transfer));
+    plan.add(FaultSpec::streamStall(1e-3).onOp(OpKind::Kernel));
 
     set::Backend b = set::Backend::make(
         set::BackendSpec::simGpu(1, SimConfig::dgxA100Like()).withFaults(plan));

@@ -11,7 +11,10 @@
 #include <thread>
 
 #include "core/error.hpp"
+#include "dgrid/dfield.hpp"
+#include "patterns/blas.hpp"
 #include "set/backend.hpp"
+#include "skeleton/skeleton.hpp"
 #include "sys/device.hpp"
 #include "sys/fault.hpp"
 #include "enqueue_kernel.hpp"
@@ -52,8 +55,8 @@ TEST(FaultInjector, DecisionsAreDeterministicAcrossInstances)
 
     int faulted = 0;
     for (int i = 0; i < 200; ++i) {
-        const auto da = a.decide(0, 0, sys::ScheduleOpKind::Transfer, {});
-        const auto db = b.decide(0, 0, sys::ScheduleOpKind::Transfer, {});
+        const auto da = a.decide(0, 0, sys::OpKind::Transfer, {});
+        const auto db = b.decide(0, 0, sys::OpKind::Transfer, {});
         EXPECT_EQ(da.failedAttempts, db.failedAttempts) << "op " << i;
         faulted += da.failedAttempts > 0 ? 1 : 0;
     }
@@ -74,8 +77,8 @@ TEST(FaultInjector, SeedChangesDecisions)
     b.setPlan(pb);
     int differs = 0;
     for (int i = 0; i < 200; ++i) {
-        const auto da = a.decide(0, 0, sys::ScheduleOpKind::Transfer, {});
-        const auto db = b.decide(0, 0, sys::ScheduleOpKind::Transfer, {});
+        const auto da = a.decide(0, 0, sys::OpKind::Transfer, {});
+        const auto db = b.decide(0, 0, sys::OpKind::Transfer, {});
         differs += da.failedAttempts != db.failedAttempts ? 1 : 0;
     }
     EXPECT_GT(differs, 0);
@@ -85,13 +88,13 @@ TEST(FaultInjector, TargetFiltersRestrictMatches)
 {
     sys::FaultPlan plan(7);
     plan.add(sys::FaultSpec::streamStall(1e-3).onDevice(1).onStream(2).onOp(
-        sys::ScheduleOpKind::Kernel));
+        sys::OpKind::Kernel));
     sys::FaultInjector inj;
     inj.setPlan(plan);
-    EXPECT_EQ(inj.decide(0, 2, sys::ScheduleOpKind::Kernel, {}).stallSeconds, 0.0);
-    EXPECT_EQ(inj.decide(1, 0, sys::ScheduleOpKind::Kernel, {}).stallSeconds, 0.0);
-    EXPECT_EQ(inj.decide(1, 2, sys::ScheduleOpKind::Transfer, {}).stallSeconds, 0.0);
-    EXPECT_EQ(inj.decide(1, 2, sys::ScheduleOpKind::Kernel, {}).stallSeconds, 1e-3);
+    EXPECT_EQ(inj.decide(0, 2, sys::OpKind::Kernel, {}).stallSeconds, 0.0);
+    EXPECT_EQ(inj.decide(1, 0, sys::OpKind::Kernel, {}).stallSeconds, 0.0);
+    EXPECT_EQ(inj.decide(1, 2, sys::OpKind::Transfer, {}).stallSeconds, 0.0);
+    EXPECT_EQ(inj.decide(1, 2, sys::OpKind::Kernel, {}).stallSeconds, 1e-3);
 }
 
 TEST_P(FaultEngineTest, TransientRetrySucceedsWithBackoffTimeline)
@@ -151,7 +154,7 @@ TEST_P(FaultEngineTest, StreamStallAddsVirtualLatency)
     const sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     const double         stall = 2e-3;
     sys::FaultPlan       plan(9);
-    plan.add(sys::FaultSpec::streamStall(stall).onOp(sys::ScheduleOpKind::Kernel));
+    plan.add(sys::FaultSpec::streamStall(stall).onOp(sys::OpKind::Kernel));
     Backend b = faultyBackend(1, cfg, GetParam(), plan);
     b.profiler().enable();
 
@@ -229,6 +232,43 @@ TEST_P(FaultEngineTest, OpTimeoutRaisesStructuredError)
         EXPECT_EQ(e.info.opName, "slow");
         EXPECT_DOUBLE_EQ(e.info.timeout, 1e-9);
     }
+}
+
+// A RuntimeError names its container and run with every observer off: the
+// Skeleton passes the attribution on each op, whether or not the trace, race
+// analysis or a fault plan is on.
+TEST_P(FaultEngineTest, OpTimeoutInSkeletonRunIsAttributedWithObserversOff)
+{
+    sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
+    cfg.opTimeout = 1e-9;  // virtual seconds: any real kernel exceeds this
+    Backend b = Backend::make(BackendSpec::simGpu(2, cfg, GetParam()));
+    ASSERT_FALSE(b.profiler().enabled());
+    ASSERT_FALSE(b.analysis().enabled());
+    ASSERT_FALSE(b.faults().active());
+
+    dgrid::DGrid         grid(b, index_3d{8, 8, 8}, Stencil::laplace7());
+    auto                 x = grid.newField<double>("x", 1, 1.0);
+    auto                 y = grid.newField<double>("y", 1, 0.0);
+    GlobalScalar<double> alpha(b, "alpha", 2.0);
+    skeleton::Skeleton   skl(b);
+    skl.sequence({patterns::axpy(grid, alpha, x, y)});
+    try {
+        skl.run();
+        skl.sync();
+        FAIL() << "expected RuntimeError";
+    } catch (const RuntimeError& e) {
+        EXPECT_EQ(e.info.kind, RuntimeError::Kind::OpTimeout);
+        EXPECT_GE(e.info.containerId, 0);
+        EXPECT_GE(e.info.runId, 0);
+        EXPECT_EQ(e.info.containerLabel, "axpy");
+    }
+}
+
+TEST(FaultSpec, OnOpRejectsRowOnlyKinds)
+{
+    EXPECT_THROW(sys::FaultSpec::streamStall(1e-3).onOp(sys::OpKind::Fault), NeonException);
+    EXPECT_THROW(sys::FaultSpec::streamStall(1e-3).onOp(sys::OpKind::HostPool), NeonException);
+    EXPECT_EQ(sys::FaultSpec::streamStall(1e-3).onOp(sys::OpKind::Wait).opKind, sys::OpKind::Wait);
 }
 
 TEST_P(FaultEngineTest, ClearAbortAllowsReuseAfterFailure)
