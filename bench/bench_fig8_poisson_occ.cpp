@@ -216,7 +216,7 @@ int main(int argc, char** argv)
         << "Paper's shape (Fig. 8): no single OCC variant always wins — standard is best\n"
            "at low device counts; the extended split takes over once per-device slabs\n"
            "shrink enough that halo latency rivals internal compute (our model: extended\n"
-           "from ~6 GPUs at 192^3 on the PCIe system). Efficiency approaches ideal with\n"
+           "from 5 GPUs at 192^3 on the PCIe system). Efficiency approaches ideal with\n"
            "grid size. Divergence noted in EXPERIMENTS.md: the paper's two-way variant\n"
            "wins at >=6 GPUs; in our cost model its extra kernel launches outweigh the\n"
            "extra overlap window, so extended stays ahead.\n";

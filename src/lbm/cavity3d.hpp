@@ -120,43 +120,45 @@ class CavityD3Q19
                                                     topZ](auto& l) mutable {
             auto in = l.load(fin, Access::READ, Compute::STENCIL);
             auto out = l.load(fout, Access::WRITE);
-            return [=](const auto& cell) mutable {
+            // flatten: the directions unroll into one body too large for
+            // the inliner's budget, so the partition reads and the
+            // equilibrium would stay out-of-line calls per direction.
+            return [=](const auto& cell) mutable __attribute__((flatten)) {
                 Real f[D3Q19::Q];
                 const index_3d g = in.globalIdx(cell);
-                for (int i = 0; i < D3Q19::Q; ++i) {
-                    const index_3d pullOff{-D3Q19::c[static_cast<size_t>(i)][0],
-                                           -D3Q19::c[static_cast<size_t>(i)][1],
-                                           -D3Q19::c[static_cast<size_t>(i)][2]};
-                    const auto ngh = in.nghData(cell, pullOff, i);
+                forEachDirection<D3Q19>([&](auto i) {
+                    constexpr auto& ci = D3Q19::c[i];
+                    const index_3d  pullOff{-ci[0], -ci[1], -ci[2]};
+                    const auto      ngh = in.nghData(cell, pullOff, i);
                     if (i != 0 && !ngh.isValid) {
                         // Source cell is a wall: half-way bounce-back.
-                        f[i] = in(cell, D3Q19::opp[static_cast<size_t>(i)]);
-                        if (g.z == topZ && D3Q19::c[static_cast<size_t>(i)][2] < 0) {
+                        f[i] = in(cell, D3Q19::opp[i]);
+                        if (g.z == topZ && ci[2] < 0) {
                             // Moving lid: population re-entering from +z.
                             f[i] += Real(6) * static_cast<Real>(D3Q19::weight(i)) * lidU *
-                                    static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][0]);
+                                    static_cast<Real>(ci[0]);
                         }
                     } else {
                         f[i] = i == 0 ? in(cell, 0) : ngh.value;
                     }
-                }
+                });
                 Real rho = 0;
                 Real ux = 0;
                 Real uy = 0;
                 Real uz = 0;
-                for (int i = 0; i < D3Q19::Q; ++i) {
+                forEachDirection<D3Q19>([&](auto i) {
                     rho += f[i];
-                    ux += f[i] * static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][0]);
-                    uy += f[i] * static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][1]);
-                    uz += f[i] * static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][2]);
-                }
+                    ux += f[i] * static_cast<Real>(D3Q19::c[i][0]);
+                    uy += f[i] * static_cast<Real>(D3Q19::c[i][1]);
+                    uz += f[i] * static_cast<Real>(D3Q19::c[i][2]);
+                });
                 ux /= rho;
                 uy /= rho;
                 uz /= rho;
-                for (int i = 0; i < D3Q19::Q; ++i) {
+                forEachDirection<D3Q19>([&](auto i) {
                     const Real feq = equilibrium<D3Q19, Real>(i, rho, ux, uy, uz);
                     out(cell, i) = f[i] + omega * (feq - f[i]);
-                }
+                });
             };
         });
     }

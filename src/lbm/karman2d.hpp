@@ -156,57 +156,59 @@ class KarmanD2Q9
             auto in = l.load(fin, Access::READ, Compute::STENCIL);
             auto flag = l.load(flags, Access::READ, Compute::STENCIL);
             auto out = l.load(fout, Access::WRITE);
-            return [=](const auto& cell) mutable {
+            // flatten, as in CavityD3Q19: the partition reads and the
+            // equilibrium inline into the unrolled directions.
+            return [=](const auto& cell) mutable __attribute__((flatten)) {
                 const auto myFlag = static_cast<CellFlag>(flag(cell));
                 if (myFlag == CellFlag::Wall) {
                     // Solid cells carry no dynamics.
-                    for (int i = 0; i < D2Q9::Q; ++i) {
-                        out(cell, i) = in(cell, i);
-                    }
+                    forEachDirection<D2Q9>([&](auto i) { out(cell, i) = in(cell, i); });
                     return;
                 }
                 if (myFlag == CellFlag::Inlet) {
-                    for (int i = 0; i < D2Q9::Q; ++i) {
+                    forEachDirection<D2Q9>([&](auto i) {
                         out(cell, i) = equilibrium<D2Q9, Real>(i, Real(1), u0, Real(0), Real(0));
-                    }
+                    });
                     return;
                 }
                 if (myFlag == CellFlag::Outlet) {
                     // Zero gradient: copy the upstream neighbour.
-                    for (int i = 0; i < D2Q9::Q; ++i) {
-                        out(cell, i) = in.nghVal(cell, {-1, 0, 0}, i);
-                    }
+                    forEachDirection<D2Q9>(
+                        [&](auto i) { out(cell, i) = in.nghVal(cell, {-1, 0, 0}, i); });
                     return;
                 }
                 Real f[D2Q9::Q];
-                f[0] = in(cell, 0);
-                for (int i = 1; i < D2Q9::Q; ++i) {
-                    const index_3d pullOff{-D2Q9::c[static_cast<size_t>(i)][0], 0,
-                                           -D2Q9::c[static_cast<size_t>(i)][1]};
-                    // The flag field's outsideValue is Wall, so one flag
-                    // read both classifies the neighbour and proves the
-                    // population read is in-bounds (unchecked fast path).
-                    const auto nghFlag = flag.nghData(cell, pullOff, 0);
-                    if (static_cast<CellFlag>(nghFlag.value) == CellFlag::Wall) {
-                        f[i] = in(cell, D2Q9::opp[static_cast<size_t>(i)]);
+                forEachDirection<D2Q9>([&](auto i) {
+                    if constexpr (i == 0) {
+                        f[0] = in(cell, 0);
                     } else {
-                        f[i] = in.nghValUnchecked(cell, pullOff, i);
+                        constexpr auto& ci = D2Q9::c[i];
+                        const index_3d  pullOff{-ci[0], 0, -ci[1]};
+                        // The flag field's outsideValue is Wall, so one flag
+                        // read both classifies the neighbour and proves the
+                        // population read is in-bounds (unchecked fast path).
+                        const auto nghFlag = flag.nghData(cell, pullOff, 0);
+                        if (static_cast<CellFlag>(nghFlag.value) == CellFlag::Wall) {
+                            f[i] = in(cell, D2Q9::opp[i]);
+                        } else {
+                            f[i] = in.nghValUnchecked(cell, pullOff, i);
+                        }
                     }
-                }
+                });
                 Real rho = 0;
                 Real ux = 0;
                 Real uy = 0;
-                for (int i = 0; i < D2Q9::Q; ++i) {
+                forEachDirection<D2Q9>([&](auto i) {
                     rho += f[i];
-                    ux += f[i] * static_cast<Real>(D2Q9::c[static_cast<size_t>(i)][0]);
-                    uy += f[i] * static_cast<Real>(D2Q9::c[static_cast<size_t>(i)][1]);
-                }
+                    ux += f[i] * static_cast<Real>(D2Q9::c[i][0]);
+                    uy += f[i] * static_cast<Real>(D2Q9::c[i][1]);
+                });
                 ux /= rho;
                 uy /= rho;
-                for (int i = 0; i < D2Q9::Q; ++i) {
+                forEachDirection<D2Q9>([&](auto i) {
                     const Real feq = equilibrium<D2Q9, Real>(i, rho, ux, uy, Real(0));
                     out(cell, i) = f[i] + omega * (feq - f[i]);
-                }
+                });
             };
         });
     }
@@ -292,50 +294,45 @@ class NativeKarmanD2Q9
             const index_3d g = mDim.fromPitch(x);
             const auto     myFlag = static_cast<CellFlag>(mFlags[x]);
             if (myFlag == CellFlag::Wall) {
-                for (int i = 0; i < D2Q9::Q; ++i) {
-                    out[slot(x, i)] = in[slot(x, i)];
-                }
+                forEachDirection<D2Q9>([&](auto i) { out[slot(x, i)] = in[slot(x, i)]; });
                 continue;
             }
             if (myFlag == CellFlag::Inlet) {
-                for (int i = 0; i < D2Q9::Q; ++i) {
+                forEachDirection<D2Q9>([&](auto i) {
                     out[slot(x, i)] = equilibrium<D2Q9, Real>(i, Real(1), u0, Real(0), Real(0));
-                }
+                });
                 continue;
             }
             if (myFlag == CellFlag::Outlet) {
                 const size_t left = mDim.pitch({g.x - 1, g.y, 0});
-                for (int i = 0; i < D2Q9::Q; ++i) {
-                    out[slot(x, i)] = in[slot(left, i)];
-                }
+                forEachDirection<D2Q9>([&](auto i) { out[slot(x, i)] = in[slot(left, i)]; });
                 continue;
             }
-            for (int i = 0; i < D2Q9::Q; ++i) {
-                const index_3d src{g.x - D2Q9::c[static_cast<size_t>(i)][0],
-                                   g.y - D2Q9::c[static_cast<size_t>(i)][1], 0};
-                const bool valid = mDim.contains(src);
-                const bool solid =
+            forEachDirection<D2Q9>([&](auto i) {
+                const index_3d src{g.x - D2Q9::c[i][0], g.y - D2Q9::c[i][1], 0};
+                const bool     valid = mDim.contains(src);
+                const bool     solid =
                     !valid || static_cast<CellFlag>(mFlags[mDim.pitch(src)]) == CellFlag::Wall;
                 if (i != 0 && solid) {
-                    f[i] = in[slot(x, D2Q9::opp[static_cast<size_t>(i)])];
+                    f[i] = in[slot(x, D2Q9::opp[i])];
                 } else {
                     f[i] = i == 0 ? in[slot(x, 0)] : in[slot(mDim.pitch(src), i)];
                 }
-            }
+            });
             Real rho = 0;
             Real ux = 0;
             Real uy = 0;
-            for (int i = 0; i < D2Q9::Q; ++i) {
+            forEachDirection<D2Q9>([&](auto i) {
                 rho += f[i];
-                ux += f[i] * static_cast<Real>(D2Q9::c[static_cast<size_t>(i)][0]);
-                uy += f[i] * static_cast<Real>(D2Q9::c[static_cast<size_t>(i)][1]);
-            }
+                ux += f[i] * static_cast<Real>(D2Q9::c[i][0]);
+                uy += f[i] * static_cast<Real>(D2Q9::c[i][1]);
+            });
             ux /= rho;
             uy /= rho;
-            for (int i = 0; i < D2Q9::Q; ++i) {
+            forEachDirection<D2Q9>([&](auto i) {
                 const Real feq = equilibrium<D2Q9, Real>(i, rho, ux, uy, Real(0));
                 out[slot(x, i)] = f[i] + mOmega * (feq - f[i]);
-            }
+            });
         }
     }
 

@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 
 #include "core/stencil.hpp"
 
@@ -92,10 +94,24 @@ struct D2Q9
     }
 };
 
+/// Calls fn(std::integral_constant<int, i>{}) for i = 0 ... Q-1, in order.
+/// Each call sees its direction as a compile-time constant, so a kernel
+/// body written once per direction unrolls into straight-line code with
+/// c[i], opp[i] and weight(i) folded to literals; GCC leaves a runtime
+/// loop of Q = 19 rolled (it fully peels at most 16 iterations).
+template <typename Lattice, typename Fn>
+inline void forEachDirection(Fn&& fn)
+{
+    [&]<int... I>(std::integer_sequence<int, I...>) {
+        (fn(std::integral_constant<int, I>{}), ...);
+    }(std::make_integer_sequence<int, Lattice::Q>{});
+}
+
 /// BGK equilibrium, shared by every solver and baseline so results are
-/// bit-comparable across implementations.
-template <typename Lattice, typename Real>
-inline Real equilibrium(int i, Real rho, Real ux, Real uy, Real uz)
+/// bit-comparable across implementations. `Dir` is an `int` or a
+/// forEachDirection constant; the arithmetic is the same for both.
+template <typename Lattice, typename Real, typename Dir>
+inline Real equilibrium(Dir i, Real rho, Real ux, Real uy, Real uz)
 {
     const Real cu = static_cast<Real>(Lattice::c[static_cast<size_t>(i)][0]) * ux +
                     static_cast<Real>(Lattice::c[static_cast<size_t>(i)][1]) * uy +

@@ -1,7 +1,9 @@
 #pragma once
 // Hand-written flat-array D3Q19 baselines for the paper's Table II:
 //   - Fused      : "cuboltz-like" native code — raw SoA buffers, fused
-//                  collide+stream pull, inline index arithmetic.
+//                  collide+stream pull, a z/y/x cell walk that reads each
+//                  pull source at a per-direction linear delta behind one
+//                  bounds test.
 //   - TwoPopIdx  : "stlbm twoPop (C++ parallel algorithms)-like" — the same
 //                  physics but iterating a cell-index array through a
 //                  generic accessor, reproducing the indirection overhead
@@ -10,9 +12,11 @@
 //                  the Bailey AA addressing (even step: in-place collide
 //                  with reversed write; odd step: gather from neighbours,
 //                  scatter back).
-// All variants share lattice constants and the equilibrium with the Neon
-// solver, so results are directly comparable (exact for Fused/TwoPopIdx).
+// All variants share lattice constants, forEachDirection and the
+// equilibrium with the Neon solver, so results are directly comparable
+// (bit-identical for Fused/TwoPopIdx).
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -88,8 +92,8 @@ class NativeCavityD3Q19
     {
         for (int it = 0; it < n; ++it) {
             switch (mVariant) {
-                case Variant::Fused: stepTwoPop(false); break;
-                case Variant::TwoPopIdx: stepTwoPop(true); break;
+                case Variant::Fused: stepFused(); break;
+                case Variant::TwoPopIdx: stepIndexed(); break;
                 case Variant::AA: stepAA(); break;
             }
             ++mIter;
@@ -124,10 +128,8 @@ class NativeCavityD3Q19
         const size_t x = mDim.pitch(g);
         Macro        m;
         for (int i = 0; i < D3Q19::Q; ++i) {
-            const int  slotDir = (mVariant == Variant::AA && mIter % 2 == 0)
-                                     ? i  // even step: populations are home
-                                     : i;
-            const double fi = f[slot(x, slotDir)];
+            // AA at an even iteration count: every population is home.
+            const double fi = f[slot(x, i)];
             m.rho += fi;
             for (int d = 0; d < 3; ++d) {
                 m.u[static_cast<size_t>(d)] += fi * D3Q19::c[static_cast<size_t>(i)][d];
@@ -157,11 +159,10 @@ class NativeCavityD3Q19
 
     /// Source cell for the pull of direction i at g; returns false when the
     /// source is a wall (cavity) — never false for periodic.
-    bool pullSource(const index_3d& g, int i, index_3d& src) const
+    template <typename Dir>
+    bool pullSource(const index_3d& g, Dir i, index_3d& src) const
     {
-        src = {g.x - D3Q19::c[static_cast<size_t>(i)][0],
-               g.y - D3Q19::c[static_cast<size_t>(i)][1],
-               g.z - D3Q19::c[static_cast<size_t>(i)][2]};
+        src = {g.x - D3Q19::c[i][0], g.y - D3Q19::c[i][1], g.z - D3Q19::c[i][2]};
         if (mDim.contains(src)) {
             return true;
         }
@@ -173,69 +174,99 @@ class NativeCavityD3Q19
         return false;
     }
 
-    void collideInto(const Real* f, Real* out, size_t cell) const
+    /// Pulled population i (> 0) of the cell at g, linear index x: the
+    /// source cell's, or half-way bounce-back of the cell's own opposite
+    /// population when the source is a wall, plus the moving lid's momentum.
+    template <typename Dir>
+    Real pull(const std::vector<Real>& in, const index_3d& g, size_t x, Dir i) const
+    {
+        index_3d src;
+        if (pullSource(g, i, src)) {
+            return in[slot(mDim.pitch(src), i)];
+        }
+        Real v = in[slot(x, D3Q19::opp[i])];
+        if (g.z == mDim.z - 1 && D3Q19::c[i][2] < 0) {
+            v += Real(6) * static_cast<Real>(D3Q19::weight(i)) * mLidU *
+                 static_cast<Real>(D3Q19::c[i][0]);
+        }
+        return v;
+    }
+
+    /// BGK collision of the gathered populations f; hands each
+    /// post-collision population to store(i, value), in direction order.
+    template <typename Store>
+    void collide(const Real* f, Store&& store) const
     {
         Real rho = 0;
         Real ux = 0;
         Real uy = 0;
         Real uz = 0;
-        for (int i = 0; i < D3Q19::Q; ++i) {
+        forEachDirection<D3Q19>([&](auto i) {
             rho += f[i];
-            ux += f[i] * static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][0]);
-            uy += f[i] * static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][1]);
-            uz += f[i] * static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][2]);
-        }
+            ux += f[i] * static_cast<Real>(D3Q19::c[i][0]);
+            uy += f[i] * static_cast<Real>(D3Q19::c[i][1]);
+            uz += f[i] * static_cast<Real>(D3Q19::c[i][2]);
+        });
         ux /= rho;
         uy /= rho;
         uz /= rho;
-        for (int i = 0; i < D3Q19::Q; ++i) {
+        forEachDirection<D3Q19>([&](auto i) {
             const Real feq = equilibrium<D3Q19, Real>(i, rho, ux, uy, uz);
-            out[i] = f[i] + mOmega * (feq - f[i]);
-        }
-        (void)cell;
+            store(i, f[i] + mOmega * (feq - f[i]));
+        });
     }
 
-    void pullGather(const std::vector<Real>& in, const index_3d& g, size_t x, Real* f) const
+    /// cuboltz-like: walk the cells in z/y/x order and read each in-box
+    /// pull source at the cell's linear index minus the direction's
+    /// linear delta, behind one bounds test (as Neon's DPartition does).
+    void stepFused()
     {
-        const int32_t topZ = mDim.z - 1;
-        f[0] = in[slot(x, 0)];
-        for (int i = 1; i < D3Q19::Q; ++i) {
-            index_3d src;
-            if (pullSource(g, i, src)) {
-                f[i] = in[slot(mDim.pitch(src), i)];
-            } else {
-                f[i] = in[slot(x, D3Q19::opp[static_cast<size_t>(i)])];
-                if (g.z == topZ && D3Q19::c[static_cast<size_t>(i)][2] < 0) {
-                    f[i] += Real(6) * static_cast<Real>(D3Q19::weight(i)) * mLidU *
-                            static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][0]);
+        const auto& in = mF[static_cast<size_t>(mIter & 1)];
+        auto&       out = mF[static_cast<size_t>(1 - (mIter & 1))];
+        std::array<int64_t, D3Q19::Q> delta{};
+        forEachDirection<D3Q19>([&](auto i) {
+            delta[i] = (static_cast<int64_t>(D3Q19::c[i][2]) * mDim.y + D3Q19::c[i][1]) * mDim.x +
+                       D3Q19::c[i][0];
+        });
+        Real   f[D3Q19::Q];
+        size_t x = 0;
+        for (int32_t gz = 0; gz < mDim.z; ++gz) {
+            for (int32_t gy = 0; gy < mDim.y; ++gy) {
+                for (int32_t gx = 0; gx < mDim.x; ++gx, ++x) {
+                    forEachDirection<D3Q19>([&](auto i) {
+                        constexpr auto& ci = D3Q19::c[i];
+                        // One branch: a negative coordinate wraps above
+                        // the extent.
+                        const auto sx = static_cast<uint32_t>(gx - ci[0]);
+                        const auto sy = static_cast<uint32_t>(gy - ci[1]);
+                        const auto sz = static_cast<uint32_t>(gz - ci[2]);
+                        if ((sx < static_cast<uint32_t>(mDim.x)) &
+                            (sy < static_cast<uint32_t>(mDim.y)) &
+                            (sz < static_cast<uint32_t>(mDim.z))) {
+                            f[i] = in[slot(x - static_cast<size_t>(delta[i]), i)];
+                        } else {
+                            f[i] = pull(in, {gx, gy, gz}, x, i);
+                        }
+                    });
+                    collide(f, [&](auto i, Real v) { out[slot(x, i)] = v; });
                 }
             }
         }
     }
 
-    void stepTwoPop(bool indexed)
+    /// stlbm twoPop-like: iterate the cell-index array and address every
+    /// pull source through the coordinate helpers.
+    void stepIndexed()
     {
         const auto& in = mF[static_cast<size_t>(mIter & 1)];
         auto&       out = mF[static_cast<size_t>(1 - (mIter & 1))];
         Real        f[D3Q19::Q];
-        Real        post[D3Q19::Q];
-        auto        body = [&](size_t x) {
+        for (const int32_t xi : mCellIndex) {
+            const auto     x = static_cast<size_t>(xi);
             const index_3d g = mDim.fromPitch(x);
-            pullGather(in, g, x, f);
-            collideInto(f, post, x);
-            for (int i = 0; i < D3Q19::Q; ++i) {
-                out[slot(x, i)] = post[i];
-            }
-        };
-        if (indexed) {
-            // CPA-like: iterate through the cell-index array.
-            for (const int32_t xi : mCellIndex) {
-                body(static_cast<size_t>(xi));
-            }
-        } else {
-            for (size_t x = 0; x < mCells; ++x) {
-                body(x);
-            }
+            forEachDirection<D3Q19>(
+                [&](auto i) { f[i] = i == 0 ? in[slot(x, 0)] : pull(in, g, x, i); });
+            collide(f, [&](auto i, Real v) { out[slot(x, i)] = v; });
         }
     }
 
@@ -247,16 +278,10 @@ class NativeCavityD3Q19
     {
         auto& buf = mF[0];
         Real  f[D3Q19::Q];
-        Real  post[D3Q19::Q];
         if (mIter % 2 == 0) {
             for (size_t x = 0; x < mCells; ++x) {
-                for (int i = 0; i < D3Q19::Q; ++i) {
-                    f[i] = buf[slot(x, i)];
-                }
-                collideInto(f, post, x);
-                for (int i = 0; i < D3Q19::Q; ++i) {
-                    buf[slot(x, D3Q19::opp[static_cast<size_t>(i)])] = post[i];
-                }
+                forEachDirection<D3Q19>([&](auto i) { f[i] = buf[slot(x, i)]; });
+                collide(f, [&](auto i, Real v) { buf[slot(x, D3Q19::opp[i])] = v; });
             }
         } else {
             // In-place is safe: slot (z, i) is read only by cell z - c_i
@@ -266,46 +291,44 @@ class NativeCavityD3Q19
             // the wall itself — also conflict-free.
             for (size_t x = 0; x < mCells; ++x) {
                 const index_3d g = mDim.fromPitch(x);
-                f[0] = buf[slot(x, 0)];
-                for (int i = 1; i < D3Q19::Q; ++i) {
+                forEachDirection<D3Q19>([&](auto i) {
                     index_3d src;
-                    if (pullSource(g, i, src)) {
-                        f[i] = buf[slot(mDim.pitch(src), D3Q19::opp[static_cast<size_t>(i)])];
+                    if (i == 0) {
+                        f[0] = buf[slot(x, 0)];
+                    } else if (pullSource(g, i, src)) {
+                        f[i] = buf[slot(mDim.pitch(src), D3Q19::opp[i])];
                     } else {
                         f[i] = buf[slot(x, i)];
-                        if (g.z == mDim.z - 1 && D3Q19::c[static_cast<size_t>(i)][2] < 0) {
+                        if (g.z == mDim.z - 1 && D3Q19::c[i][2] < 0) {
                             f[i] += Real(6) * static_cast<Real>(D3Q19::weight(i)) * mLidU *
-                                    static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][0]);
+                                    static_cast<Real>(D3Q19::c[i][0]);
                         }
                     }
-                }
-                collideInto(f, post, x);
-                for (int i = 0; i < D3Q19::Q; ++i) {
+                });
+                collide(f, [&](auto i, Real v) {
                     if (i == 0) {
-                        buf[slot(x, 0)] = post[0];
-                        continue;
+                        buf[slot(x, 0)] = v;
+                        return;
                     }
-                    index_3d dst{g.x + D3Q19::c[static_cast<size_t>(i)][0],
-                                 g.y + D3Q19::c[static_cast<size_t>(i)][1],
-                                 g.z + D3Q19::c[static_cast<size_t>(i)][2]};
+                    index_3d dst{g.x + D3Q19::c[i][0], g.y + D3Q19::c[i][1],
+                                 g.z + D3Q19::c[i][2]};
                     if (mDim.contains(dst)) {
-                        buf[slot(mDim.pitch(dst), i)] = post[i];
+                        buf[slot(mDim.pitch(dst), i)] = v;
                     } else if (mBoundary == Boundary::Periodic) {
                         dst = {(dst.x + mDim.x) % mDim.x, (dst.y + mDim.y) % mDim.y,
                                (dst.z + mDim.z) % mDim.z};
-                        buf[slot(mDim.pitch(dst), i)] = post[i];
+                        buf[slot(mDim.pitch(dst), i)] = v;
                     } else {
                         // Wall: the population bounces straight back home,
                         // into direction opp(i); the moving lid adds its
                         // momentum with the bounced direction's sign.
-                        Real v = post[i];
-                        if (g.z == mDim.z - 1 && D3Q19::c[static_cast<size_t>(i)][2] > 0) {
+                        if (g.z == mDim.z - 1 && D3Q19::c[i][2] > 0) {
                             v -= Real(6) * static_cast<Real>(D3Q19::weight(i)) * mLidU *
-                                 static_cast<Real>(D3Q19::c[static_cast<size_t>(i)][0]);
+                                 static_cast<Real>(D3Q19::c[i][0]);
                         }
-                        buf[slot(x, D3Q19::opp[static_cast<size_t>(i)])] = v;
+                        buf[slot(x, D3Q19::opp[i])] = v;
                     }
-                }
+                });
             }
         }
     }

@@ -3,7 +3,7 @@
 
 Usage: check_bench_reports.py [--overhead-baseline BASELINE.json] REPORT.json [...]
 
-Two schemas are understood:
+These schemas are understood:
 
 * ExecutionReport payloads from the fig7/8/9 benches
   (docs/observability.md): the overlap/halo/critical-path aggregates plus
@@ -29,6 +29,13 @@ Two schemas are understood:
   latency strictly, and beat the serialized device utilization
   strictly — otherwise the service layer has stopped buying anything
   over a FIFO-of-one.
+* The Table II single-device LBM comparison from bench_table2_lbm_single
+  (EXPERIMENTS.md, "bench": "table2"): MLUPS of the three hand-written
+  D3Q19 variants and of Neon on one host thread (plus Neon on the default
+  pool, reported only), each timed against the native fused kernel in
+  interleaved reps. The gate is machine-independent because both sides
+  of the ratio run in one process: Neon must run on one host thread, and
+  its one-thread time may be at most 2x the native fused kernel's.
 * The adaptive-repartitioning sweep from bench_repartition
   (docs/robustness.md, "bench": "repartition"): a heterogeneous
   dry-run pool (speed factors with a real spread) runs a stencil+map
@@ -81,6 +88,13 @@ BASELINE_SLACK = 2.0
 # linear cell addressing, 5.8x with the coordinate-addressed accessors and
 # runtime component loops it replaced.
 MAX_CG_RATIO = 2.5
+
+TABLE2_MLUPS_KEYS = ["native_fused", "native_aa", "native_twopop_indexed", "neon_1t", "neon_pool"]
+# One-thread Neon D3Q19 step over the hand-written fused kernel on the same
+# 40^3 domain (docs/performance.md, "Lattice kernels"): 1.20-1.52x in ten
+# runs with the compile-time lattice directions, 2.91-3.51x in five runs
+# with the rolled direction loops they replaced.
+MAX_TABLE2_RATIO = 2.0
 
 
 def load(path: str):
@@ -257,6 +271,36 @@ def check_service_report(path: str, report: dict) -> list[str]:
     return errors
 
 
+def check_table2_report(path: str, report: dict) -> list[str]:
+    errors = []
+    mlups = report.get("mlups")
+    if not isinstance(mlups, dict):
+        errors.append(f"{path}: missing 'mlups' section")
+    else:
+        for key in TABLE2_MLUPS_KEYS:
+            value = mlups.get(key)
+            if not isinstance(value, (int, float)) or value <= 0:
+                errors.append(f"{path}: mlups '{key}' {value!r} is not a positive number")
+    for key in ("neon_threads", "ratio_1t"):
+        if key not in report:
+            errors.append(f"{path}: missing '{key}'")
+    if errors:
+        return errors
+
+    if report["neon_threads"] != 1:
+        errors.append(
+            f"{path}: Neon ran on {report['neon_threads']} host threads against "
+            "one-thread native kernels (is NEON_THREADS set?)"
+        )
+    elif report["ratio_1t"] > MAX_TABLE2_RATIO:
+        errors.append(
+            f"{path}: one-thread Neon D3Q19 step takes {report['ratio_1t']:.2f}x the native "
+            f"fused kernel (gate: <= {MAX_TABLE2_RATIO}x; {mlups['neon_1t']:.2f} vs "
+            f"{mlups['native_fused']:.2f} MLUPS)"
+        )
+    return errors
+
+
 def check_repartition_report(path: str, report: dict) -> list[str]:
     errors = []
     devices = report.get("devices")
@@ -320,6 +364,8 @@ def check(path: str, overhead_baseline: str | None) -> list[str]:
         return check_service_report(path, report)
     if report.get("bench") == "repartition":
         return check_repartition_report(path, report)
+    if report.get("bench") == "table2":
+        return check_table2_report(path, report)
     return check_execution_report(path, report)
 
 
