@@ -1,7 +1,9 @@
 // Runtime-overhead microbench (docs/performance.md): wall-clock cost of the
 // parts of the runtime the paper's figures never show —
 //   (a) ns per enqueued op on the zero-cost backend (the skeleton run loop:
-//       completion events, stream waits, launch dispatch),
+//       completion events, stream waits, launch dispatch), over the ops an
+//       enqueue hook counts in one cached run (records and zero-length
+//       waits leave no trace row, so trace rows would undercount them),
 //   (b) sequence() compilation cost: full pipeline (graph -> OCC ->
 //       transitive reduction -> schedule) vs a schedule-cache replay of the
 //       same structure,
@@ -11,8 +13,9 @@
 //   (d) the CG abstraction ratio: one-thread 32^3 cgSolve against the
 //       hand-written NativeCg on the same seeded right-hand side (median
 //       of interleaved solves, so host load cancels out of the ratio).
-// Emits BENCH_overhead_report.json; CI gates cached-sequence cost and
-// ns-per-cell dispatch against bench/baselines/BENCH_overhead_baseline.json,
+// Emits BENCH_overhead_report.json; CI gates enqueue cost, cached-sequence
+// cost and ns-per-cell dispatch against
+// bench/baselines/BENCH_overhead_baseline.json,
 // requires the cached path to be >= 10x cheaper than the compile path and
 // bounds the CG ratio (tools/check_bench_reports.py).
 
@@ -24,6 +27,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -112,6 +116,15 @@ struct Workload
                 }));
         }
     }
+};
+
+/// Counts every op enqueued while it is the engine's hook.
+class EnqueueCounter final : public sys::EnqueueHook
+{
+   public:
+    void onEnqueue(const sys::Stream& /*stream*/, const sys::Op& /*op*/) override { ++ops; }
+
+    size_t ops = 0;
 };
 
 double medianNs(std::vector<double> xs)
@@ -208,15 +221,16 @@ int main(int argc, char** argv)
     skeleton::Skeleton skl(backend);
     (void)skl.sequence(w.ops, opts);
 
-    // Count enqueued ops for one run via the trace, then measure with the
-    // trace off (the fast path under test is the unobserved one).
-    backend.profiler().enable();
-    backend.profiler().clear();
+    // Count the ops of one cached run (after a warm one, so it waits on the
+    // data chains like every timed run) with a hook, then remove the hook:
+    // the fast path under test is the unobserved one.
     skl.run();
+    auto counter = std::make_shared<EnqueueCounter>();
+    backend.engine().setEnqueueHook(counter);
+    skl.run();
+    backend.engine().setEnqueueHook(nullptr);
     skl.sync();
-    const auto opsPerRun = static_cast<double>(backend.profiler().trace().size());
-    backend.profiler().clear();
-    backend.profiler().enable(false);
+    const auto opsPerRun = static_cast<double>(counter->ops);
 
     constexpr int kWarmupRuns = 5;
     constexpr int kMeasuredRuns = 40;

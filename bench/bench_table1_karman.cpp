@@ -7,10 +7,19 @@
 // what the paper's table isolates: the framework overhead of Neon's
 // abstraction versus hand-written flat loops. Domain sizes are scaled down
 // from the paper's (4096x1024 ... 32768x8192) to host-executable sizes.
+//
+// The comparison is on an equal budget: the native solver runs on one host
+// thread, and so does Neon (BackendSpec::withHostThreads(1)). Per size, the
+// two are timed in interleaved reps (benchtool::interleavedMedians), so host
+// load falls on both sides of the ratio alike. Neon on the default pool
+// width is reported as its own row. Writes BENCH_table1_report.json;
+// tools/check_bench_reports.py gates the one-thread time ratio Neon / native
+// at every size.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -52,39 +61,80 @@ lbm::KarmanConfig configFor(const SizeCase& sc)
 }
 
 constexpr int kItersPerRep = 20;
+constexpr int kReps = 7;
+
+/// Neon's Karman solver on one CPU device whose host pool has `threads`
+/// workers (0: the default width).
+struct NeonKarman
+{
+    NeonKarman(const SizeCase& sc, int threads)
+        : backend(set::Backend::make(set::BackendSpec::cpu(1).withHostThreads(threads))),
+          grid(backend, {sc.nx, 1, sc.ny}, lbm::D2Q9::stencilXZ()),
+          solver(grid, configFor(sc))
+    {
+    }
+
+    void step(int n)
+    {
+        solver.run(n);
+        solver.sync();
+    }
+
+    set::Backend                  backend;
+    dgrid::DGrid                  grid;
+    lbm::KarmanD2Q9<dgrid::DGrid> solver;
+};
+
+template <typename Fn>
+void runBench(benchmark::State& state, const SizeCase& sc, Fn&& step)
+{
+    step(2);  // warm the caches / first-run paths
+    for (auto _ : state) {
+        step(kItersPerRep);
+    }
+    state.counters["MLUPS"] = benchmark::Counter(
+        static_cast<double>(sc.nx) * sc.ny * kItersPerRep / 1e6,
+        benchmark::Counter::kIsIterationInvariantRate);
+}
 
 void neonKarman(benchmark::State& state)
 {
     const auto sc = sizes()[static_cast<size_t>(state.range(0))];
-    const auto cfg = configFor(sc);
-    dgrid::DGrid grid(set::Backend::cpu(1), {cfg.nx, 1, cfg.ny}, lbm::D2Q9::stencilXZ());
-    lbm::KarmanD2Q9<dgrid::DGrid> solver(grid, cfg);
-    solver.run(2);  // warm the caches / first-run paths
-    solver.sync();
-    for (auto _ : state) {
-        solver.run(kItersPerRep);
-        solver.sync();
-    }
-    const double lups = static_cast<double>(sc.nx) * sc.ny * kItersPerRep;
-    state.counters["MLUPS"] =
-        benchmark::Counter(lups / 1e6, benchmark::Counter::kIsIterationInvariantRate);
-    benchtool::record("neon/" + std::to_string(sc.nx),
-                      lups / 1e6 / (state.iterations() ? 1 : 1));
+    NeonKarman neon(sc, 1);
+    runBench(state, sc, [&](int n) { neon.step(n); });
 }
 
 void nativeKarman(benchmark::State& state)
 {
-    const auto sc = sizes()[static_cast<size_t>(state.range(0))];
-    const auto cfg = configFor(sc);
-    lbm::NativeKarmanD2Q9<float> solver(cfg);
-    solver.run(2);
-    for (auto _ : state) {
-        solver.run(kItersPerRep);
-    }
-    const double lups = static_cast<double>(sc.nx) * sc.ny * kItersPerRep;
-    state.counters["MLUPS"] =
-        benchmark::Counter(lups / 1e6, benchmark::Counter::kIsIterationInvariantRate);
+    const auto                   sc = sizes()[static_cast<size_t>(state.range(0))];
+    lbm::NativeKarmanD2Q9<float> solver(configFor(sc));
+    runBench(state, sc, [&](int n) { solver.run(n); });
 }
+
+/// Seconds of kItersPerRep steps.
+template <typename Fn>
+double timed(Fn&& step)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    step(kItersPerRep);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+struct SizeResult
+{
+    SizeCase sc;
+    double   neon1tS = 0.0;      ///< median seconds, Neon on one host thread
+    double   nativeS = 0.0;      ///< median seconds, native (paired with neon1tS)
+    double   neonPoolS = 0.0;    ///< median seconds, Neon on the default pool
+    double   nativePoolS = 0.0;  ///< median seconds, native (paired with neonPoolS)
+
+    [[nodiscard]] double mlups(double seconds) const
+    {
+        return static_cast<double>(sc.nx) * sc.ny * kItersPerRep / seconds / 1e6;
+    }
+    /// Neon / native time ratio on one host thread each.
+    [[nodiscard]] double ratio1t() const { return neon1tS / nativeS; }
+};
 
 }  // namespace
 
@@ -106,51 +156,68 @@ int main(int argc, char** argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
-    // Paper-shaped summary: measure once more with a plain timer so the
-    // table is self-contained (google-benchmark reported per-rep times
-    // above).
-    benchtool::Table table;
-    table.title = "Table I — Karman vortex street (D2Q9), single device, wall-clock";
-    table.header = {"Domain", "Neon (MLUPS)", "Taichi-like (MLUPS)", "Speedup"};
+    std::vector<SizeResult> results;
+    int                     neonThreads = 0;
+    int                     poolThreads = 0;
     for (const auto& sc : sizes()) {
-        const auto cfg = configFor(sc);
-        const int  iters = 20;
+        lbm::NativeKarmanD2Q9<float> native(configFor(sc));
+        NeonKarman                   neon1(sc, 1);
+        NeonKarman                   neonPool(sc, 0);
+        neonThreads = neon1.backend.hostThreads();
+        poolThreads = neonPool.backend.hostThreads();
+        const auto nativeSide = [&] { return timed([&](int n) { native.run(n); }); };
+        const auto vs1t = benchtool::interleavedMedians(
+            kReps, [&] { return timed([&](int n) { neon1.step(n); }); }, nativeSide);
+        const auto vsPool = benchtool::interleavedMedians(
+            kReps, [&] { return timed([&](int n) { neonPool.step(n); }); }, nativeSide);
+        results.push_back({sc, vs1t.a, vs1t.b, vsPool.a, vsPool.b});
+    }
 
-        // Best-of-three reps: wall-clock on a shared host is noisy.
-        dgrid::DGrid grid(set::Backend::cpu(1), {cfg.nx, 1, cfg.ny}, lbm::D2Q9::stencilXZ());
-        lbm::KarmanD2Q9<dgrid::DGrid> neonSolver(grid, cfg);
-        neonSolver.run(2);
-        neonSolver.sync();
-        double tNeon = 1e30;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto t0 = std::chrono::steady_clock::now();
-            neonSolver.run(iters);
-            neonSolver.sync();
-            tNeon = std::min(
-                tNeon,
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-        }
-
-        lbm::NativeKarmanD2Q9<float> nativeSolver(cfg);
-        nativeSolver.run(2);
-        double tNative = 1e30;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto t1 = std::chrono::steady_clock::now();
-            nativeSolver.run(iters);
-            tNative = std::min(
-                tNative,
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count());
-        }
-
-        const double cells = static_cast<double>(cfg.nx) * cfg.ny * iters;
-        const double neonMlups = cells / tNeon / 1e6;
-        const double nativeMlups = cells / tNative / 1e6;
-        table.rows.push_back({std::to_string(cfg.nx) + " x " + std::to_string(cfg.ny),
-                              benchtool::fmt(neonMlups), benchtool::fmt(nativeMlups),
-                              benchtool::fmt(neonMlups / nativeMlups)});
+    auto domain = [](const SizeCase& sc) {
+        return std::to_string(sc.nx) + " x " + std::to_string(sc.ny);
+    };
+    benchtool::Table table;
+    table.title = "Table I — Karman vortex street (D2Q9), single device, one host thread, "
+                  "wall-clock (medians of " +
+                  std::to_string(kReps) + " interleaved reps)";
+    table.header = {"Domain", "Neon (MLUPS)", "Taichi-like (MLUPS)", "Speedup"};
+    for (const auto& r : results) {
+        table.rows.push_back({domain(r.sc), benchtool::fmt(r.mlups(r.neon1tS)),
+                              benchtool::fmt(r.mlups(r.nativeS)),
+                              benchtool::fmt(r.nativeS / r.neon1tS, 3)});
     }
     table.print();
+
+    benchtool::Table scaling;
+    scaling.title = "Neon on the default host pool (" + std::to_string(poolThreads) +
+                    " threads, not an equal budget)";
+    scaling.header = {"Domain", "Neon (MLUPS)", "vs 1-thread Taichi-like (same pair)"};
+    for (const auto& r : results) {
+        scaling.rows.push_back({domain(r.sc), benchtool::fmt(r.mlups(r.neonPoolS)),
+                                benchtool::fmt(r.nativePoolS / r.neonPoolS, 3)});
+    }
+    scaling.print();
     std::cout << "Paper's shape: speedup ~1.0 across sizes — the library abstraction\n"
                  "costs little against hand-written flat loops (paper Table I: 0.98-1.14x).\n";
+
+    std::ofstream os("BENCH_table1_report.json");
+    os << "{\n"
+       << "  \"bench\": \"table1\",\n"
+       << "  \"iters_per_rep\": " << kItersPerRep << ",\n"
+       << "  \"reps\": " << kReps << ",\n"
+       << "  \"neon_threads\": " << neonThreads << ",\n"
+       << "  \"pool_threads\": " << poolThreads << ",\n"
+       << "  \"sizes\": [\n";
+    for (size_t i = 0; i < results.size(); ++i) {
+        const auto& r = results[i];
+        os << "    {\"nx\": " << r.sc.nx << ", \"ny\": " << r.sc.ny
+           << ", \"mlups\": {\"neon_1t\": " << r.mlups(r.neon1tS)
+           << ", \"native\": " << r.mlups(r.nativeS)
+           << ", \"neon_pool\": " << r.mlups(r.neonPoolS) << "}, \"ratio_1t\": " << r.ratio1t()
+           << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+    }
+    os << "  ]\n"
+       << "}\n";
+    std::cout << "wrote BENCH_table1_report.json\n";
     return 0;
 }

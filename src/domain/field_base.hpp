@@ -129,47 +129,24 @@ class FieldBase
             }
             if (info.migrateData && !info.migrate.empty()) {
                 // One TransferOp per source device; SoA splits each segment
-                // into per-component chunks (SegmentHalo's convention).
+                // into per-component chunks (appendCellCopies, as halos do).
                 for (int srcDev = 0; srcDev < data.setCount(); ++srcDev) {
-                    sys::TransferOp op;
-                    op.name = "migrate(" + name + ")";
+                    std::vector<sys::TransferChunk> chunks;
                     for (const MigrationSegment& seg : info.migrate) {
                         if (seg.srcDev != srcDev || seg.count == 0) {
                             continue;
                         }
-                        T*        src = data.rawDev(srcDev);
-                        T*        dst = next.rawDev(seg.dstDev);
-                        const int dir = seg.dstDev >= srcDev ? 1 : 0;
-                        const auto srcBase =
-                            static_cast<size_t>(info.oldOwnedStart[static_cast<size_t>(srcDev)] +
-                                                seg.srcFirst);
-                        const auto dstBase =
-                            static_cast<size_t>(info.newOwnedStart[static_cast<size_t>(seg.dstDev)] +
-                                                seg.dstFirst);
-                        if (layout == MemLayout::structOfArrays) {
-                            const size_t srcPitch = data.count(srcDev) / static_cast<size_t>(card);
-                            const size_t dstPitch =
-                                next.count(seg.dstDev) / static_cast<size_t>(card);
-                            for (int32_t c = 0; c < card; ++c) {
-                                const size_t so = static_cast<size_t>(c) * srcPitch + srcBase;
-                                const size_t do_ = static_cast<size_t>(c) * dstPitch + dstBase;
-                                const size_t len = static_cast<size_t>(seg.count);
-                                op.chunks.push_back(
-                                    {len * sizeof(T), dir, [src, dst, so, do_, len] {
-                                         std::copy_n(src + so, len, dst + do_);
-                                     }});
-                            }
-                        } else {
-                            const size_t so = srcBase * static_cast<size_t>(card);
-                            const size_t do_ = dstBase * static_cast<size_t>(card);
-                            const size_t len =
-                                static_cast<size_t>(seg.count) * static_cast<size_t>(card);
-                            op.chunks.push_back({len * sizeof(T), dir, [src, dst, so, do_, len] {
-                                                     std::copy_n(src + so, len, dst + do_);
-                                                 }});
-                        }
+                        appendCellCopies(
+                            chunks, seg.dstDev >= srcDev ? 1 : 0, layout, card,
+                            data.rawDev(srcDev), data.count(srcDev),
+                            info.oldOwnedStart[static_cast<size_t>(srcDev)] + seg.srcFirst,
+                            next.rawDev(seg.dstDev), next.count(seg.dstDev),
+                            info.newOwnedStart[static_cast<size_t>(seg.dstDev)] + seg.dstFirst,
+                            seg.count);
                     }
-                    if (!op.chunks.empty()) {
+                    if (!chunks.empty()) {
+                        sys::TransferOp op{"migrate(" + name + ")",
+                                           sys::TransferChunks(std::move(chunks)), {}};
                         backend.stream(srcDev, 0).transfer(std::move(op));
                     }
                 }

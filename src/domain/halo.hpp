@@ -7,7 +7,7 @@
 // segments once at construction (dGrid: boundary z-planes, eGrid: the
 // boundary cell classes, bGrid: active boundary block rows); SegmentHalo
 // turns them into transfers for any field over that grid, resolving the
-// memory layout at enqueue time:
+// memory layout once, when the field's halo is built:
 //   - structOfArrays: one chunk per (segment, component), component pitch
 //     = count(dev) / cardinality;
 //   - arrayOfStructs: one chunk per segment, offsets scaled by cardinality.
@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,9 +38,41 @@ struct HaloSegment
     int64_t count = 0;      ///< cells to copy
 };
 
+/// Append the copies of `count` cells from cell `srcFirst` of `src` to cell
+/// `dstFirst` of `dst` to `out`: one chunk per component in structOfArrays
+/// (component pitch = the device's element count / `card`), one chunk in
+/// arrayOfStructs (offsets scaled by `card`). `srcCount`/`dstCount` are the
+/// two devices' element counts. Halo exchanges and field migration share it.
+template <typename T>
+void appendCellCopies(std::vector<sys::TransferChunk>& out, int direction, MemLayout layout,
+                      int card, const T* src, size_t srcCount, int64_t srcFirst, T* dst,
+                      size_t dstCount, int64_t dstFirst, int64_t count)
+{
+    static_assert(std::is_trivially_copyable_v<T>, "transfers copy field elements bytewise");
+    const auto ucard = static_cast<size_t>(card);
+    if (layout == MemLayout::structOfArrays) {
+        const size_t srcPitch = srcCount / ucard;
+        const size_t dstPitch = dstCount / ucard;
+        const auto   len = static_cast<size_t>(count);
+        for (size_t c = 0; c < ucard; ++c) {
+            out.push_back({len * sizeof(T), direction,
+                           src + c * srcPitch + static_cast<size_t>(srcFirst),
+                           dst + c * dstPitch + static_cast<size_t>(dstFirst)});
+        }
+    } else {
+        const size_t len = static_cast<size_t>(count) * ucard;
+        out.push_back({len * sizeof(T), direction, src + static_cast<size_t>(srcFirst) * ucard,
+                       dst + static_cast<size_t>(dstFirst) * ucard});
+    }
+}
+
 /// The one HaloOps implementation shared by every field type. Holds value
 /// copies of the shared handles (not the field Impl) so the access records
 /// it travels in keep the buffers alive without a reference cycle.
+///
+/// The buffers of a field are fixed until a regrid replaces its halo, so
+/// each device's chunk list and the op name are built once, here; every
+/// exchange enqueues an op that shares them.
 template <typename T>
 class SegmentHalo final : public set::HaloOps
 {
@@ -48,51 +81,29 @@ class SegmentHalo final : public set::HaloOps
                 std::vector<std::vector<HaloSegment>> segments)
         : mData(std::move(data)),
           mName(std::move(name)),
-          mCard(card),
-          mLayout(layout),
+          mOpName("halo(" + mName + ")"),
           mSegments(std::move(segments))
     {
+        mChunks.reserve(mSegments.size());
+        for (int dev = 0; dev < static_cast<int>(mSegments.size()); ++dev) {
+            std::vector<sys::TransferChunk> chunks;
+            for (const HaloSegment& seg : mSegments[static_cast<size_t>(dev)]) {
+                if (seg.count > 0) {
+                    appendCellCopies(chunks, seg.direction, layout, card, mData.rawDev(dev),
+                                     mData.count(dev), seg.srcFirst, mData.rawDev(seg.nbr),
+                                     mData.count(seg.nbr), seg.dstFirst, seg.count);
+                }
+            }
+            mChunks.emplace_back(std::move(chunks));
+        }
     }
 
     void enqueueHaloSend(int dev, sys::Stream& stream,
                          const sys::OpAttribution& attr) const override
     {
-        sys::TransferOp op;
-        op.name = "halo(" + mName + ")";
-        op.attr = attr;
-
-        for (const HaloSegment& seg : mSegments[static_cast<size_t>(dev)]) {
-            if (seg.count == 0) {
-                continue;
-            }
-            T* src = mData.rawDev(dev);
-            T* dst = mData.rawDev(seg.nbr);
-            if (mLayout == MemLayout::structOfArrays) {
-                // Component pitch: each component's cells are contiguous.
-                const size_t srcPitch = mData.count(dev) / static_cast<size_t>(mCard);
-                const size_t dstPitch = mData.count(seg.nbr) / static_cast<size_t>(mCard);
-                for (int32_t c = 0; c < mCard; ++c) {
-                    const size_t so = static_cast<size_t>(c) * srcPitch +
-                                      static_cast<size_t>(seg.srcFirst);
-                    const size_t do_ = static_cast<size_t>(c) * dstPitch +
-                                       static_cast<size_t>(seg.dstFirst);
-                    const size_t len = static_cast<size_t>(seg.count);
-                    op.chunks.push_back(
-                        {len * sizeof(T), seg.direction, [src, dst, so, do_, len] {
-                             std::copy_n(src + so, len, dst + do_);
-                         }});
-                }
-            } else {
-                const size_t so = static_cast<size_t>(seg.srcFirst) * static_cast<size_t>(mCard);
-                const size_t do_ = static_cast<size_t>(seg.dstFirst) * static_cast<size_t>(mCard);
-                const size_t len = static_cast<size_t>(seg.count) * static_cast<size_t>(mCard);
-                op.chunks.push_back({len * sizeof(T), seg.direction, [src, dst, so, do_, len] {
-                                         std::copy_n(src + so, len, dst + do_);
-                                     }});
-            }
-        }
-        if (!op.chunks.empty()) {
-            stream.transfer(std::move(op));
+        const sys::TransferChunks& chunks = mChunks[static_cast<size_t>(dev)];
+        if (!chunks.empty()) {
+            stream.transfer({mOpName, chunks, attr});
         }
     }
 
@@ -116,9 +127,9 @@ class SegmentHalo final : public set::HaloOps
    private:
     set::MemSet<T>                        mData;
     std::string                           mName;
-    int                                   mCard = 1;
-    MemLayout                             mLayout = MemLayout::structOfArrays;
+    std::string                           mOpName;    ///< "halo(<name>)"
     std::vector<std::vector<HaloSegment>> mSegments;  ///< per sending device
+    std::vector<sys::TransferChunks>      mChunks;    ///< per sending device
 };
 
 }  // namespace neon::domain

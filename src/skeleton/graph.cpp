@@ -204,11 +204,12 @@ WaitScope Graph::waitScope(int from, int to) const
 {
     const auto& p = node(from);
     const auto& c = node(to);
-    if (c.kind() == set::Container::Kind::ScalarOp) {
-        return WaitScope::All;  // e.g. reduce combine reads every partial
-    }
+    // Parent first: a scalar -> scalar edge runs device 0 to device 0.
     if (p.kind() == set::Container::Kind::ScalarOp) {
         return WaitScope::Root;  // scalar work happens on device 0's stream
+    }
+    if (c.kind() == set::Container::Kind::ScalarOp) {
+        return WaitScope::All;  // e.g. reduce combine reads every partial
     }
     if (p.kind() == set::Container::Kind::Halo ||
         c.kind() == set::Container::Kind::Halo) {

@@ -27,7 +27,7 @@ enum class WaitScope : uint8_t
     SameDev,     ///< compute -> compute: partition data stays on its device
     Neighbours,  ///< halo parent: transfers into dev d come from d-1 / d+1
     Root,        ///< ScalarOp parent: work happened on device 0's stream
-    All,         ///< ScalarOp child (reduce combine): needs every device
+    All,         ///< ScalarOp child of a device-wide parent (reduce combine)
 };
 
 std::string to_string(EdgeKind k);

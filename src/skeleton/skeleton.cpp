@@ -50,6 +50,24 @@ int levelCountOf(const Graph& g)
     return n;
 }
 
+/// Slot of each node's completion events in a run's event block: nDev
+/// consecutive events per node that records one, in task order — the order
+/// runs have always created them in, so event ids stay put. -1 for nodes
+/// that record none. Returns the number of completion slots.
+int assignEventSlots(const Graph& g, const std::vector<Task>& tasks, int nDev,
+                     std::vector<int>& slots)
+{
+    slots.assign(static_cast<size_t>(g.nodeCount()), -1);
+    int next = 0;
+    for (const Task& t : tasks) {
+        if (g.node(t.nodeId).needsEvent) {
+            slots[static_cast<size_t>(t.nodeId)] = next;
+            next += nDev;
+        }
+    }
+    return next;
+}
+
 /// Resolve every (device, stream) the schedule uses to a raw Stream
 /// pointer once per compilation: Backend::stream() takes a mutex per call
 /// and the stream objects are stable, so the run hot loop can index a flat
@@ -497,6 +515,10 @@ struct Skeleton::ScheduleState
     /// prefetchStreams): the run hot loop must not take the backend's
     /// stream-map mutex per task per device.
     std::vector<sys::Stream*> streams;
+    /// Per node, the first of its nDev completion events in a run's event
+    /// block (assignEventSlots); the tail events follow at completionEvents.
+    std::vector<int> eventSlot;
+    int              completionEvents = 0;
     /// Container metadata of this graph, registered per run window with the
     /// race session; built lazily on the first analyzed run.
     std::shared_ptr<const analysis::ContainerMetaMap> metaCache;
@@ -513,6 +535,9 @@ struct Skeleton::Impl
     bool windowClosed = true;
     /// Tail barrier of the most recent run issued through this skeleton.
     sys::EventPtr lastTail;
+    /// Data-chain events a run waits on (DataBarriers::acquire); reused
+    /// across runs so a cached run does not allocate the list.
+    std::vector<sys::EventPtr> chainDeps;
 };
 
 struct CompiledSchedule::Impl
@@ -602,6 +627,9 @@ CompiledSchedule Skeleton::sequence(std::vector<set::Container> containers,
         std::sort(uids->begin(), uids->end());
         uids->erase(std::unique(uids->begin(), uids->end()), uids->end());
     }
+    // Room for one chain event per uid, so even a run's first data-chain
+    // waits allocate no list.
+    s.chainDeps.reserve(state->readUids.size() + state->writeUids.size());
 
     const ScheduleKey key = makeScheduleKey(containers, nDev, options.occ, options.maxStreams);
     state->hash = key.hash;
@@ -630,6 +658,7 @@ CompiledSchedule Skeleton::sequence(std::vector<set::Container> containers,
                          captureRecipe(state->graph, state->tasks, state->nStreams)));
         }
     }
+    state->completionEvents = assignEventSlots(state->graph, state->tasks, nDev, state->eventSlot);
     prefetchStreams(s.backend, state->streams, state->nStreams);
     s.state = std::move(state);
 
@@ -697,6 +726,8 @@ void Skeleton::debugMutateGraph(const std::function<void(Graph&)>& fn)
     next->levelCount = levelCountOf(next->graph);
     next->cacheHit = false;
     next->metaCache.reset();
+    next->completionEvents =
+        assignEventSlots(next->graph, next->tasks, s.backend.devCount(), next->eventSlot);
     prefetchStreams(s.backend, next->streams, next->nStreams);
     s.state = std::move(next);
 }
@@ -707,6 +738,8 @@ void Skeleton::debugMutateTasks(const std::function<void(std::vector<Task>&)>& f
     NEON_CHECK(s.state != nullptr, "Skeleton::sequence must be called before debugMutateTasks()");
     auto next = std::make_shared<ScheduleState>(*s.state);
     fn(next->tasks);
+    next->completionEvents =
+        assignEventSlots(next->graph, next->tasks, s.backend.devCount(), next->eventSlot);
     s.state = std::move(next);
 }
 
@@ -798,8 +831,8 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     // alternating skeletons (e.g. the even/odd steps of a ping-pong LBM)
     // are chained too.
     if (scope.chainData) {
-        const std::vector<sys::EventPtr> deps =
-            s.backend.dataBarriers().acquire(st.readUids, st.writeUids);
+        std::vector<sys::EventPtr>& deps = s.chainDeps;
+        s.backend.dataBarriers().acquire(st.readUids, st.writeUids, deps);
         for (const sys::EventPtr& dep : deps) {
             // Every stream of this run waits: the dep may have been
             // recorded on any stream of any previous run (no FIFO shortcut
@@ -810,64 +843,67 @@ void Skeleton::runBody(int runId, const RunScope& scope)
                 }
             }
         }
+        deps.clear();  // keeps the capacity for the next run
     }
 
-    // Fresh completion events per run (cheap; safe for the threaded
-    // engine). Flat per-node table: node ids are dense.
-    std::vector<set::EventSet> completion(static_cast<size_t>(st.graph.nodeCount()));
-    for (const Task& t : st.tasks) {
-        if (st.graph.node(t.nodeId).needsEvent) {
-            completion[static_cast<size_t>(t.nodeId)] = set::EventSet::make(nDev);
-        }
-    }
+    // One event block per run: the completion events (nDev per recording
+    // node, in task order), then nDev * nStreams tail events. Ops hold
+    // aliasing pointers into it, so it lives until the last one retires.
+    const int                           tailBase = st.completionEvents;
+    const std::shared_ptr<sys::Event[]> events(
+        new sys::Event[static_cast<size_t>(tailBase + nDev * st.nStreams)]);
+    auto eventAt = [&](int i) { return sys::EventPtr(events, &events[i]); };
 
     for (const Task& t : st.tasks) {
         const GraphNode&         n = st.graph.node(t.nodeId);
         const sys::OpAttribution attr{t.nodeId, runId, scope.jobId};
-        for (int d = 0; d < nDev; ++d) {
+        // A scalar task (reduce combine, scalarOp) launches on device 0
+        // only, so it waits and records there only: every consumer reads
+        // its device-0 event (WaitScope::Root).
+        const int devs = n.kind() == set::Container::Kind::ScalarOp ? 1 : nDev;
+        for (int d = 0; d < devs; ++d) {
             sys::Stream& stream = streamAt(d, t.stream);
             for (const auto& w : t.waits) {
-                const set::EventSet& ev = completion[static_cast<size_t>(w.parent)];
+                const int ev = st.eventSlot[static_cast<size_t>(w.parent)];
                 switch (w.scope) {
                     case WaitScope::SameDev:
-                        stream.wait(ev[d], attr);
+                        stream.wait(eventAt(ev + d), attr);
                         break;
                     case WaitScope::Neighbours:
-                        for (int dd = d - 1; dd <= d + 1; ++dd) {
-                            if (dd >= 0 && dd < nDev) {
-                                stream.wait(ev[dd], attr);
-                            }
+                        for (int dd = std::max(d - 1, 0); dd <= std::min(d + 1, nDev - 1); ++dd) {
+                            stream.wait(eventAt(ev + dd), attr);
                         }
                         break;
                     case WaitScope::Root:
-                        stream.wait(ev[0], attr);
+                        stream.wait(eventAt(ev), attr);
                         break;
                     case WaitScope::All:
                         for (int dd = 0; dd < nDev; ++dd) {
-                            stream.wait(ev[dd], attr);
+                            stream.wait(eventAt(ev + dd), attr);
                         }
                         break;
                 }
             }
             n.container.launch(d, stream, n.view, st.options.sanitize, attr);
             if (n.needsEvent) {
-                stream.record(completion[static_cast<size_t>(t.nodeId)][d], attr);
+                stream.record(eventAt(st.eventSlot[static_cast<size_t>(t.nodeId)] + d), attr);
             }
         }
     }
 
     // Record the tail barrier: the run's stream (0, base) gathers every
     // other stream's tail event and records one barrier whose virtual
-    // timestamp is the run's completion time.
-    set::EventSet tails = set::EventSet::make(nDev * st.nStreams);
+    // timestamp is the run's completion time. The barrier escapes the run
+    // (DataBarriers, lastRunTail()), so it is its own allocation: a
+    // retained chain pins one event, not the run's block.
     for (int d = 0; d < nDev; ++d) {
         for (int stIdx = 0; stIdx < st.nStreams; ++stIdx) {
             if (d == 0 && stIdx == 0) {
                 continue;
             }
-            const int slot = d * st.nStreams + stIdx;
-            streamAt(d, stIdx).record(tails[slot], runAttr);
-            streamAt(0, 0).wait(tails[slot], runAttr);
+            sys::EventPtr tail = eventAt(tailBase + d * st.nStreams + stIdx);
+            streamAt(d, stIdx).record(tail, runAttr);
+            streamAt(0, 0).wait(std::move(tail), runAttr);
         }
     }
     auto barrier = std::make_shared<sys::Event>();

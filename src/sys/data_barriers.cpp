@@ -15,11 +15,11 @@ void pushUnique(std::vector<EventPtr>& out, const EventPtr& ev)
 
 }  // namespace
 
-std::vector<EventPtr> DataBarriers::acquire(const std::vector<uint64_t>& reads,
-                                            const std::vector<uint64_t>& writes)
+void DataBarriers::acquire(const std::vector<uint64_t>& reads, const std::vector<uint64_t>& writes,
+                           std::vector<EventPtr>& out)
 {
+    out.clear();
     std::lock_guard<std::mutex> lock(mMutex);
-    std::vector<EventPtr>       out;
     for (const uint64_t uid : writes) {
         auto it = mChains.find(uid);
         if (it == mChains.end()) {
@@ -41,7 +41,6 @@ std::vector<EventPtr> DataBarriers::acquire(const std::vector<uint64_t>& reads,
         }
         pushUnique(out, it->second.writeTail);
     }
-    return out;
 }
 
 void DataBarriers::publish(const std::vector<uint64_t>& reads, const std::vector<uint64_t>& writes,

@@ -25,12 +25,14 @@ class DataBarriers
 {
    public:
     /// Events a run reading `reads` and writing `writes` must wait on
-    /// before touching any of those objects: the last write tail for every
-    /// uid, plus every reader tail since that write for uids in `writes`
-    /// (write-after-read). Deduplicated; unrecorded entries never appear
-    /// because tails are published at enqueue time in program order.
-    [[nodiscard]] std::vector<EventPtr> acquire(const std::vector<uint64_t>& reads,
-                                               const std::vector<uint64_t>& writes);
+    /// before touching any of those objects, written to `out` (cleared
+    /// first, so a caller reusing it allocates nothing once it has grown):
+    /// the last write tail for every uid, plus every reader tail since that
+    /// write for uids in `writes` (write-after-read). Deduplicated;
+    /// unrecorded entries never appear because tails are published at
+    /// enqueue time in program order.
+    void acquire(const std::vector<uint64_t>& reads, const std::vector<uint64_t>& writes,
+                 std::vector<EventPtr>& out);
 
     /// Publish `tail` as the completion event of a run that read `reads`
     /// and wrote `writes`. Written uids start a fresh chain epoch (their

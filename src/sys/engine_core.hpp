@@ -6,6 +6,7 @@
 // a wait, so the core compiles inline into every engine's per-op path.
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
 #include <string>
 #include <type_traits>
@@ -62,7 +63,7 @@ Engine::OpCharge Engine::charge(const Stream& stream, double& vtime, const O& op
         const SimConfig& cfg = dev.config();
         double           start = vtime;
         FaultDecision    d;
-        TransferSchedule plan;  // transfer only: one DMA window per chunk
+        TransferSchedule plan;  // transfer only: one DMA window per chunk when traced
         if constexpr (std::is_same_v<O, KernelOp>) {
             start = std::max(vtime, dev.computeAvailable);
         }
@@ -84,7 +85,7 @@ Engine::OpCharge Engine::charge(const Stream& stream, double& vtime, const O& op
             // transfers, then back off exponentially in virtual time.
             const int failed = std::min(d.failedAttempts, cfg.retry.maxAttempts);
             for (int attempt = 1; attempt <= failed; ++attempt) {
-                const TransferSchedule bad = planTransfer(dev, start, op, d.slowdown);
+                const TransferSchedule bad = planTransfer(dev, start, op, d.slowdown, false);
                 const double           retryAt = bad.end + retryBackoff(cfg, attempt);
                 traceRow(stream, OpKind::Fault,
                          "retry#" + std::to_string(attempt) + ":" + op.name, start, retryAt,
@@ -96,7 +97,7 @@ Engine::OpCharge Engine::charge(const Stream& stream, double& vtime, const O& op
                 throwRuntimeError(RuntimeError::Kind::TransferFailed, dev.id(), stream.id(),
                                   to_string(kKindOf<O>), op.name, op.attr, cfg.retry.maxAttempts);
             }
-            plan = planTransfer(dev, start, op, d.slowdown);
+            plan = planTransfer(dev, start, op, d.slowdown, mTrace.enabled());
             end = std::max(plan.end, start);
         }
         if (cfg.opTimeout > 0.0 && end - vtime > cfg.opTimeout) {
@@ -128,9 +129,9 @@ void Engine::finish(const Stream& stream, const O& op, const OpCharge& c)
     } else if constexpr (std::is_same_v<O, TransferOp>) {
         // The rows were recorded by charge().
         if (!dev.config().dryRun) {
-            for (const auto& chunk : op.chunks) {
-                if (chunk.copy) {
-                    chunk.copy();
+            for (const TransferChunk& chunk : op.chunks) {
+                if (chunk.src != nullptr && chunk.dst != nullptr) {
+                    std::memcpy(chunk.dst, chunk.src, chunk.bytes);
                 }
             }
         }

@@ -12,68 +12,49 @@ std::atomic<uint64_t> gNextEventId{1};
 
 Event::Event() : mId(gNextEventId.fetch_add(1, std::memory_order_relaxed)) {}
 
-void Event::record(double vtime, int device, int stream)
+void Event::wakeWaiters()
 {
-    {
-        std::lock_guard<std::mutex> lock(mMutex);
-        mRecorded = true;
-        mVtime = vtime;
-        mDevice = device;
-        mStream = stream;
-    }
+    // Notify under the mutex: a waiter registered itself while holding it,
+    // so it is either inside wait_for (and woken) or has not yet re-checked
+    // the flag (and will see it).
+    std::lock_guard<std::mutex> lock(mMutex);
     mCv.notify_all();
-}
-
-bool Event::recorded() const
-{
-    std::lock_guard<std::mutex> lock(mMutex);
-    return mRecorded;
-}
-
-double Event::vtime() const
-{
-    std::lock_guard<std::mutex> lock(mMutex);
-    return mVtime;
-}
-
-int Event::recordedDevice() const
-{
-    std::lock_guard<std::mutex> lock(mMutex);
-    return mDevice;
-}
-
-int Event::recordedStream() const
-{
-    std::lock_guard<std::mutex> lock(mMutex);
-    return mStream;
 }
 
 EventWaitStatus Event::waitRecorded(double timeoutSeconds, const std::atomic<bool>* cancel,
                                     double* vtimeOut) const
 {
-    using Clock = std::chrono::steady_clock;
-    const auto deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(std::max(timeoutSeconds, 0.0)));
-    // Wait in short slices so a cancel raised by another thread (engine
-    // abort) is observed promptly even though it cannot notify our cv.
-    constexpr auto               kSlice = std::chrono::milliseconds(2);
-    std::unique_lock<std::mutex> lock(mMutex);
-    for (;;) {
-        if (mRecorded) {
-            if (vtimeOut != nullptr) {
-                *vtimeOut = mVtime;
+    if (!recorded()) {
+        using Clock = std::chrono::steady_clock;
+        const auto deadline =
+            Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double>(std::max(timeoutSeconds, 0.0)));
+        // Wait in short slices so a cancel raised by another thread (engine
+        // abort) is observed promptly even though it cannot notify our cv.
+        constexpr auto               kSlice = std::chrono::milliseconds(2);
+        std::unique_lock<std::mutex> lock(mMutex);
+        mWaiters.fetch_add(1);
+        EventWaitStatus status = EventWaitStatus::Recorded;
+        while (!mRecorded.load()) {
+            if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
+                status = EventWaitStatus::Cancelled;
+                break;
             }
-            return EventWaitStatus::Recorded;
+            if (timeoutSeconds > 0.0 && Clock::now() >= deadline) {
+                status = EventWaitStatus::TimedOut;
+                break;
+            }
+            mCv.wait_for(lock, kSlice);
         }
-        if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
-            return EventWaitStatus::Cancelled;
+        mWaiters.fetch_sub(1);
+        if (status != EventWaitStatus::Recorded) {
+            return status;
         }
-        if (timeoutSeconds > 0.0 && Clock::now() >= deadline) {
-            return EventWaitStatus::TimedOut;
-        }
-        mCv.wait_for(lock, kSlice, [this] { return mRecorded; });
     }
+    if (vtimeOut != nullptr) {
+        *vtimeOut = mVtime;
+    }
+    return EventWaitStatus::Recorded;
 }
 
 }  // namespace neon::sys

@@ -79,13 +79,52 @@ struct KernelOp
     OpAttribution  attr;
 };
 
-/// One contiguous device-to-device copy; `direction` selects the DMA engine
-/// (0: towards the lower-id neighbour, 1: towards the higher-id neighbour).
+/// One contiguous device-to-device copy of `bytes` from `src` to `dst`;
+/// `direction` selects the DMA engine (0: towards the lower-id neighbour, 1:
+/// towards the higher-id neighbour). A plain descriptor: the engine copies
+/// it unless the device is dry-run. Null buffers (cost-only ops) copy
+/// nothing.
 struct TransferChunk
 {
-    size_t                bytes = 0;
-    int                   direction = 0;
-    std::function<void()> copy;
+    size_t      bytes = 0;
+    int         direction = 0;
+    const void* src = nullptr;
+    void*       dst = nullptr;
+};
+
+/// The chunks of a TransferOp: a list shared by every op built from it, so
+/// a halo builds each device's list once and each exchange it enqueues
+/// shares that list instead of copying it. push_back() builds a list in
+/// place, copying it first when another op still shares it.
+class TransferChunks
+{
+   public:
+    TransferChunks() = default;
+    explicit TransferChunks(std::vector<TransferChunk> chunks)
+        : mList(std::make_shared<std::vector<TransferChunk>>(std::move(chunks)))
+    {
+    }
+
+    void push_back(const TransferChunk& chunk)
+    {
+        if (mList == nullptr) {
+            mList = std::make_shared<std::vector<TransferChunk>>();
+        } else if (mList.use_count() > 1) {
+            mList = std::make_shared<std::vector<TransferChunk>>(*mList);
+        }
+        mList->push_back(chunk);
+    }
+
+    [[nodiscard]] size_t size() const { return mList ? mList->size() : 0; }
+    [[nodiscard]] bool   empty() const { return size() == 0; }
+    [[nodiscard]] const TransferChunk* begin() const { return mList ? mList->data() : nullptr; }
+    [[nodiscard]] const TransferChunk* end() const
+    {
+        return mList ? mList->data() + mList->size() : nullptr;
+    }
+
+   private:
+    std::shared_ptr<std::vector<TransferChunk>> mList;
 };
 
 /// A group of copies issued together (e.g. one haloUpdate on one device).
@@ -94,9 +133,9 @@ struct TransferChunk
 /// `n` latencies per direction while AoS pays one (paper §IV-C2).
 struct TransferOp
 {
-    std::string                name;
-    std::vector<TransferChunk> chunks;
-    OpAttribution              attr;
+    std::string    name;
+    TransferChunks chunks;
+    OpAttribution  attr;
 };
 
 /// Host-side work executed in stream order (e.g. the reduce combine step).

@@ -4,12 +4,15 @@
 
 namespace neon::sys {
 
-TransferSchedule planTransfer(Device& dev, double vtime, const TransferOp& op, double slowdown)
+TransferSchedule planTransfer(Device& dev, double vtime, const TransferOp& op, double slowdown,
+                              bool withWindows)
 {
     const SimConfig& cfg = dev.config();
     TransferSchedule plan;
     plan.end = vtime;
-    plan.windows.reserve(op.chunks.size());
+    if (withWindows) {
+        plan.windows.reserve(op.chunks.size());
+    }
 
     double dirEnd[2] = {0.0, 0.0};
     bool   dirUsed[2] = {false, false};
@@ -21,7 +24,9 @@ TransferSchedule planTransfer(Device& dev, double vtime, const TransferOp& op, d
         }
         const double start = dirEnd[dir];
         dirEnd[dir] = start + transferDuration(cfg, chunk.bytes) * slowdown;
-        plan.windows.push_back({start, dirEnd[dir], chunk.bytes});
+        if (withWindows) {
+            plan.windows.push_back({start, dirEnd[dir], chunk.bytes});
+        }
         plan.totalBytes += chunk.bytes;
     }
     for (int dir = 0; dir < 2; ++dir) {

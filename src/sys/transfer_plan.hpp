@@ -25,14 +25,16 @@ struct TransferSchedule
     /// Stream virtual time after the op (max over used DMA directions, at
     /// least the stream time the op started at).
     double                      end = 0.0;
-    std::vector<TransferWindow> windows;  ///< one per chunk, in chunk order
+    std::vector<TransferWindow> windows;  ///< one per chunk, in chunk order (if asked for)
     uint64_t                    totalBytes = 0;
 };
 
 /// Schedule `op`'s chunks onto `dev`'s DMA engines starting at stream time
 /// `vtime` and commit dev.copyAvailable. `slowdown` scales each chunk's
-/// duration (link degradation). The threaded engine calls it with its clock
-/// lock held.
-TransferSchedule planTransfer(Device& dev, double vtime, const TransferOp& op, double slowdown);
+/// duration (link degradation). The per-chunk windows are materialised only
+/// with `withWindows` (a trace row will be written for each). The threaded
+/// engine calls it with its clock lock held.
+TransferSchedule planTransfer(Device& dev, double vtime, const TransferOp& op, double slowdown,
+                              bool withWindows);
 
 }  // namespace neon::sys

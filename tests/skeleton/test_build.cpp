@@ -192,6 +192,16 @@ TEST(BuildGraph, ScopesFollowNodeKinds)
     const int use = findNode(g2, "useR");
     EXPECT_TRUE(g2.hasDataEdge(comb2, use));
     EXPECT_EQ(g2.waitScope(comb2, use), WaitScope::Root);
+    // A scalarOp reading the scalar written by combine: both run on device
+    // 0, so the scalar -> scalar edge waits on device 0 only.
+    GlobalScalar<float> s(app.grid.backend(), "s", 0.0f);
+    auto scal = Container::scalarOp<float>("scaleR", app.grid.backend(), {app.r}, {s},
+                                           [r = app.r, s]() mutable { s.set(2.0f * r.hostValue()); });
+    auto g3 = buildGraph({app.dot, scal}, 2);
+    const int comb3 = findNode(g3, "combine(r)");
+    const int scale = findNode(g3, "scaleR");
+    EXPECT_TRUE(g3.hasDataEdge(comb3, scale));
+    EXPECT_EQ(g3.waitScope(comb3, scale), WaitScope::Root);
 }
 
 }  // namespace neon::skeleton

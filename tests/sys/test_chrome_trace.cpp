@@ -240,7 +240,7 @@ JsonValue recordedChromeTrace(std::string* rawOut = nullptr)
 
     TransferOp op;
     op.name = "halo";
-    op.chunks.push_back({1 << 20, 1, [] {}});
+    op.chunks.push_back({1 << 20, 1});
     b.stream(1, 0).transfer(std::move(op));
     enqueueKernel(b.stream(1, 0), "consume", 1'000'000, {100.0, 0.0}, [] {});
     b.sync();

@@ -67,7 +67,7 @@ std::string recordedTrace()
     enqueueKernel(b.stream(0), "compute", 1'000'000, {100.0, 0.0}, [] {});
     TransferOp op;
     op.name = "halo";
-    op.chunks.push_back({1 << 20, 1, [] {}});
+    op.chunks.push_back({1 << 20, 1});
     b.stream(0).transfer(std::move(op));
     b.sync();
 

@@ -109,7 +109,7 @@ TEST_P(EngineTest, TransferOverlapsComputeOnDifferentStreams)
     enqueueKernel(b.stream(0, 0), "compute", 1'000'000, {1000.0, 0.0}, [] {});
     sys::TransferOp op;
     op.name = "halo";
-    op.chunks.push_back({bytes, 1, [] {}});
+    op.chunks.push_back({bytes, 1});
     b.stream(0, 1).transfer(std::move(op));
     b.sync();
     EXPECT_NEAR(b.profiler().makespan(), std::max(tKernel, tXfer), std::max(tKernel, tXfer) * 0.01);
@@ -123,7 +123,7 @@ TEST_P(EngineTest, SoAHaloPaysPerComponentLatency)
     // 8 chunks in one direction serialize on the DMA engine.
     sys::TransferOp op;
     for (int c = 0; c < 8; ++c) {
-        op.chunks.push_back({bytes, 1, [] {}});
+        op.chunks.push_back({bytes, 1});
     }
     b.stream(0).transfer(std::move(op));
     b.sync();
@@ -135,8 +135,8 @@ TEST_P(EngineTest, TwoDirectionsUseParallelDmaEngines)
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     Backend        b = makeBackend(1, cfg);
     sys::TransferOp op;
-    op.chunks.push_back({1 << 20, 0, [] {}});
-    op.chunks.push_back({1 << 20, 1, [] {}});
+    op.chunks.push_back({1 << 20, 0});
+    op.chunks.push_back({1 << 20, 1});
     b.stream(0).transfer(std::move(op));
     b.sync();
     EXPECT_NEAR(b.profiler().makespan(), sys::transferDuration(cfg, 1 << 20), 1e-12);

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "core/error.hpp"
 #include "dgrid/dfield.hpp"
@@ -29,11 +30,11 @@ Backend faultyBackend(int nDev, sys::SimConfig cfg, Backend::EngineKind kind,
     return Backend::make(BackendSpec::simGpu(nDev, cfg, kind).withFaults(std::move(plan)));
 }
 
-sys::TransferOp oneChunk(size_t bytes)
+sys::TransferOp oneChunk(size_t bytes, const void* src = nullptr, void* dst = nullptr)
 {
     sys::TransferOp op;
     op.name = "halo";
-    op.chunks.push_back({bytes, 1, [] {}});
+    op.chunks.push_back({bytes, 1, src, dst});
     return op;
 }
 
@@ -105,12 +106,12 @@ TEST_P(FaultEngineTest, TransientRetrySucceedsWithBackoffTimeline)
     Backend b = faultyBackend(1, cfg, GetParam(), plan);
     b.profiler().enable();
 
-    const size_t bytes = 1 << 20;
-    bool         copied = false;
-    auto         op = oneChunk(bytes);
-    op.chunks[0].copy = [&copied] { copied = true; };
-    b.stream(0).transfer(std::move(op));
+    const size_t      bytes = 1 << 20;
+    std::vector<char> src(bytes, 1);
+    std::vector<char> dst(bytes, 0);
+    b.stream(0).transfer(oneChunk(bytes, src.data(), dst.data()));
     b.sync();
+    const bool copied = dst == src;
 
     // Two failed attempts occupy the DMA engine, then back off; the third
     // attempt succeeds: 3 transfer durations + backoff(1) + backoff(2).
@@ -129,11 +130,10 @@ TEST_P(FaultEngineTest, RetryExhaustionRaisesTransferFailed)
     plan.add(sys::FaultSpec::transientTransfer(100));  // >> retry.maxAttempts
     Backend b = faultyBackend(1, cfg, GetParam(), plan);
 
-    bool copied = false;
+    std::vector<char> src(1 << 20, 1);
+    std::vector<char> dst(1 << 20, 0);
     try {
-        auto op = oneChunk(1 << 20);
-        op.chunks[0].copy = [&copied] { copied = true; };
-        b.stream(0).transfer(std::move(op));
+        b.stream(0).transfer(oneChunk(1 << 20, src.data(), dst.data()));
         b.sync();
         FAIL() << "expected RuntimeError";
     } catch (const RuntimeError& e) {
@@ -143,6 +143,7 @@ TEST_P(FaultEngineTest, RetryExhaustionRaisesTransferFailed)
         EXPECT_EQ(e.info.attempts, cfg.retry.maxAttempts);
         EXPECT_EQ(e.info.opName, "halo");
     }
+    const bool copied = dst == src;
     EXPECT_FALSE(copied) << "an exhausted transfer must not execute its copy";
     // The abort is sticky: further enqueues and syncs keep reporting it.
     EXPECT_THROW(enqueueKernel(b.stream(0), "k", 1, {}, [] {}), RuntimeError);

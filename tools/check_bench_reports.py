@@ -17,9 +17,11 @@ These schemas are understood:
   machine-independent gates are speedup >= 10 (a cached sequence() must
   replay, not recompile) and CG ratio <= 2.5 (both sides are timed in one
   process, so host load cancels out). With --overhead-baseline, the
-  cached-path wall cost and the dispatch ns_per_cell are additionally
-  gated at 2x the committed baseline, so a hot-path regression fails CI
-  even when the compile path regresses by the same factor.
+  enqueue ns_per_op (run wall time over the ops an enqueue hook counted
+  in one cached run), the cached-path wall cost and the dispatch
+  ns_per_cell are additionally gated at 2x the committed baseline, so a
+  hot-path regression fails CI even when the compile path regresses by
+  the same factor.
 * The multi-tenant traffic replay from bench_service
   (docs/service.md, "bench": "service"): >= 1000 mixed jobs replayed
   both serialized (maxInFlight=1, no batching) and concurrent
@@ -29,6 +31,14 @@ These schemas are understood:
   latency strictly, and beat the serialized device utilization
   strictly — otherwise the service layer has stopped buying anything
   over a FIFO-of-one.
+* The Table I single-device Karman comparison from bench_table1_karman
+  (EXPERIMENTS.md, "bench": "table1"): per domain size, MLUPS of Neon on
+  one host thread, of the hand-written D2Q9 solver and of Neon on the
+  default pool (reported only), with Neon and native timed in interleaved
+  reps. The gate is machine-independent because both sides of each ratio
+  run in one process: Neon must run on one host thread, and its
+  one-thread time may be at most MAX_TABLE1_RATIO times the native
+  solver's at every size.
 * The Table II single-device LBM comparison from bench_table2_lbm_single
   (EXPERIMENTS.md, "bench": "table2"): MLUPS of the three hand-written
   D3Q19 variants and of Neon on one host thread (plus Neon on the default
@@ -88,6 +98,12 @@ BASELINE_SLACK = 2.0
 # linear cell addressing, 5.8x with the coordinate-addressed accessors and
 # runtime component loops it replaced.
 MAX_CG_RATIO = 2.5
+
+TABLE1_MLUPS_KEYS = ["neon_1t", "native", "neon_pool"]
+# One-thread Neon D2Q9 step over the hand-written solver on the same domain
+# (docs/performance.md, "CI gates"): 0.83-1.12 in ten runs over three
+# sizes (256x64, 512x128, 1024x256).
+MAX_TABLE1_RATIO = 1.5
 
 TABLE2_MLUPS_KEYS = ["native_fused", "native_aa", "native_twopop_indexed", "neon_1t", "neon_pool"]
 # One-thread Neon D3Q19 step over the hand-written fused kernel on the same
@@ -196,6 +212,14 @@ def check_overhead_report(path: str, report: dict, baseline_path: str | None) ->
         baseline, load_errors = load(baseline_path)
         if load_errors:
             return errors + load_errors
+        base_enqueue = baseline.get("enqueue", {}).get("ns_per_op")
+        if base_enqueue is None:
+            errors.append(f"{baseline_path}: baseline missing enqueue.ns_per_op")
+        elif enqueue["ns_per_op"] > BASELINE_SLACK * base_enqueue:
+            errors.append(
+                f"{path}: enqueue cost {enqueue['ns_per_op']:.0f} ns/op exceeds "
+                f"{BASELINE_SLACK:.0f}x baseline ({base_enqueue:.0f} ns/op from {baseline_path})"
+            )
         base_cached = baseline.get("sequence", {}).get("cached_ns")
         if base_cached is None:
             errors.append(f"{baseline_path}: baseline missing sequence.cached_ns")
@@ -268,6 +292,46 @@ def check_service_report(path: str, report: dict) -> list[str]:
             f"{path}: concurrent utilization {concurrent['utilization']:.3f} not above "
             f"serialized {serialized['utilization']:.3f}"
         )
+    return errors
+
+
+def check_table1_report(path: str, report: dict) -> list[str]:
+    errors = []
+    sizes = report.get("sizes")
+    if not isinstance(sizes, list) or not sizes:
+        errors.append(f"{path}: missing or empty 'sizes' list")
+    else:
+        for i, entry in enumerate(sizes):
+            mlups = entry.get("mlups") if isinstance(entry, dict) else None
+            if not isinstance(mlups, dict):
+                errors.append(f"{path}: sizes[{i}] missing 'mlups'")
+                continue
+            for key in TABLE1_MLUPS_KEYS:
+                value = mlups.get(key)
+                if not isinstance(value, (int, float)) or value <= 0:
+                    errors.append(
+                        f"{path}: sizes[{i}] mlups '{key}' {value!r} is not a positive number"
+                    )
+            for key in ("nx", "ny", "ratio_1t"):
+                if key not in entry:
+                    errors.append(f"{path}: sizes[{i}] missing '{key}'")
+    if "neon_threads" not in report:
+        errors.append(f"{path}: missing 'neon_threads'")
+    if errors:
+        return errors
+
+    if report["neon_threads"] != 1:
+        return [
+            f"{path}: Neon ran on {report['neon_threads']} host threads against the "
+            "one-thread native solver (is NEON_THREADS set?)"
+        ]
+    for entry in sizes:
+        if entry["ratio_1t"] > MAX_TABLE1_RATIO:
+            errors.append(
+                f"{path}: one-thread Neon D2Q9 step at {entry['nx']}x{entry['ny']} takes "
+                f"{entry['ratio_1t']:.2f}x the native solver (gate: <= {MAX_TABLE1_RATIO}x; "
+                f"{entry['mlups']['neon_1t']:.2f} vs {entry['mlups']['native']:.2f} MLUPS)"
+            )
     return errors
 
 
@@ -364,6 +428,8 @@ def check(path: str, overhead_baseline: str | None) -> list[str]:
         return check_service_report(path, report)
     if report.get("bench") == "repartition":
         return check_repartition_report(path, report)
+    if report.get("bench") == "table1":
+        return check_table1_report(path, report)
     if report.get("bench") == "table2":
         return check_table2_report(path, report)
     return check_execution_report(path, report)
@@ -376,8 +442,8 @@ def main() -> int:
     parser.add_argument(
         "--overhead-baseline",
         metavar="BASELINE.json",
-        help="committed overhead baseline; gates cached_ns at "
-        f"{BASELINE_SLACK:.0f}x the baseline value",
+        help="committed overhead baseline; gates ns_per_op, cached_ns and ns_per_cell at "
+        f"{BASELINE_SLACK:.0f}x the baseline values",
     )
     parser.add_argument("reports", nargs="+", metavar="REPORT.json")
     args = parser.parse_args()
