@@ -44,10 +44,10 @@ class InternalError : public NeonException
     explicit InternalError(const std::string& what) : NeonException("internal error: " + what) {}
 };
 
-/// Structured runtime fault raised by the execution engines
+/// Structured runtime fault raised by the execution engine
 /// (docs/robustness.md): a transfer that exhausted its retry budget, a
-/// permanently lost device, an op that exceeded the virtual per-op timeout,
-/// or a host-side sync/event wait that exceeded the wall-clock timeout.
+/// permanently lost device or an op that exceeded the virtual per-op
+/// timeout; neon::service also raises it to reject a submission.
 /// Every error carries full attribution — device, stream, op kind/name and
 /// the skeleton container/run that enqueued the op — so a failure is never
 /// a bare hang or a silent wrong result.
@@ -59,7 +59,6 @@ class RuntimeError : public NeonException
         TransferFailed,  ///< transfer failed on every attempt of the retry budget
         DeviceLost,      ///< op targeted a permanently lost device
         OpTimeout,       ///< op exceeded SimConfig::opTimeout (virtual seconds)
-        SyncTimeout,     ///< host wait exceeded SimConfig::hostSyncTimeout (wall)
         AdmissionRejected,  ///< neon::service refused the submission (quota/limits)
     };
 
@@ -68,12 +67,12 @@ class RuntimeError : public NeonException
         Kind        kind = Kind::DeviceLost;
         int         device = -1;
         int         stream = -1;
-        std::string opKind;  ///< "kernel" | "transfer" | "hostFn" | "wait" | "sync" | "submit"
+        std::string opKind;  ///< "kernel" | "transfer" | "hostFn" | "wait" | "submit"
         std::string opName;
         int         containerId = -1;  ///< skeleton graph-node id, -1 outside a skeleton
         int         runId = -1;        ///< skeleton run() window id, -1 outside
         int         attempts = 0;      ///< TransferFailed: attempts made before giving up
-        double      timeout = 0.0;     ///< *Timeout kinds: the configured limit [s]
+        double      timeout = 0.0;     ///< OpTimeout: the configured limit [virtual s]
         /// Filled by the Skeleton abort path: label of the graph node and
         /// the last run whose effects are declared consistent.
         std::string containerLabel;
@@ -95,7 +94,6 @@ class RuntimeError : public NeonException
             case Kind::TransferFailed: kind = "transfer failed"; break;
             case Kind::DeviceLost: kind = "device lost"; break;
             case Kind::OpTimeout: kind = "op timeout"; break;
-            case Kind::SyncTimeout: kind = "sync timeout"; break;
             case Kind::AdmissionRejected: kind = "admission rejected"; break;
         }
         std::string msg = "runtime fault [" + kind + "]: " + (i.opKind.empty() ? "op" : i.opKind);

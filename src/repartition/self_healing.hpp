@@ -6,11 +6,11 @@
 //   fault -> checkpoint -> shrink -> repartition -> recompile -> resume
 //
 // The checkpoint leg is proactive: after every completed step the guarded
-// fields snapshot their global state host-side (the engines' fail-stop
-// abort drains queued ops without executing, so a faulted step may have
-// written some devices but not others — only the pre-step snapshot is
-// consistent). On RuntimeError{DeviceLost} the runner quiesces the dying
-// backend, builds a survivor backend from the old spec minus the lost
+// fields snapshot their global state host-side (the engine's fail-stop
+// abort stops a step at the faulting op, so a faulted step may have written
+// some devices but not others — only the pre-step snapshot is consistent).
+// On RuntimeError{DeviceLost} the runner clears the dying backend's abort
+// latch, builds a survivor backend from the old spec minus the lost
 // device, rebinds the grid (fields re-allocate on the survivors),
 // invalidates every schedule-cache entry keyed on the old device count,
 // rebuilds the containers, re-sequences, restores the snapshot and resumes
@@ -250,7 +250,6 @@ class SelfHealingRunner
                    "SelfHealingRunner: device lost with no survivor to recover onto");
         NEON_CHECK(ev.lostDevice >= 0 && ev.lostDevice < ev.devicesBefore,
                    "SelfHealingRunner: fault carries no usable device attribution");
-        dying.engine().quiesce();
         dying.engine().clearAbort();
 
         const set::BackendSpec spec =

@@ -7,11 +7,11 @@
 // policy. Dispatch = compile (schedule-cache backed), lease a disjoint
 // stream block, pad the leased streams to the job's start time with a
 // host-recorded event, run the schedule under a RunScope carrying the job
-// id, and remember the tail event as the job's completion future.
+// id, and take the tail event's vtime as the job's completion.
 //
-// Determinism: every timestamp is virtual, completions are resolved by
-// blocking on tail events (never by polling wall time), so a fixed trace
-// and config replays identically on the Sequential and Threaded engines.
+// Determinism: every timestamp is virtual and completions are read off
+// tail events (never off wall time), so a fixed trace and config replay
+// identically.
 
 #include "service/service.hpp"
 
@@ -93,7 +93,6 @@ struct Job::State
     std::vector<set::Container>         ops;
     skeleton::SequenceOptions           options;
     std::shared_ptr<skeleton::Skeleton> skl;
-    sys::EventPtr                       tail;
     std::shared_ptr<LeaseHold>          lease;
 
     set::Backend backend;
@@ -229,7 +228,7 @@ void markFailed(Service::Impl& s, Job::State& j, RuntimeError::Info info)
 }
 
 /// Put a dispatched job back in the queue for a fresh dispatch: release
-/// its lease/tail/skeleton and restore the pre-dispatch invariants. Its
+/// its lease/completion/skeleton and restore the pre-dispatch invariants. Its
 /// ops handles were kept at dispatch, so the next dispatchOne recompiles
 /// them against whatever backend the service holds by then.
 void requeue(Service::Impl& s, const std::shared_ptr<Job::State>& j)
@@ -239,7 +238,7 @@ void requeue(Service::Impl& s, const std::shared_ptr<Job::State>& j)
     j->start = -1.0;
     j->startSeq = -1;
     j->isBatched = false;
-    j->tail.reset();
+    j->completion = -1.0;
     j->skl.reset();
     j->lease.reset();
     // Keep submission order: the queue is scanned FIFO by submission
@@ -287,77 +286,6 @@ bool recoverDeviceLoss(Service::Impl& s, const RuntimeError::Info& info)
     return true;
 }
 
-/// Pull a latched engine abort (threaded engine: a worker faulted after
-/// dispatch returned), attribute it, and restore the engine. Default
-/// fail-stop blast radius: the abort suppressed every op queued behind
-/// it, so every currently in-flight job's remaining work was dropped —
-/// all of them are failed, each with its own attribution (the triggering
-/// job keeps the original fault kind). With a recovery handler installed,
-/// a DeviceLost abort instead fails only the attributed job and re-queues
-/// the rest onto the recovered backend.
-void absorbAbort(Service::Impl& s)
-{
-    auto& eng = s.backend.engine();
-    if (!eng.aborted()) {
-        return;
-    }
-    RuntimeError::Info info;
-    try {
-        eng.rethrowAbort();
-    } catch (const RuntimeError& e) {
-        info = e.info;
-    } catch (...) {
-        info.kind = RuntimeError::Kind::DeviceLost;
-    }
-    eng.quiesce();
-    eng.clearAbort();
-    if (recoverDeviceLoss(s, info)) {
-        return;
-    }
-    bool attributed = false;
-    for (auto& j : s.inflight) {
-        if (j->state != JobState::Running) {
-            continue;
-        }
-        markFailed(s, *j, info);
-        attributed = attributed || j->id == info.jobId;
-    }
-    if (!attributed && info.jobId >= 0) {
-        for (auto& j : s.all) {
-            if (j->id == info.jobId && j->state != JobState::Failed) {
-                markFailed(s, *j, info);
-                break;
-            }
-        }
-    }
-}
-
-/// Blocking tail-event resolution: the job's virtual completion time. On
-/// the sequential engine the tail is recorded eagerly at dispatch; on the
-/// threaded engine this waits (bounded by hostSyncTimeout) for the worker
-/// threads to reach it.
-double resolveCompletion(Service::Impl& s, Job::State& j)
-{
-    if (j.completion >= 0) {
-        return j.completion;
-    }
-    NEON_CHECK(j.tail != nullptr, "service: in-flight job without a tail event");
-    const double limit = s.backend.config().hostSyncTimeout;
-    double       v = 0.0;
-    double       waited = 0.0;
-    for (;;) {
-        const auto status = j.tail->waitRecorded(0.25, nullptr, &v);
-        if (status == sys::EventWaitStatus::Recorded) {
-            break;
-        }
-        waited += 0.25;
-        NEON_CHECK(limit <= 0.0 || waited < limit,
-                   "service: timed out waiting for job " + std::to_string(j.id) + " tail");
-    }
-    j.completion = std::max(v, j.start);
-    return j.completion;
-}
-
 /// Retire every in-flight job whose completion the clock has passed,
 /// releasing its share of the stream lease.
 void retire(Service::Impl& s)
@@ -367,7 +295,7 @@ void retire(Service::Impl& s)
         if (j->state != JobState::Running && j->state != JobState::Failed) {
             continue;
         }
-        if (resolveCompletion(s, *j) > s.clock) {
+        if (j->completion > s.clock) {
             continue;
         }
         if (j->state == JobState::Running) {
@@ -442,16 +370,16 @@ void dispatchOne(Service::Impl& s, const std::shared_ptr<Job::State>& job,
         for (int r = 0; r < job->runs; ++r) {
             skl->run(scope);
         }
-        job->tail = skl->lastRunTail();
+        // Ops run at enqueue, so the tail is already recorded: its vtime is
+        // the job's virtual completion.
+        job->completion = std::max(skl->lastRunTail()->vtime(), job->start);
         job->skl = std::move(skl);
         job->lease = lease;
         job->state = JobState::Running;
         s.inflight.push_back(job);
     } catch (const RuntimeError& e) {
-        // Dispatch-time fault (sequential engine executes eagerly, so this
-        // is where its faults surface). Skeleton::run already quiesced;
-        // clear the latch so subsequent jobs dispatch.
-        s.backend.engine().quiesce();
+        // Every fault surfaces here: ops run at enqueue. Clear the latch so
+        // subsequent jobs dispatch.
         s.backend.engine().clearAbort();
         if (recoverDeviceLoss(s, e.info) && job->requeues < 3 &&
             !(job->id == e.info.jobId || e.info.jobId < 0)) {
@@ -510,12 +438,11 @@ void dispatchWhilePossible(Service::Impl& s)
     }
 }
 
-/// One discrete-event step: absorb aborts, retire, dispatch, and — if work
-/// remains but nothing is dispatchable — advance the clock to the next
-/// event (earliest queued arrival or earliest in-flight completion).
+/// One discrete-event step: retire, dispatch, and — if work remains but
+/// nothing is dispatchable — advance the clock to the next event (earliest
+/// queued arrival or earliest in-flight completion).
 void step(Service::Impl& s)
 {
-    absorbAbort(s);
     retire(s);
     dispatchWhilePossible(s);
     if (s.queue.empty() && s.inflight.empty()) {
@@ -528,40 +455,10 @@ void step(Service::Impl& s)
         }
     }
     for (auto& j : s.inflight) {
-        next = std::min(next, resolveCompletion(s, *j));
+        next = std::min(next, j->completion);
     }
     NEON_CHECK(next < kInf, "service: scheduler stuck (no next event)");
     s.clock = std::max(s.clock, next);
-}
-
-/// Final backend sync: surfaces late engine aborts (threaded workers may
-/// fault after their job was virtually retired) as job failures rather
-/// than exceptions out of drain().
-void syncAbsorbing(Service::Impl& s)
-{
-    const int guard = static_cast<int>(s.all.size()) + 2;
-    for (int i = 0; i < guard; ++i) {
-        try {
-            s.backend.sync();
-            return;
-        } catch (const RuntimeError& e) {
-            auto& eng = s.backend.engine();
-            eng.quiesce();
-            eng.clearAbort();
-            RuntimeError::Info info = e.info;
-            bool               found = false;
-            for (auto& j : s.all) {
-                if (j->id == info.jobId && j->state != JobState::Failed) {
-                    markFailed(s, *j, info);
-                    found = true;
-                    break;
-                }
-            }
-            if (!found && info.jobId < 0) {
-                return;  // unattributable; engine restored, stop retrying
-            }
-        }
-    }
 }
 
 }  // namespace
@@ -588,7 +485,6 @@ Job Service::submit(JobRequest request)
     std::lock_guard<std::mutex> lock(s.mutex);
     NEON_CHECK(!request.ops.empty(), "Service::submit: empty container sequence");
 
-    absorbAbort(s);
     const double arrival = request.arrival < 0.0 ? s.clock : request.arrival;
     s.clock = std::max(s.clock, arrival);
     retire(s);
@@ -641,7 +537,7 @@ void Service::drain()
     while (!s.queue.empty() || !s.inflight.empty()) {
         step(s);
     }
-    syncAbsorbing(s);
+    s.backend.sync();
 }
 
 void Service::wait(const Job& job)

@@ -22,9 +22,9 @@
 // Time is the backend's virtual clock. The service clock advances on
 // submit (to the job's arrival stamp) and inside drain()/wait() (to the
 // next arrival or completion event), discrete-event style, so a whole
-// traffic replay is deterministic for a fixed seed on both engines.
+// traffic replay is deterministic for a fixed seed.
 //
-// Threading contract: the engines accept host enqueues from one thread at
+// Threading contract: the engine accepts host enqueues from one thread at
 // a time, so Service is itself single-threaded — one thread calls
 // submit()/drain()/wait(). A mutex serializes the public methods to make
 // accidental cross-thread use fail safe rather than corrupt state.
@@ -97,8 +97,8 @@ struct ServiceConfig
 };
 
 /// Policy hook for surviving a permanent device loss mid-trace
-/// (docs/robustness.md, "Self-healing recovery"). Called from the absorb
-/// path with the dying backend and the fault attribution; returns the
+/// (docs/robustness.md, "Self-healing recovery"). Called from the dispatch
+/// that hit the loss, with the dying backend and the fault attribution; returns the
 /// recovered backend the service should dispatch onto from now on. The
 /// handler owns the domain-side recovery: build a survivor backend (e.g.
 /// repartition::survivorSpec), rebind its grids and rebuild the submitted
@@ -131,8 +131,7 @@ class Service
     Job submit(JobRequest request);
 
     /// Run the discrete-event loop until every admitted job completed or
-    /// failed, then sync the backend (surfacing any late engine abort as
-    /// the owning job's failure, not an exception here).
+    /// failed. A fault fails its job at dispatch, never throws here.
     void drain();
 
     /// drain() until this one job is done (other jobs make progress too,

@@ -8,9 +8,9 @@
 //   auto report = an.raceReport();  // happens-before race check
 //
 // Analyzer is a cheap value handle onto the race session installed as the
-// backend engine's enqueue hook; copies observe the same session. The check
-// is engine-independent: ops are fed in host enqueue order, so sequential
-// and threaded engines produce the same verdict for the same schedule.
+// backend engine's enqueue hook; copies observe the same session. Ops are
+// fed in host enqueue order and the check is over happens-before, not over
+// the order the engine ran them in.
 
 #include "analysis/report.hpp"
 #include "set/backend.hpp"

@@ -10,9 +10,7 @@
 #include "set/analyzer.hpp"
 #include "set/profiler.hpp"
 #include "sys/device.hpp"
-#include "sys/sequential_engine.hpp"
 #include "sys/thread_pool.hpp"
-#include "sys/threaded_engine.hpp"
 
 namespace neon::set {
 
@@ -63,16 +61,10 @@ std::string deviceTypeName(sys::DeviceType t)
 
 }  // namespace
 
-std::string to_string(EngineKind k)
-{
-    return k == EngineKind::Sequential ? "sequential" : "threaded";
-}
-
 std::string BackendSpec::toString() const
 {
     std::ostringstream os;
-    os << deviceTypeName(deviceType) << " x" << nDevices << " engine=" << set::to_string(engine)
-       << " preset=" << preset;
+    os << deviceTypeName(deviceType) << " x" << nDevices << " preset=" << preset;
     if (hostThreads != 0) {
         os << " threads=" << hostThreads;
     }
@@ -106,12 +98,7 @@ BackendSpec BackendSpec::fromString(const std::string& text)
     std::string token;
     bool        dryRun = false;
     while (is >> token) {
-        if (token.rfind("engine=", 0) == 0) {
-            const std::string e = token.substr(7);
-            NEON_CHECK(e == "sequential" || e == "threaded",
-                       "BackendSpec::fromString: bad engine in '" + text + "'");
-            spec.engine = e == "sequential" ? EngineKind::Sequential : EngineKind::Threaded;
-        } else if (token.rfind("preset=", 0) == 0) {
+        if (token.rfind("preset=", 0) == 0) {
             spec.preset = token.substr(7);
         } else if (token.rfind("threads=", 0) == 0) {
             spec.hostThreads = std::stoi(token.substr(8));
@@ -139,23 +126,21 @@ BackendSpec BackendSpec::fromString(const std::string& text)
     return spec;
 }
 
-BackendSpec BackendSpec::simGpu(int nDevices, sys::SimConfig config, EngineKind engine)
+BackendSpec BackendSpec::simGpu(int nDevices, sys::SimConfig config)
 {
     BackendSpec spec;
     spec.nDevices = nDevices;
     spec.deviceType = sys::DeviceType::SIM_GPU;
-    spec.engine = engine;
     spec.config = config;
     spec.preset = presetNameFor(config);
     return spec;
 }
 
-BackendSpec BackendSpec::cpu(int nDevices, EngineKind engine)
+BackendSpec BackendSpec::cpu(int nDevices)
 {
     BackendSpec spec;
     spec.nDevices = nDevices;
     spec.deviceType = sys::DeviceType::CPU;
-    spec.engine = engine;
     spec.config = sys::SimConfig::zeroCost();
     spec.preset = "zeroCost";
     return spec;
@@ -190,12 +175,11 @@ struct Backend::Impl
 
 Backend::Backend() : Backend(1, sys::DeviceType::CPU, sys::SimConfig::zeroCost()) {}
 
-Backend::Backend(int nDevices, sys::DeviceType type, sys::SimConfig config, EngineKind engineKind)
+Backend::Backend(int nDevices, sys::DeviceType type, sys::SimConfig config)
 {
     BackendSpec spec;
     spec.nDevices = nDevices;
     spec.deviceType = type;
-    spec.engine = engineKind;
     spec.config = config;
     spec.preset = presetNameFor(config);
     *this = make(std::move(spec));
@@ -204,16 +188,8 @@ Backend::Backend(int nDevices, sys::DeviceType type, sys::SimConfig config, Engi
 Backend Backend::make(BackendSpec spec)
 {
     NEON_CHECK(spec.nDevices >= 1, "backend needs at least one device");
-    // NEON_ENGINE overrides the engine choice process-wide so tools like
-    // tools/neon-lint can run every example under both engines unmodified.
-    if (const char* env = std::getenv("NEON_ENGINE"); env != nullptr && *env != '\0') {
-        const std::string e(env);
-        NEON_CHECK(e == "sequential" || e == "threaded",
-                   "NEON_ENGINE must be 'sequential' or 'threaded', got '" + e + "'");
-        spec.engine = e == "sequential" ? EngineKind::Sequential : EngineKind::Threaded;
-    }
-    // NEON_THREADS overrides the host-pool width process-wide (same
-    // convention as NEON_ENGINE); then spec.hostThreads; then auto. Safe to
+    // NEON_THREADS overrides the host-pool width process-wide; then
+    // spec.hostThreads; then auto. Safe to
     // vary freely: the chunk partition is span-derived, so results are
     // bitwise identical for any width.
     int threads = spec.hostThreads;
@@ -233,18 +209,14 @@ Backend Backend::make(BackendSpec spec)
     impl.spec = std::move(spec);
     impl.hostThreads = threads;
     impl.pool = std::make_shared<sys::ThreadPool>(threads);
-    if (impl.spec.engine == EngineKind::Sequential) {
-        impl.engine = std::make_unique<sys::SequentialEngine>();
-    } else {
-        impl.engine = std::make_unique<sys::ThreadedEngine>();
-    }
+    impl.engine = std::make_unique<sys::Engine>();
     impl.engine->setHostPool(impl.pool);
     NEON_CHECK(impl.spec.speedFactors.empty() ||
                    static_cast<int>(impl.spec.speedFactors.size()) == impl.spec.nDevices,
                "BackendSpec: speedFactors must be empty or have one entry per device");
     for (int i = 0; i < impl.spec.nDevices; ++i) {
         // Heterogeneous mixes scale each device's compute-side cost model;
-        // both engines charge kernels via dev.config(), so the scaled rates
+        // the engine charges kernels via dev.config(), so the scaled rates
         // flow straight into the virtual timeline and the ExecutionReport.
         sys::SimConfig devConfig = impl.spec.config;
         if (!impl.spec.speedFactors.empty()) {
@@ -263,14 +235,14 @@ Backend Backend::make(BackendSpec spec)
     return Backend(std::move(implPtr));
 }
 
-Backend Backend::simGpu(int nDevices, sys::SimConfig config, EngineKind engine)
+Backend Backend::simGpu(int nDevices, sys::SimConfig config)
 {
-    return make(BackendSpec::simGpu(nDevices, config, engine));
+    return make(BackendSpec::simGpu(nDevices, config));
 }
 
-Backend Backend::cpu(int nDevices, EngineKind engine)
+Backend Backend::cpu(int nDevices)
 {
-    return make(BackendSpec::cpu(nDevices, engine));
+    return make(BackendSpec::cpu(nDevices));
 }
 
 int Backend::devCount() const
@@ -304,11 +276,6 @@ bool Backend::isDryRun() const
     return mImpl->spec.config.dryRun;
 }
 
-Backend::EngineKind Backend::engineKind() const
-{
-    return mImpl->spec.engine;
-}
-
 int Backend::hostThreads() const
 {
     return mImpl->hostThreads;
@@ -329,7 +296,7 @@ sys::Stream& Backend::stream(int dev, int streamIdx) const
 
 void Backend::sync() const
 {
-    mImpl->engine->syncAll();
+    mImpl->engine->sync();
 }
 
 sys::FaultInjector& Backend::faults() const

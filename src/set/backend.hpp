@@ -25,14 +25,6 @@ namespace neon::set {
 class Profiler;
 class Analyzer;
 
-enum class EngineKind : uint8_t
-{
-    Sequential,  ///< deterministic discrete-event engine (default)
-    Threaded,    ///< real worker threads, used to validate synchronization
-};
-
-std::string to_string(EngineKind k);
-
 /// Everything needed to build a Backend, in one named-field struct.
 /// `preset` names the SimConfig ("zeroCost" | "dgxA100" | "pcieGen3" |
 /// "custom"); for the named presets the spec round-trips through
@@ -41,7 +33,6 @@ struct BackendSpec
 {
     int             nDevices = 1;
     sys::DeviceType deviceType = sys::DeviceType::CPU;
-    EngineKind      engine = EngineKind::Sequential;
     sys::SimConfig  config = sys::SimConfig::zeroCost();
     std::string     preset = "zeroCost";
     /// Host worker threads per Backend for CPU-device kernels
@@ -81,7 +72,7 @@ struct BackendSpec
         return *this;
     }
 
-    /// e.g. "SIM_GPU x4 engine=sequential preset=dgxA100". Appends
+    /// e.g. "SIM_GPU x4 preset=dgxA100". Appends
     /// " threads=N" when hostThreads is set and " dryRun" when
     /// config.dryRun is set.
     [[nodiscard]] std::string toString() const;
@@ -90,33 +81,25 @@ struct BackendSpec
     static BackendSpec fromString(const std::string& text);
 
     // Named-preset builders.
-    static BackendSpec simGpu(int nDevices, sys::SimConfig config = sys::SimConfig::dgxA100Like(),
-                              EngineKind engine = EngineKind::Sequential);
-    static BackendSpec cpu(int nDevices = 1, EngineKind engine = EngineKind::Sequential);
+    static BackendSpec simGpu(int nDevices, sys::SimConfig config = sys::SimConfig::dgxA100Like());
+    static BackendSpec cpu(int nDevices = 1);
 };
 
 class Backend
 {
    public:
-    /// Compatibility alias: historical code names the enum through the
-    /// class (Backend::EngineKind::Threaded).
-    using EngineKind = set::EngineKind;
-
-    /// Default: one zero-cost CPU device, sequential engine.
+    /// Default: one zero-cost CPU device.
     Backend();
     /// Positional form retained for compatibility; prefer make(BackendSpec).
-    Backend(int nDevices, sys::DeviceType type, sys::SimConfig config,
-            EngineKind engine = EngineKind::Sequential);
+    Backend(int nDevices, sys::DeviceType type, sys::SimConfig config);
 
     /// The one construction entry point: build from a named-field spec.
     static Backend make(BackendSpec spec);
 
     /// n simulated GPUs with a DGX-A100-like cost model.
-    static Backend simGpu(int nDevices,
-                          sys::SimConfig config = sys::SimConfig::dgxA100Like(),
-                          EngineKind     engine = EngineKind::Sequential);
+    static Backend simGpu(int nDevices, sys::SimConfig config = sys::SimConfig::dgxA100Like());
     /// n zero-cost CPU devices (multi-device halo logic testable on CPU).
-    static Backend cpu(int nDevices = 1, EngineKind engine = EngineKind::Sequential);
+    static Backend cpu(int nDevices = 1);
 
     [[nodiscard]] int          devCount() const;
     [[nodiscard]] sys::Device& device(int idx) const;
@@ -124,7 +107,6 @@ class Backend
     [[nodiscard]] const sys::SimConfig& config() const;
     [[nodiscard]] const BackendSpec&    spec() const;
     [[nodiscard]] bool         isDryRun() const;
-    [[nodiscard]] EngineKind   engineKind() const;
     /// Resolved host-pool width (NEON_THREADS > spec.hostThreads > auto).
     [[nodiscard]] int          hostThreads() const;
 

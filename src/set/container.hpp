@@ -239,12 +239,14 @@ class Container
     }
 
     /// Precomputed launch state for one (device, view): item count plus
-    /// the devirtualized kernel work. Built once at factory time, so the
-    /// run hot path is a table lookup + one enqueue.
+    /// the devirtualized kernel work and the trampoline it points into.
+    /// Built once at factory time, so the run hot path is a table lookup +
+    /// one enqueue.
     struct LaunchRecord
     {
-        size_t          items = 0;
-        sys::KernelWork work;
+        size_t                items = 0;
+        sys::KernelWork       work;
+        std::shared_ptr<void> owner;  ///< keeps work.ctx alive
     };
 
     /// Records are indexed dev * 3 + viewIndex(view).
@@ -434,7 +436,7 @@ class Container
         }
         rec.work.ctx = tramp.get();
         rec.work.chunks = span.chunkCount();
-        rec.work.owner = std::move(tramp);
+        rec.owner = std::move(tramp);
         return rec;
     }
 

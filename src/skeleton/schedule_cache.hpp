@@ -79,8 +79,8 @@ struct ScheduleRecipe
                                       const std::vector<set::Container>& containers);
 
 /// Process-wide LRU cache of compiled schedules, shared by every Skeleton
-/// (the recipe is backend-agnostic: the key already pins devCount, and the
-/// engines execute the same task list). Thread-safe.
+/// (the recipe is backend-agnostic: the key already pins devCount).
+/// Thread-safe.
 class ScheduleCache
 {
    public:

@@ -39,6 +39,25 @@ bool sameSpanShape(const Container& a, const Container& b)
     return true;
 }
 
+/// True when `writer` writes a field that `stencil` reads through its
+/// stencil pattern. Such reads reach across the internal/boundary cut, so
+/// either half of the writer conflicts with either half of the stencil.
+bool writesStencilInput(const Container& writer, const Container& stencil)
+{
+    for (const auto& wa : writer.accesses()) {
+        if (wa.access != Access::WRITE) {
+            continue;
+        }
+        for (const auto& ra : stencil.accesses()) {
+            if (ra.access == Access::READ && ra.compute == Compute::STENCIL &&
+                ra.uid == wa.uid) {
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
 int levelCountOf(const Graph& g)
 {
     int n = 0;
@@ -336,37 +355,30 @@ void applyOcc(Graph& g, Occ occ, int devCount)
                 // View alignment pairs si->ci / sb->cb because the child's
                 // accesses are cell-local. That breaks down when the child
                 // *writes* a field the stencil reads through the stencil
-                // pattern: the stencil's non-local reads reach across the
-                // internal/boundary cut, so the opposite halves conflict
-                // too (WaR) and the split would leave them unordered. Keep
-                // such children whole.
-                bool writesStencilInput = false;
-                for (const auto& wa : cn.container.accesses()) {
-                    if (wa.access != Access::WRITE) {
-                        continue;
-                    }
-                    for (const auto& ra : g.node(sp.intId).container.accesses()) {
-                        if (ra.access == Access::READ && ra.compute == Compute::STENCIL &&
-                            ra.uid == wa.uid) {
-                            writesStencilInput = true;
-                        }
-                    }
-                }
-                if (writesStencilInput) {
+                // pattern: the opposite halves conflict too (WaR) and the
+                // split would leave them unordered. Keep such children
+                // whole.
+                if (writesStencilInput(cn.container, g.node(sp.intId).container)) {
                     continue;
                 }
-                const bool isReduce = cn.pattern() == Compute::REDUCE;
-                const auto parents = g.dataParents(c);
-                const auto children = g.dataChildren(c);
+                const bool           isReduce = cn.pattern() == Compute::REDUCE;
+                const set::Container child = cn.container;  // splitViews moves the nodes
+                const auto           parents = g.dataParents(c);
+                const auto           children = g.dataChildren(c);
                 const auto [ci, cb] = splitViews(c);
                 for (int q : parents) {
                     const EdgeKind k = g.dataEdgeKind(q, c);
                     const auto&    qn = g.node(q);
                     // Map/reduce reads are cell-local, so a split parent's
-                    // halves pair with the matching child halves.
-                    if (qn.view == DataView::INTERNAL) {
+                    // halves pair with the matching child halves — except
+                    // the halves of another split stencil that reads, through
+                    // its stencil, a field this child writes: each of them
+                    // must precede both child halves.
+                    const bool aligned = qn.view != DataView::STANDARD &&
+                                         !writesStencilInput(child, qn.container);
+                    if (aligned && qn.view == DataView::INTERNAL) {
                         g.addEdge(q, ci, k);
-                    } else if (qn.view == DataView::BOUNDARY) {
+                    } else if (aligned) {
                         g.addEdge(q, cb, k);
                     } else {
                         g.addEdge(q, ci, k);
@@ -553,14 +565,10 @@ struct CompiledSchedule::Impl
 
 namespace {
 
-/// Abort path shared by run()/sync(): leave the engine drained so the caller
-/// can inspect reports and re-sequence() on surviving devices, then rethrow
-/// the fault enriched with skeleton attribution (graph-node label, last
-/// consistently completed run).
-[[noreturn]] void rethrowEnriched(set::Backend& backend, const Graph& graph,
-                                  const RuntimeError& e)
+/// Abort path shared by run()/sync(): rethrow the fault enriched with
+/// skeleton attribution (graph-node label, last consistently completed run).
+[[noreturn]] void rethrowEnriched(const Graph& graph, const RuntimeError& e)
 {
-    backend.engine().quiesce();
     RuntimeError::Info info = e.info;
     if (info.containerId >= 0 && info.containerId < graph.nodeCount() &&
         info.containerLabel.empty()) {
@@ -783,7 +791,7 @@ void Skeleton::run(const RunScope& scope)
         runBody(runId, scope);
     } catch (const RuntimeError& e) {
         s.windowClosed = true;
-        rethrowEnriched(s.backend, s.state->graph, e);
+        rethrowEnriched(s.state->graph, e);
     }
 }
 
@@ -921,7 +929,7 @@ void Skeleton::sync()
     } catch (const RuntimeError& e) {
         mImpl->windowClosed = true;
         static const Graph kEmpty;
-        rethrowEnriched(mImpl->backend, mImpl->state ? mImpl->state->graph : kEmpty, e);
+        rethrowEnriched(mImpl->state ? mImpl->state->graph : kEmpty, e);
     }
     mImpl->windowClosed = true;
 }

@@ -171,8 +171,8 @@ class Skeleton
 
     /// Enqueue one execution of the scheduled task list (asynchronous).
     /// Under fault injection a RuntimeError aborts the run cleanly: the
-    /// engine is quiesced, the error is rethrown enriched with the graph
-    /// node's label and the last consistently completed run, and fields
+    /// error is rethrown enriched with the graph node's label and the last
+    /// consistently completed run, and fields
     /// hold exactly the writes of completed runs (docs/robustness.md).
     void run();
     /// run() under an explicit scope: leased stream base, service job

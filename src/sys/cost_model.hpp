@@ -62,10 +62,6 @@ struct SimConfig
     /// structured RuntimeError instead of silently stretching the timeline.
     /// 0 disables the check.
     double opTimeout = 0.0;
-    /// Wall-clock bound on host-side waits in the threaded engine (stream
-    /// sync and event waits). A wait that exceeds it raises RuntimeError
-    /// (kind SyncTimeout) instead of deadlocking. 0 waits forever.
-    double hostSyncTimeout = 60.0;
 
     /// DGX A100-like: 8x A100 40 GB, NVLink.
     static SimConfig dgxA100Like();

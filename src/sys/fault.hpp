@@ -3,10 +3,10 @@
 // (docs/robustness.md). A FaultPlan is a seedable list of fault rules —
 // transient transfer failures, permanent device loss, stream stalls and
 // link degradation — each targetable by device, stream, op kind and run
-// index. The engines consult the plan through a FaultInjector as they
-// process ops; every decision is a pure function of the plan seed and the
+// index. The engine consults the plan through a FaultInjector as it
+// processes ops; every decision is a pure function of the plan seed and the
 // op's (device, stream, kind, per-stream ordinal, run id), so a faulted
-// run is bitwise reproducible on both the sequential and threaded engines.
+// run is bitwise reproducible.
 
 #include <atomic>
 #include <cstdint>
@@ -103,7 +103,7 @@ struct FaultPlan
     [[nodiscard]] std::string toString() const;
 };
 
-/// What the engines must do to one op: fail this many transfer attempts
+/// What the engine must do to one op: fail this many transfer attempts
 /// before succeeding, stall the stream, scale transfer durations — or give
 /// up entirely because the device is gone.
 struct FaultDecision
@@ -114,23 +114,23 @@ struct FaultDecision
     double slowdown = 1.0;
     /// deviceLost: attribution of the op that triggered the loss. Every op
     /// that meets the lost device carries it, so the reported run does not
-    /// depend on which stream's op latches the abort first.
+    /// depend on which stream's op meets the loss first.
     OpAttribution lostAttr;
 };
 
 /// Engine-owned runtime state of a FaultPlan: per-(device, stream, kind) op
 /// ordinals for the seeded probability gate and the sticky lost-device
 /// latch, which keeps the triggering op's attribution. decide() is
-/// thread-safe; because each stream's ops are processed in FIFO order by
-/// exactly one thread, the ordinals — and therefore every decision — are
-/// identical across engines.
+/// thread-safe; each stream's ops are processed in FIFO order, so the
+/// ordinals — and therefore every decision — are a function of the
+/// schedule.
 class FaultInjector
 {
    public:
     /// Install `plan` (resets all counters and lost-device latches).
     void setPlan(FaultPlan plan);
     [[nodiscard]] const FaultPlan& plan() const;
-    /// Fast check used on the engines' hot path.
+    /// Fast check used on the engine's hot path.
     [[nodiscard]] bool active() const { return mActive.load(std::memory_order_relaxed); }
 
     /// Decision for the op about to be processed. Increments the op ordinal

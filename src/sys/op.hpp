@@ -55,15 +55,13 @@ struct OpAttribution
 /// launch into a fixed chunk partition (domain::spanChunkCount) and hands
 /// the engine two plain function pointers over an opaque context. The hot
 /// path is exactly one indirect call per chunk — no std::function hops.
-/// `owner` keeps the trampoline context alive if the Container is dropped
-/// while the threaded engine still holds queued ops.
+/// The op borrows `ctx`: ops run at enqueue, while the enqueuer holds it.
 struct KernelWork
 {
     ChunkFn run = nullptr;       ///< run(ctx, chunk, chunks): one chunk's cells
     ChunkFn finalize = nullptr;  ///< optional, after all chunks (reduce tree)
     void*   ctx = nullptr;
     int32_t chunks = 0;
-    std::shared_ptr<void> owner;
 
     [[nodiscard]] explicit operator bool() const { return run != nullptr; }
 };

@@ -1,10 +1,10 @@
 #pragma once
 // Stream: FIFO command queue bound to one device (CUDA Stream analogue,
-// paper §IV-A). All enqueue operations are asynchronous with respect to the
-// host; sync() blocks until the queue drains.
+// paper §IV-A), and the Engine that runs its ops. Ops run in FIFO order on
+// the enqueuing thread; only their virtual clocks model asynchrony.
 
 #include <algorithm>
-#include <atomic>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -23,13 +23,6 @@ namespace neon::sys {
 
 class Engine;
 class Device;
-
-/// Engine-owned per-stream state. The base Engine keeps the stream's
-/// virtual clock here; engines that queue work extend it.
-struct StreamState
-{
-    double vtime = 0.0;  ///< virtual time at which the stream's last op ends
-};
 
 class Stream
 {
@@ -55,19 +48,19 @@ class Stream
     void sync();
 
     /// Virtual time at which the last enqueued op finishes.
-    [[nodiscard]] double vtime() const;
+    [[nodiscard]] double vtime() const { return mVtime; }
 
     [[nodiscard]] Device& device() const { return *mDevice; }
     [[nodiscard]] int     id() const { return mId; }
     [[nodiscard]] Engine& engine() const { return *mEngine; }
 
-    /// Engine-private per-stream state, owned here for lifetime simplicity.
-    std::shared_ptr<StreamState> engineState;
-
    private:
+    friend class Engine;
+
     Engine* mEngine;
     Device* mDevice;
     int     mId;
+    double  mVtime = 0.0;  ///< virtual time at which the stream's last op ends
 };
 
 /// Sees every op at enqueue, in enqueue order and before the engine runs it
@@ -80,26 +73,23 @@ class EnqueueHook
     virtual void onEnqueue(const Stream& stream, const Op& op) = 0;
 };
 
-/// Execution engine: how enqueued ops are processed. Two implementations
-/// exist (DESIGN.md §4): a deterministic sequential discrete-event engine
-/// and a threaded engine with real cross-stream synchronization used to
-/// validate scheduler correctness. What an op costs is decided once, here:
-/// both engines run every op through execute() (sys/engine_core.hpp) and
-/// differ only in how they queue work and how a wait blocks.
+/// Execution engine (DESIGN.md §4): a deterministic discrete-event engine.
+/// Ops execute eagerly at enqueue — the Skeleton's task list is a
+/// topological order of the multi-GPU graph, so eager in-order execution is
+/// hazard-free — while per-stream, per-device virtual clocks model what an
+/// 8-GPU node would have done concurrently. Waiting on an event that has not
+/// been recorded yet is a scheduler ordering bug and throws InternalError.
 class Engine
 {
    public:
-    virtual ~Engine() = default;
+    void attach(Stream& stream);
+    void detach(Stream& stream);
+    /// Run `op` on `stream` now: charge its virtual time, then run its body.
+    void enqueue(Stream& stream, const Op& op);
+    /// Ops already ran at enqueue: nothing to wait for, but a stored abort
+    /// surfaces to hosts that only sync (never enqueue again).
+    void sync() const { rethrowAbort(); }
 
-    /// Register `stream` with a plain StreamState (engines that queue work
-    /// override and extend it).
-    virtual void attach(Stream& stream);
-    virtual void detach(Stream& stream);
-    virtual void enqueue(Stream& stream, Op op) = 0;
-    virtual void sync(Stream& stream) = 0;
-    virtual void syncAll() = 0;
-
-    [[nodiscard]] double streamVtime(const Stream& stream) const;
     /// Max vtime across every stream (virtual makespan of the work so far).
     [[nodiscard]] double maxVtime() const;
     /// Zero every stream/device clock (between measured runs).
@@ -107,8 +97,7 @@ class Engine
 
     [[nodiscard]] Trace& trace() { return mTrace; }
 
-    /// The engine's one enqueue hook (none by default). Install it before
-    /// other threads enqueue on this engine.
+    /// The engine's one enqueue hook (none by default).
     void setEnqueueHook(std::shared_ptr<EnqueueHook> hook) { mEnqueueHook = std::move(hook); }
     [[nodiscard]] EnqueueHook* enqueueHook() const { return mEnqueueHook.get(); }
 
@@ -122,64 +111,32 @@ class Engine
     [[nodiscard]] const std::shared_ptr<ThreadPool>& hostPool() const { return mHostPool; }
 
     // --- fail-stop abort protocol (docs/robustness.md) --------------------
-    // The first RuntimeError raised while processing an op latches the
-    // engine into the aborted state: ops already queued drain without
-    // executing (events still record so no thread blocks), new enqueues and
-    // host syncs rethrow the stored error. Nothing hangs, nothing is
-    // silently corrupted — field state stays what completed ops wrote.
-    [[nodiscard]] bool aborted() const { return mAborted.load(std::memory_order_acquire); }
-    /// Store `error` (first caller wins) and latch the abort flag.
-    void raiseAbort(std::exception_ptr error);
-    /// Rethrow the stored abort error, if any.
-    void rethrowAbort() const;
-    /// Drain all queued work without throwing (Skeleton abort/quiesce path).
-    virtual void quiesce() {}
-    /// Release the abort latch and stored error (post-mortem recovery in
-    /// tests; a lost device stays lost until faults().setPlan()).
-    void clearAbort();
-
-   protected:
-    /// Clock lock of an engine that runs every op on the enqueuing thread.
-    struct NoClockLock
+    // The first RuntimeError raised while running an op latches the engine
+    // into the aborted state: new enqueues and host syncs rethrow the stored
+    // error. Nothing is silently corrupted — field state stays what
+    // completed ops wrote.
+    [[nodiscard]] bool aborted() const { return mAbortError != nullptr; }
+    /// Store `error` unless an earlier one is stored (the first wins).
+    void raiseAbort(std::exception_ptr error)
     {
-        void lock() {}
-        void unlock() {}
-    };
-
-    /// Run `op` on `stream`, whose clock is `vtime`, through the
-    /// op-execution core (sys/engine_core.hpp) — one dispatch on the op's
-    /// alternative: charge() under `clockLock`; for a wait,
-    /// `await(waitOp, eventVtime)` blocks until the event is recorded
-    /// (false: cancelled, the op ends there) and joinWait() charges the
-    /// join under `clockLock`; then finish() runs the body outside the lock.
-    template <class ClockLock, class Await>
-    void execute(const Stream& stream, double& vtime, const Op& op, ClockLock& clockLock,
-                 Await&& await);
-
-    /// Latch the abort and throw a RuntimeError of `kind` naming the op.
-    [[noreturn]] void throwRuntimeError(RuntimeError::Kind kind, int device, int stream,
-                                        std::string_view opKind, const std::string& opName,
-                                        const OpAttribution& attr, int attempts = 0,
-                                        double timeout = 0.0);
-    /// The abort latch, exposed to bounded event waits as a cancel flag.
-    [[nodiscard]] const std::atomic<bool>* abortFlag() const { return &mAborted; }
-
-    /// Set `stream.engineState` and add the stream to the registry.
-    void adopt(Stream& stream, std::shared_ptr<StreamState> state);
-    /// Snapshot of the attached streams.
-    [[nodiscard]] std::vector<Stream*> streams() const;
-
-    Trace                        mTrace;
-    FaultInjector                mFaults;
-    std::shared_ptr<EnqueueHook> mEnqueueHook;
-    std::shared_ptr<ThreadPool>  mHostPool;
-    /// Guards stream vtimes and device clocks on engines that process
-    /// streams concurrently.
-    mutable std::mutex mClockMutex;
+        if (!mAbortError) {
+            mAbortError = std::move(error);
+        }
+    }
+    /// Rethrow the stored abort error, if any.
+    void rethrowAbort() const
+    {
+        if (mAbortError) {
+            std::rethrow_exception(mAbortError);
+        }
+    }
+    /// Release the abort latch (post-mortem recovery in tests; a lost
+    /// device stays lost until faults().setPlan()).
+    void clearAbort() { mAbortError = nullptr; }
 
    private:
-    /// Virtual-time charge of one op: charge() or joinWait() computes it,
-    /// finish() consumes it. Kernel/hostFn: busy over [start, end] (after
+    /// Virtual-time charge of one op: charge() computes it, finish()
+    /// consumes it. Kernel/hostFn: busy over [start, end] (after
     /// any stall). Record: fires at end. Wait: the stream idled from start
     /// (its clock before the join) to end (the event's vtime).
     struct OpCharge
@@ -188,20 +145,13 @@ class Engine
         double end = 0.0;
     };
 
-    /// Accounting step of `op` on `stream`, whose clock is `vtime`: fault
-    /// consult and stall row, start time, cost (kernel duration, transfer
-    /// plan with failed attempts and backoff rows, hostFn duration), the
-    /// opTimeout check, the clock commit and a transfer's per-chunk rows.
-    /// Records only read the clock; a wait only consults the faults.
+    /// Accounting step of `op` on `stream`: fault consult and stall row,
+    /// start time, cost (kernel duration, transfer plan with failed attempts
+    /// and backoff rows, hostFn duration), the opTimeout check, the clock
+    /// commit and a transfer's per-chunk rows. Records only read the clock;
+    /// a wait consults the faults and joins the clock to its event's vtime.
     template <class O>
-    OpCharge charge(const Stream& stream, double& vtime, const O& op);
-    /// Clock join after a wait's event recorded at `eventVtime`.
-    static OpCharge joinWait(double& vtime, double eventVtime)
-    {
-        const OpCharge c{vtime, eventVtime};
-        vtime = std::max(vtime, eventVtime);
-        return c;
-    }
+    OpCharge charge(Stream& stream, const O& op);
     /// Body (unless dry-run) and remaining trace rows of a charged op;
     /// records fire their event.
     template <class O>
@@ -212,6 +162,11 @@ class Engine
     /// triggered the loss.
     FaultDecision consultFaults(const Stream& stream, OpKind kind, const std::string& opName,
                                 const OpAttribution& attr);
+    /// Latch the abort and throw a RuntimeError of `kind` naming the op.
+    [[noreturn]] void throwRuntimeError(RuntimeError::Kind kind, int device, int stream,
+                                        std::string_view opKind, const std::string& opName,
+                                        const OpAttribution& attr, int attempts = 0,
+                                        double timeout = 0.0);
     /// Execute a KernelOp's computation on `dev`. Chunked work on a CPU
     /// device goes through the host pool (when it helps); everything else
     /// runs inline. Records OpKind::HostPool utilization rows anchored
@@ -221,9 +176,12 @@ class Engine
     void traceRow(const Stream& stream, OpKind kind, std::string_view name, double startV,
                   double endV, uint64_t bytes, const OpAttribution& attr);
 
-    std::atomic<bool>  mAborted{false};
-    mutable std::mutex mAbortMutex;
-    std::exception_ptr mAbortError;
+    Trace                        mTrace;
+    FaultInjector                mFaults;
+    std::shared_ptr<EnqueueHook> mEnqueueHook;
+    std::shared_ptr<ThreadPool>  mHostPool;
+
+    std::exception_ptr mAbortError;  ///< the latched abort; null while running
 
     mutable std::mutex          mRegistryMutex;
     std::unordered_set<Stream*> mStreams;

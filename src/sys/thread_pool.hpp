@@ -32,8 +32,8 @@ struct WorkerSample
 
 /// A fixed-size pool of host worker threads. Threads are spawned lazily on
 /// the first parallelFor that can use them and live until destruction.
-/// parallelFor is serialized internally, so concurrent submitters (the
-/// threaded engine's per-stream workers) queue rather than interleave.
+/// parallelFor is serialized internally, so concurrent submitters queue
+/// rather than interleave.
 class ThreadPool
 {
    public:

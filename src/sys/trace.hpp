@@ -1,7 +1,7 @@
 #pragma once
 // Execution trace of the virtual timeline. Records structured events
 // (device, stream, kind, name, payload bytes, container/run attribution and
-// wait edges) for every op the engines process. Consumed by tests (to
+// wait edges) for every op the engine processes. Consumed by tests (to
 // assert that communication really overlapped computation), by the text
 // Gantt chart, by the chrome://tracing / Perfetto JSON exporter and by
 // neon::ExecutionReport aggregation.

@@ -3,7 +3,7 @@
 // device's two copy engines (chunks serialize within a direction, directions
 // run in parallel — paper §IV-C2). Its one caller is the engine core's
 // accounting step (Engine::charge), for every failed attempt and for the
-// final one, so both engines share the arithmetic.
+// final one.
 
 #include <cstdint>
 #include <vector>
@@ -32,8 +32,7 @@ struct TransferSchedule
 /// Schedule `op`'s chunks onto `dev`'s DMA engines starting at stream time
 /// `vtime` and commit dev.copyAvailable. `slowdown` scales each chunk's
 /// duration (link degradation). The per-chunk windows are materialised only
-/// with `withWindows` (a trace row will be written for each). The threaded
-/// engine calls it with its clock lock held.
+/// with `withWindows` (a trace row will be written for each).
 TransferSchedule planTransfer(Device& dev, double vtime, const TransferOp& op, double slowdown,
                               bool withWindows);
 

@@ -1,12 +1,10 @@
-// Happens-before race detector tests: clean pipelines stay clean on both
-// engines (the detector is fed in enqueue order, engine-independent), and
-// each seeded synchronization bug — dropped cross-stream wait, reverted
-// backend-wide inter-run barrier, skipped halo update — is detected with
-// correct attribution and the same report on both engines.
+// Happens-before race detector tests: clean pipelines stay clean under
+// every OCC mode, and each seeded synchronization bug — dropped
+// cross-stream wait, reverted backend-wide inter-run barrier, skipped halo
+// update — is detected with correct attribution and the same report on
+// every repetition.
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "analysis_fixture.hpp"
 
@@ -33,24 +31,21 @@ std::vector<Container> cleanSeq(Rig& rig)
 
 }  // namespace
 
-TEST(RaceDetector, CleanOnBothEngines)
+TEST(RaceDetector, CleanUnderEveryOccMode)
 {
-    for (auto engine : {Backend::EngineKind::Sequential, Backend::EngineKind::Threaded}) {
-        for (Occ occ : {Occ::NONE, Occ::STANDARD, Occ::TWO_WAY}) {
-            Rig  rig(Backend::cpu(3, engine));
-            auto an = rig.backend.analysis();
-            an.enable();
-            Skeleton skl(rig.backend);
-            skl.sequence(cleanSeq(rig), SequenceOptions().withName("clean").withOcc(occ));
-            for (int r = 0; r < 3; ++r) {
-                skl.run();
-            }
-            skl.sync();
-            const AnalysisReport rep = an.raceReport();
-            EXPECT_TRUE(rep.clean()) << set::to_string(engine) << " occ=" << to_string(occ)
-                                     << "\n" << rep.toString();
-            EXPECT_GT(rep.opsAnalyzed, 0u);
+    for (Occ occ : {Occ::NONE, Occ::STANDARD, Occ::TWO_WAY}) {
+        Rig  rig(Backend::cpu(3));
+        auto an = rig.backend.analysis();
+        an.enable();
+        Skeleton skl(rig.backend);
+        skl.sequence(cleanSeq(rig), SequenceOptions().withName("clean").withOcc(occ));
+        for (int r = 0; r < 3; ++r) {
+            skl.run();
         }
+        skl.sync();
+        const AnalysisReport rep = an.raceReport();
+        EXPECT_TRUE(rep.clean()) << "occ=" << to_string(occ) << "\n" << rep.toString();
+        EXPECT_GT(rep.opsAnalyzed, 0u);
     }
 }
 
@@ -213,12 +208,12 @@ struct RaceRun
 /// Seed `bug`, then run it in two sync()'d phases with a drain after each.
 /// The seeded bugs are real data races, so the run is dry: no kernel body
 /// executes, while the detector sees the same enqueued ops.
-RaceRun runSeededBug(SeededBug bug, Backend::EngineKind engine)
+RaceRun runSeededBug(SeededBug bug)
 {
     sys::SimConfig cfg = sys::SimConfig::zeroCost();
     cfg.dryRun = true;
     const int nDev = bug == SeededBug::KilledHaloNode ? 3 : 2;
-    Rig       rig(Backend(nDev, sys::DeviceType::CPU, cfg, engine));
+    Rig       rig(Backend(nDev, sys::DeviceType::CPU, cfg));
     Skeleton  a(rig.backend);
     Skeleton  b(rig.backend);
     switch (bug) {
@@ -271,24 +266,21 @@ RaceRun runSeededBug(SeededBug bug, Backend::EngineKind engine)
 
 }  // namespace
 
-TEST(RaceDetector, ReportIsIdenticalAcrossEnginesAndDrains)
+TEST(RaceDetector, ReportIsIdenticalAcrossRepetitionsAndDrains)
 {
     for (SeededBug bug : {SeededBug::DroppedWait, SeededBug::MissingInterRunBarrier,
                           SeededBug::KilledHaloNode}) {
         std::string reference;
         for (int repetition = 0; repetition < 3; ++repetition) {
-            for (auto engine : {Backend::EngineKind::Sequential, Backend::EngineKind::Threaded}) {
-                const RaceRun     run = runSeededBug(bug, engine);
-                const std::string json = run.report.toJson();
-                EXPECT_FALSE(run.report.clean()) << json;
-                EXPECT_EQ(run.drained.toJson(), json) << "the drains must split the findings";
-                if (reference.empty()) {
-                    reference = json;
-                }
-                EXPECT_EQ(json, reference) << "bug " << static_cast<int>(bug) << " on "
-                                           << set::to_string(engine) << ", repetition "
-                                           << repetition;
+            const RaceRun     run = runSeededBug(bug);
+            const std::string json = run.report.toJson();
+            EXPECT_FALSE(run.report.clean()) << json;
+            EXPECT_EQ(run.drained.toJson(), json) << "the drains must split the findings";
+            if (reference.empty()) {
+                reference = json;
             }
+            EXPECT_EQ(json, reference) << "bug " << static_cast<int>(bug) << ", repetition "
+                                       << repetition;
         }
     }
 }
@@ -345,16 +337,6 @@ TEST(RaceDetector, FlagsWaitEnqueuedBeforeRecord)
     det.feed({1, 0, 0, sys::OpKind::Record, 42, -1, -1}, nullptr);
     EXPECT_EQ(det.report().count(ViolationKind::WaitBeforeRecord), 1u)
         << det.report().toString();
-}
-
-TEST(AnalysisEnv, NeonEngineOverridesBackendSpec)
-{
-    ::setenv("NEON_ENGINE", "threaded", 1);
-    const Backend b = Backend::cpu(2);
-    ::unsetenv("NEON_ENGINE");
-    EXPECT_EQ(b.engineKind(), Backend::EngineKind::Threaded);
-    const Backend c = Backend::cpu(2);
-    EXPECT_EQ(c.engineKind(), Backend::EngineKind::Sequential);
 }
 
 }  // namespace neon::analysis

@@ -2,18 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "dgrid/dfield.hpp"
 
 namespace neon::dgrid {
 
 using set::Backend;
 
+// gtest prints a parameter without operator<< as its raw bytes, and ctest
+// names each case after that print. The tail is spelled out and zeroed so
+// the names carry no uninitialized padding.
 struct FieldCase
 {
-    int       nDev;
-    int       card;
-    MemLayout layout;
+    int          nDev;
+    int          card;
+    MemLayout    layout;
+    std::uint8_t tail[3] = {};
 };
+static_assert(sizeof(FieldCase) == 12, "FieldCase must have no padding");
+
+/// "dev<n>_card<c>_<layout>": the test-name suffix.
+std::string caseName(const FieldCase& c)
+{
+    return "dev" + std::to_string(c.nDev) + "_card" + std::to_string(c.card) + "_" +
+           (c.layout == MemLayout::structOfArrays ? "SoA" : "AoS");
+}
 
 class DFieldParam : public ::testing::TestWithParam<FieldCase>
 {
@@ -21,7 +36,7 @@ class DFieldParam : public ::testing::TestWithParam<FieldCase>
 
 TEST_P(DFieldParam, HostRoundTripThroughDevice)
 {
-    const auto [nDev, card, layout] = GetParam();
+    const auto [nDev, card, layout, tail] = GetParam();
     DGrid grid(Backend::cpu(nDev), {5, 4, 12}, Stencil::laplace7());
     auto  f = grid.newField<float>("f", card, -1.0f, layout);
 
@@ -39,7 +54,7 @@ TEST_P(DFieldParam, HostRoundTripThroughDevice)
 
 TEST_P(DFieldParam, PartitionAccessMatchesHostMirror)
 {
-    const auto [nDev, card, layout] = GetParam();
+    const auto [nDev, card, layout, tail] = GetParam();
     DGrid grid(Backend::cpu(nDev), {4, 4, 12}, Stencil::laplace7());
     auto  f = grid.newField<double>("f", card, 0.0, layout);
     f.forEachHost([](const index_3d& g, int c, double& v) { v = g.x + 3.0 * g.z + 7.0 * c; });
@@ -65,11 +80,7 @@ INSTANTIATE_TEST_SUITE_P(
                       FieldCase{3, 4, MemLayout::structOfArrays},
                       FieldCase{3, 4, MemLayout::arrayOfStructs},
                       FieldCase{4, 19, MemLayout::structOfArrays}),
-    [](const auto& info) {
-        return "dev" + std::to_string(info.param.nDev) + "_card" +
-               std::to_string(info.param.card) + "_" +
-               (info.param.layout == MemLayout::structOfArrays ? "SoA" : "AoS");
-    });
+    [](const auto& info) { return caseName(info.param); });
 
 TEST(DField, OutsideDomainReturnsOutsideValue)
 {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "dgrid/dfield.hpp"
 #include "set/container.hpp"
 
@@ -14,12 +17,24 @@ using set::Backend;
 using set::Container;
 using set::StreamSet;
 
+// gtest prints a parameter without operator<< as its raw bytes, and ctest
+// names each case after that print. The tail is spelled out and zeroed so
+// the names carry no uninitialized padding.
 struct HaloCase
 {
-    int       nDev;
-    int       card;
-    MemLayout layout;
+    int          nDev;
+    int          card;
+    MemLayout    layout;
+    std::uint8_t tail[3] = {};
 };
+static_assert(sizeof(HaloCase) == 12, "HaloCase must have no padding");
+
+/// "dev<n>_card<c>_<layout>": the test-name suffix.
+std::string caseName(const HaloCase& c)
+{
+    return "dev" + std::to_string(c.nDev) + "_card" + std::to_string(c.card) + "_" +
+           (c.layout == MemLayout::structOfArrays ? "SoA" : "AoS");
+}
 
 class DHaloParam : public ::testing::TestWithParam<HaloCase>
 {
@@ -27,7 +42,7 @@ class DHaloParam : public ::testing::TestWithParam<HaloCase>
 
 TEST_P(DHaloParam, NeighbourReadsSeeOwnerValuesAfterHalo)
 {
-    const auto [nDev, card, layout] = GetParam();
+    const auto [nDev, card, layout, tail] = GetParam();
     DGrid grid(Backend::cpu(nDev), {4, 4, 16}, Stencil::laplace7());
     auto  f = grid.newField<double>("f", card, -7.0, layout);
     f.forEachHost([](const index_3d& g, int c, double& v) {
@@ -74,11 +89,7 @@ INSTANTIATE_TEST_SUITE_P(
                       HaloCase{4, 1, MemLayout::structOfArrays},
                       HaloCase{4, 5, MemLayout::arrayOfStructs},
                       HaloCase{8, 2, MemLayout::structOfArrays}),
-    [](const auto& info) {
-        return "dev" + std::to_string(info.param.nDev) + "_card" +
-               std::to_string(info.param.card) + "_" +
-               (info.param.layout == MemLayout::structOfArrays ? "SoA" : "AoS");
-    });
+    [](const auto& info) { return caseName(info.param); });
 
 namespace {
 

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
 #include "dgrid/dfield.hpp"
 #include "egrid/efield.hpp"
 #include "set/container.hpp"
@@ -11,6 +15,7 @@ namespace neon::egrid {
 
 using set::Backend;
 using set::Container;
+using set::EventSet;
 using set::StreamSet;
 
 namespace {
@@ -27,12 +32,24 @@ double truth(const index_3d& g, int c)
 
 }  // namespace
 
+// gtest prints a parameter without operator<< as its raw bytes, and ctest
+// names each case after that print. The tail is spelled out and zeroed so
+// the names carry no uninitialized padding.
 struct ECase
 {
-    int       nDev;
-    int       card;
-    MemLayout layout;
+    int          nDev;
+    int          card;
+    MemLayout    layout;
+    std::uint8_t tail[3] = {};
 };
+static_assert(sizeof(ECase) == 12, "ECase must have no padding");
+
+/// "dev<n>_card<c>_<layout>": the test-name suffix.
+std::string caseName(const ECase& c)
+{
+    return "dev" + std::to_string(c.nDev) + "_card" + std::to_string(c.card) + "_" +
+           (c.layout == MemLayout::structOfArrays ? "SoA" : "AoS");
+}
 
 class EFieldParam : public ::testing::TestWithParam<ECase>
 {
@@ -40,7 +57,7 @@ class EFieldParam : public ::testing::TestWithParam<ECase>
 
 TEST_P(EFieldParam, HostRoundTrip)
 {
-    const auto [nDev, card, layout] = GetParam();
+    const auto [nDev, card, layout, tail] = GetParam();
     EGrid grid(Backend::cpu(nDev), {8, 8, 16}, slab, Stencil::laplace7());
     auto  f = grid.newField<double>("f", card, 0.0, layout);
     f.forEachActiveHost([](const index_3d& g, int c, double& v) { v = truth(g, c); });
@@ -53,7 +70,7 @@ TEST_P(EFieldParam, HostRoundTrip)
 
 TEST_P(EFieldParam, NeighbourAccessAfterHaloMatchesTruth)
 {
-    const auto [nDev, card, layout] = GetParam();
+    const auto [nDev, card, layout, tail] = GetParam();
     EGrid grid(Backend::cpu(nDev), {8, 8, 16}, slab, Stencil::laplace7());
     auto  f = grid.newField<double>("f", card, -5.0, layout);
     f.forEachActiveHost([](const index_3d& g, int c, double& v) { v = truth(g, c); });
@@ -93,11 +110,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ECase{2, 3, MemLayout::arrayOfStructs},
                       ECase{4, 2, MemLayout::structOfArrays},
                       ECase{4, 2, MemLayout::arrayOfStructs}),
-    [](const auto& info) {
-        return "dev" + std::to_string(info.param.nDev) + "_card" +
-               std::to_string(info.param.card) + "_" +
-               (info.param.layout == MemLayout::structOfArrays ? "SoA" : "AoS");
-    });
+    [](const auto& info) { return caseName(info.param); });
 
 TEST(EField, LaplacianMatchesDenseGridOnFullBox)
 {
@@ -140,16 +153,30 @@ TEST(EField, LaplacianMatchesDenseGridOnFullBox)
         });
     };
 
-    StreamSet ds(cb, 0);
-    Container::haloUpdate(dIn.haloOps()).run(ds);
-    makeLaplace(dg, dIn, dOut).run(ds);
-    cb.sync();
-    dOut.updateHost();
+    // Set level: the events are ours to place (examples/manual_set_level.cpp).
+    // Each device's stencil reads the ghost cells its z-neighbours' halo
+    // sends write, so it waits on their records.
+    auto haloThenLaplace = [](Backend& b, auto& in, const Container& laplace) {
+        const int nDev = b.devCount();
+        StreamSet streams(b, 0);
+        EventSet  haloDone = EventSet::make(nDev);
+        const auto halo = Container::haloUpdate(in.haloOps());
+        for (int d = 0; d < nDev; ++d) {
+            halo.launch(d, streams[d]);
+            streams[d].record(haloDone[d]);
+        }
+        for (int d = 0; d < nDev; ++d) {
+            for (int dd = std::max(0, d - 1); dd <= std::min(nDev - 1, d + 1); ++dd) {
+                streams[d].wait(haloDone[dd]);
+            }
+            laplace.launch(d, streams[d]);
+        }
+        b.sync();
+    };
 
-    StreamSet es(eb, 0);
-    Container::haloUpdate(eIn.haloOps()).run(es);
-    makeLaplace(eg, eIn, eOut).run(es);
-    eb.sync();
+    haloThenLaplace(cb, dIn, makeLaplace(dg, dIn, dOut));
+    dOut.updateHost();
+    haloThenLaplace(eb, eIn, makeLaplace(eg, eIn, eOut));
     eOut.updateHost();
 
     dim.forEach([&](const index_3d& g) {

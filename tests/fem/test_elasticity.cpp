@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dgrid/dfield.hpp"
@@ -49,10 +50,25 @@ std::vector<double> applyOnDense(int nDev, const std::function<bool(const index_
     });
     in.updateDev();
 
-    StreamSet streams(backend, 0);
-    set::Container::haloUpdate(in.haloOps()).run(streams);
-    set::Container::haloUpdate(act.haloOps()).run(streams);
-    makeElasticApply(grid, problem, act, in, out).run(streams);
+    // Set level: the events are ours to place (examples/manual_set_level.cpp).
+    // Each device's stencil reads the ghost cells its z-neighbours' halo
+    // sends write, so it waits on their records.
+    StreamSet      streams(backend, 0);
+    set::EventSet  haloDone = set::EventSet::make(nDev);
+    const auto     haloIn = set::Container::haloUpdate(in.haloOps());
+    const auto     haloAct = set::Container::haloUpdate(act.haloOps());
+    const auto     apply = makeElasticApply(grid, problem, act, in, out);
+    for (int d = 0; d < nDev; ++d) {
+        haloIn.launch(d, streams[d]);
+        haloAct.launch(d, streams[d]);
+        streams[d].record(haloDone[d]);
+    }
+    for (int d = 0; d < nDev; ++d) {
+        for (int dd = std::max(0, d - 1); dd <= std::min(nDev - 1, d + 1); ++dd) {
+            streams[d].wait(haloDone[dd]);
+        }
+        apply.launch(d, streams[d]);
+    }
     backend.sync();
     out.updateHost();
 

@@ -1,7 +1,7 @@
 // Recovery fuzz axis (docs/robustness.md, "Self-healing recovery").
 //
 // Each seed derives a random recovery scenario — grid shape, device count
-// (2-4), map/stencil pipeline, host-pool width, engine, a random
+// (2-4), map/stencil pipeline, host-pool width, a random
 // PermanentDeviceLoss plan (one loss, sometimes two) and a random
 // repartition point — drives it through SelfHealingRunner, and asserts:
 //   1. the survivor-resumed final state is bitwise-equal to an unfaulted
@@ -36,7 +36,6 @@ namespace neon::repartition {
 using set::Backend;
 using set::BackendSpec;
 using set::Container;
-using set::EngineKind;
 
 namespace {
 
@@ -58,12 +57,11 @@ int seedsPerShard()
 /// and the single-device reference build the exact same pipeline.
 struct RecoveryCase
 {
-    index_3d   dim{0, 0, 0};
-    int        nDev = 2;
-    int        nFields = 2;
-    int        steps = 4;
-    int        hostThreads = 1;
-    EngineKind engine = EngineKind::Sequential;
+    index_3d dim{0, 0, 0};
+    int      nDev = 2;
+    int      nFields = 2;
+    int      steps = 4;
+    int      hostThreads = 1;
 
     int faultDevice = 0;  ///< first loss (old numbering)
     int faultRun = 1;     ///< step at which the first loss fires
@@ -93,7 +91,6 @@ struct RecoveryCase
         steps = pick(4, 8);
         constexpr int kThreadAxis[] = {1, 2, 8};
         hostThreads = kThreadAxis[pick(0, 2)];
-        engine = pick(0, 1) == 0 ? EngineKind::Sequential : EngineKind::Threaded;
 
         faultDevice = pick(0, nDev - 1);
         faultRun = pick(1, steps - 1);
@@ -126,7 +123,6 @@ struct RecoveryCase
                           "x" + std::to_string(dim.z) + " nDev=" + std::to_string(nDev) +
                           " steps=" + std::to_string(steps) +
                           " hostThreads=" + std::to_string(hostThreads) +
-                          " engine=" + (engine == EngineKind::Sequential ? "seq" : "thr") +
                           " loss=(d" + std::to_string(faultDevice) + "@r" +
                           std::to_string(faultRun) + ")";
         if (secondFaultDevice >= 0) {
@@ -200,7 +196,7 @@ struct Rig
 
 std::vector<double> referenceRun(const RecoveryCase& rc)
 {
-    Rig ref(rc, Backend::make(BackendSpec::cpu(1, rc.engine)));
+    Rig ref(rc, Backend::make(BackendSpec::cpu(1)));
     skeleton::Skeleton skl(ref.grid.backend());
     auto compiled = skl.sequence(ref.seq, skeleton::SequenceOptions().withName("ref"));
     for (int i = 0; i < rc.steps; ++i) {
@@ -218,7 +214,7 @@ void runSeed(unsigned seed)
 
     const std::vector<double> want = referenceRun(rc);
 
-    BackendSpec spec = BackendSpec::cpu(rc.nDev, rc.engine).withHostThreads(rc.hostThreads);
+    BackendSpec spec = BackendSpec::cpu(rc.nDev).withHostThreads(rc.hostThreads);
     sys::FaultPlan plan(9000u + seed);
     plan.add(sys::FaultSpec::deviceLoss(rc.faultDevice, rc.faultRun));
     if (rc.secondFaultDevice >= 0) {

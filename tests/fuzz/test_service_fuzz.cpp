@@ -4,7 +4,7 @@
 // Each seed derives a random multi-tenant workload — traffic trace (job
 // mix, tenants, Poisson arrivals), scheduling policy, in-flight cap,
 // batching, device count, host-pool width, optional transient fault plan
-// (PR-4 style, retries succeed) — and asserts, on BOTH engines:
+// (retries succeed) — and asserts:
 //   1. isolation: every job's fields/scalars are bitwise equal to the
 //      same JobDesc run solo on a fresh backend (concurrent scheduling,
 //      batching and fault retries never leak between jobs),
@@ -101,52 +101,47 @@ void runSeed(unsigned seed)
                  fc.toString() + "]");
     const auto trace = makeTrace(fc.spec);
 
-    // One solo oracle per job (engine-independence of solo results is the
-    // skeleton fuzz battery's property; here sequential suffices).
+    // One solo oracle per job.
     std::vector<std::vector<double>> oracle;
     oracle.reserve(trace.size());
     for (const auto& d : trace) {
         oracle.push_back(soloRun(d, fc.nDev));
     }
 
-    for (auto engine : {Backend::EngineKind::Sequential, Backend::EngineKind::Threaded}) {
-        SCOPED_TRACE(set::to_string(engine));
-        set::BackendSpec spec =
-            set::BackendSpec::cpu(fc.nDev, engine).withHostThreads(fc.hostThreads);
-        if (fc.faultSeed != 0) {
-            // Transient transfers with one failed attempt: the retry layer
-            // absorbs them, so results and job states must be unaffected.
-            spec.withFaults(sys::FaultPlan(fc.faultSeed)
-                                .add(sys::FaultSpec::transientTransfer(1).withProbability(0.3)));
-        }
-        Backend bk = Backend::make(spec);
-        Service svc(bk, fc.cfg);
+    set::BackendSpec spec = set::BackendSpec::cpu(fc.nDev).withHostThreads(fc.hostThreads);
+    if (fc.faultSeed != 0) {
+        // Transient transfers with one failed attempt: the retry layer
+        // absorbs them, so results and job states must be unaffected.
+        spec.withFaults(sys::FaultPlan(fc.faultSeed)
+                            .add(sys::FaultSpec::transientTransfer(1).withProbability(0.3)));
+    }
+    Backend bk = Backend::make(spec);
+    Service svc(bk, fc.cfg);
 
-        std::vector<BuiltJob> built;
-        std::vector<Job>      jobs;
-        built.reserve(trace.size());
-        for (const auto& d : trace) {
-            built.push_back(buildJob(bk, d));
-            jobs.push_back(svc.submit(std::move(built.back().request)));
-        }
-        svc.drain();
+    std::vector<BuiltJob> built;
+    std::vector<Job>      jobs;
+    built.reserve(trace.size());
+    for (const auto& d : trace) {
+        built.push_back(buildJob(bk, d));
+        jobs.push_back(svc.submit(std::move(built.back().request)));
+    }
+    svc.drain();
 
-        ASSERT_EQ(svc.failedCount(), 0);
-        ASSERT_EQ(svc.completedCount(), static_cast<int>(trace.size()));
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            SCOPED_TRACE(built[i].desc.toString());
-            ASSERT_EQ(jobs[i].state(), JobState::Completed);
-            jobs[i].rethrowIfFailed();
-            const auto got = snapshot(built[i]);
-            ASSERT_EQ(got.size(), oracle[i].size());
-            for (size_t k = 0; k < got.size(); ++k) {
-                ASSERT_EQ(got[k], oracle[i][k])
-                    << "isolation violated at flat index " << k << " (seed " << seed << ")";
-            }
-            const auto lint = jobs[i].validate();
-            ASSERT_TRUE(lint.clean()) << lint.toString();
-            ASSERT_GE(jobs[i].latency(), 0.0);
+    ASSERT_EQ(svc.failedCount(), 0);
+    ASSERT_EQ(svc.completedCount(), static_cast<int>(trace.size()));
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(built[i].desc.toString());
+        ASSERT_EQ(jobs[i].state(), JobState::Completed);
+        jobs[i].rethrowIfFailed();
+        const auto got = snapshot(built[i]);
+        ASSERT_EQ(got.size(), oracle[i].size());
+        for (size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(got[k], oracle[i][k])
+                << "isolation violated at flat index " << k << " (seed " << seed << ")";
         }
+        const auto lint = jobs[i].validate();
+        ASSERT_TRUE(lint.clean()) << lint.toString();
+        ASSERT_GE(jobs[i].latency(), 0.0);
     }
 }
 

@@ -2,19 +2,24 @@
 //
 // Each seed derives a random skeleton — grid shape, field count, device
 // count, map/stencil/reduce/scalar mix, OCC mode, stream cap, run count —
-// and asserts five properties:
-//   1. the Sequential and Threaded engines produce bitwise-identical
-//      fields and scalars,
-//   2. Skeleton::validate() (the schedule lint) is clean,
-//   3. the happens-before race detector is clean,
-//   4. a schedule-cache replay of the same structure is bitwise identical
-//      to a full recompile and lints clean (docs/performance.md),
-//   5. under a fixed-seed transient FaultPlan, the cached and recompiled
+// and asserts six properties:
+//   1. Skeleton::validate() (the schedule lint) is clean,
+//   2. the happens-before race detector is clean,
+//   3. a schedule-cache replay of the same structure is bitwise identical
+//      to a full recompile and lints clean (docs/performance.md), and so
+//      is a run at another host-pool width,
+//   4. under a fixed-seed transient FaultPlan, the cached and recompiled
 //      schedules fire the identical number of fault events (the fault
 //      ordinals are a pure function of the schedule, so a replay that
-//      reordered anything would change them).
+//      reordered anything would change them),
+//   5. the lint reports each of two seeded schedule faults: every wait of
+//      one task dropped, one halo-update node killed,
+//   6. with one data edge removed and the graph rescheduled, the lint
+//      either reports the schedule or the schedule computes the unmutated
+//      bits (an edge that a longer path implies is harmless to drop).
+// The seed picks each mutation's target.
 //
-// The battery runs 200 seeds, sharded 8 x 25 so ctest parallelizes it.
+// The battery runs 2000 seeds, sharded 8 x 250 so ctest parallelizes it.
 // On failure every assertion prints the seed; reproduce a single seed with
 //
 //   NEON_FUZZ_SEED=<n> ./test_skeleton_fuzz
@@ -45,10 +50,10 @@ namespace {
 
 constexpr unsigned kSeedBase = 1000;
 constexpr int      kShards = 8;
-constexpr int      kSeedsPerShard = 25;
+constexpr int      kSeedsPerShard = 250;
 
-/// Everything one seed decides, derived up front so both engine executions
-/// build the exact same skeleton.
+/// Everything one seed decides, derived up front so every execution builds
+/// the exact same skeleton.
 struct FuzzCase
 {
     index_3d dim{0, 0, 0};
@@ -113,6 +118,15 @@ struct FuzzCase
     }
 };
 
+/// A seeded schedule fault, applied between sequence() and run().
+enum class Mutation : uint8_t
+{
+    None,
+    DropWaits,   ///< every wait of one task (debugMutateTasks)
+    RemoveEdge,  ///< one data edge, then reschedule (debugMutateGraph)
+    KillHalo,    ///< one halo-update node, then reschedule
+};
+
 struct Snapshot
 {
     std::vector<double> data;
@@ -120,6 +134,8 @@ struct Snapshot
     double              s1v = 0.0;
     bool                cacheHit = false;
     int                 faultEvents = -1;
+    bool                mutated = false;    ///< the mutation found a target
+    bool                lintClean = false;  ///< validate() of the (mutated) schedule
 };
 
 struct ExecMode
@@ -129,11 +145,68 @@ struct ExecMode
     bool lint = false;            ///< assert validate() is clean
     uint64_t faultSeed = 0;       ///< != 0: fixed-seed transient FaultPlan
     bool sanitize = false;        ///< run instrumented; assert a clean diff
+    Mutation mutation = Mutation::None;
+    unsigned target = 0;  ///< picks the mutation's target (modulo the candidates)
 };
 
-Snapshot execute(const FuzzCase& fc, Backend::EngineKind kind, const ExecMode& mode)
+/// Apply `mode.mutation` to `skl`'s schedule; false when the schedule has
+/// no candidate target (no task waits, no data edge, no halo node).
+bool mutate(Skeleton& skl, const ExecMode& mode)
 {
-    set::BackendSpec spec = set::BackendSpec::cpu(fc.nDev, kind).withHostThreads(fc.hostThreads);
+    std::vector<int> candidates;
+    switch (mode.mutation) {
+        case Mutation::None: return false;
+        case Mutation::DropWaits: {
+            const auto& tasks = skl.taskList();
+            for (int t = 0; t < static_cast<int>(tasks.size()); ++t) {
+                if (!tasks[static_cast<size_t>(t)].waits.empty()) {
+                    candidates.push_back(t);
+                }
+            }
+            if (candidates.empty()) {
+                return false;
+            }
+            const int t = candidates[mode.target % candidates.size()];
+            skl.debugMutateTasks(
+                [t](std::vector<Task>& tasks) { tasks[static_cast<size_t>(t)].waits.clear(); });
+            return true;
+        }
+        case Mutation::RemoveEdge: {
+            const auto& edges = skl.graph().edges();
+            for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
+                if (edges[static_cast<size_t>(e)].kind != EdgeKind::Hint) {
+                    candidates.push_back(e);
+                }
+            }
+            if (candidates.empty()) {
+                return false;
+            }
+            const GraphEdge edge = edges[static_cast<size_t>(
+                candidates[mode.target % candidates.size()])];
+            skl.debugMutateGraph([edge](Graph& g) { g.removeEdges(edge.from, edge.to); });
+            return true;
+        }
+        case Mutation::KillHalo: {
+            const Graph& g = skl.graph();
+            for (int id = 0; id < g.nodeCount(); ++id) {
+                if (g.node(id).alive && g.node(id).kind() == Container::Kind::Halo) {
+                    candidates.push_back(id);
+                }
+            }
+            if (candidates.empty()) {
+                return false;
+            }
+            const int halo = candidates[mode.target % candidates.size()];
+            skl.debugMutateGraph([halo](Graph& graph) { graph.killNode(halo); });
+            return true;
+        }
+    }
+    return false;
+}
+
+Snapshot execute(const FuzzCase& fc, const ExecMode& mode)
+{
+    set::BackendSpec spec = set::BackendSpec::cpu(fc.nDev).withHostThreads(fc.hostThreads);
     Backend          backend = Backend::make(spec);
     auto    analyzer = backend.analysis();
     analyzer.enable();
@@ -221,9 +294,20 @@ Snapshot execute(const FuzzCase& fc, Backend::EngineKind kind, const ExecMode& m
     if (mode.expectCacheHit) {
         EXPECT_TRUE(compiled.cacheHit()) << "expected a schedule-cache hit";
     }
-    if (mode.lint) {
+    Snapshot snap;
+    snap.mutated = mutate(skl, mode);
+    if (mode.lint || snap.mutated) {
         const auto lint = skl.validate();
-        EXPECT_TRUE(lint.clean()) << lint.toString();
+        snap.lintClean = lint.clean();
+        if (mode.lint) {
+            EXPECT_TRUE(snap.lintClean) << lint.toString();
+        }
+    }
+    // A dropped wait or a killed halo is a seeded bug: the verdict is the
+    // lint's, the run would only compute what the bug computes. A removed
+    // edge runs when the lint passes it.
+    if (snap.mutated && (mode.mutation != Mutation::RemoveEdge || !snap.lintClean)) {
+        return snap;
     }
     if (mode.sanitize) {
         analysis::AccessSanitizer::reset();
@@ -241,7 +325,6 @@ Snapshot execute(const FuzzCase& fc, Backend::EngineKind kind, const ExecMode& m
         analysis::AccessSanitizer::reset();
     }
 
-    Snapshot snap;
     for (auto& f : fields) {
         f.updateHost();
         fc.dim.forEach([&](const index_3d& g) { snap.data.push_back(f.hVal(g)); });
@@ -272,47 +355,54 @@ void runSeed(unsigned seed)
     SCOPED_TRACE("reproduce with: NEON_FUZZ_SEED=" + std::to_string(seed) + "  [" +
                  fc.toString() + "]");
 
-    // Reference: sequential engine, full recompile (cache off).
-    const Snapshot seqSnap =
-        execute(fc, Backend::EngineKind::Sequential, ExecMode{false, false, true, 0});
+    // Reference: full recompile (cache off).
+    const Snapshot refSnap = execute(fc, ExecMode{false, false, true, 0});
     // Prime the schedule cache, then replay the recipe onto fresh fields;
     // the replayed schedule must lint clean and compute identical bits.
-    const Snapshot primeSnap =
-        execute(fc, Backend::EngineKind::Sequential, ExecMode{true, false, false, 0});
-    const Snapshot replaySnap =
-        execute(fc, Backend::EngineKind::Sequential, ExecMode{true, true, true, 0});
-    // The threaded engine rides the same cache entry (engine kind is not
-    // part of the structural key).
-    const Snapshot thrSnap =
-        execute(fc, Backend::EngineKind::Threaded, ExecMode{true, true, false, 0});
+    const Snapshot primeSnap = execute(fc, ExecMode{true, false, false, 0});
+    const Snapshot replaySnap = execute(fc, ExecMode{true, true, true, 0});
 
-    // Bitwise equality: with a race-free schedule both engines — and both
-    // compilation paths — perform the identical sequence of floating-point
-    // operations per cell.
-    expectBitwiseEqual(seqSnap, primeSnap, "compile(cache-on)", seed);
-    expectBitwiseEqual(seqSnap, replaySnap, "cache replay", seed);
-    expectBitwiseEqual(seqSnap, thrSnap, "threaded", seed);
+    // Bitwise equality: with a race-free schedule both compilation paths
+    // perform the identical sequence of floating-point operations per cell.
+    expectBitwiseEqual(refSnap, primeSnap, "compile(cache-on)", seed);
+    expectBitwiseEqual(refSnap, replaySnap, "cache replay", seed);
 
     // Host-pool determinism: a different pool width must not change a bit
     // (the chunk partition is span-derived, never thread-derived). A set
     // NEON_THREADS collapses both runs to the same width — trivially equal.
     FuzzCase alt = fc;
     alt.hostThreads = fc.hostThreads == 1 ? 4 : 1;
-    const Snapshot poolSnap =
-        execute(alt, Backend::EngineKind::Threaded, ExecMode{true, true, false, 0});
-    expectBitwiseEqual(seqSnap, poolSnap, "host-pool width", seed);
+    const Snapshot poolSnap = execute(alt, ExecMode{true, true, false, 0});
+    expectBitwiseEqual(refSnap, poolSnap, "host-pool width", seed);
 
     // Sanitizer leg (every 4th seed: the instrumented trampolines roughly
     // double kernel cost): a sanitize-on run must report zero violations —
     // the generated kernels never stray from their declarations — and
-    // produce bitwise-identical field state, on both engines.
+    // produce bitwise-identical field state.
     if (seed % 4 == 0) {
         ExecMode sanMode{true, true, false, 0};
         sanMode.sanitize = true;
-        const Snapshot sanSeq = execute(fc, Backend::EngineKind::Sequential, sanMode);
-        expectBitwiseEqual(seqSnap, sanSeq, "sanitize(sequential)", seed);
-        const Snapshot sanThr = execute(fc, Backend::EngineKind::Threaded, sanMode);
-        expectBitwiseEqual(seqSnap, sanThr, "sanitize(threaded)", seed);
+        expectBitwiseEqual(refSnap, execute(fc, sanMode), "sanitize", seed);
+    }
+
+    // Mutation leg: each seeded schedule fault must be caught by the lint,
+    // except a removed edge that computes the unmutated bits anyway.
+    std::mt19937 pickTarget(seed * 2246822519u + 3u);
+    for (const Mutation m : {Mutation::DropWaits, Mutation::RemoveEdge, Mutation::KillHalo}) {
+        ExecMode mode;
+        mode.mutation = m;
+        mode.target = static_cast<unsigned>(pickTarget());
+        const Snapshot mut = execute(fc, mode);
+        if (!mut.mutated) {
+            continue;
+        }
+        if (m == Mutation::RemoveEdge && mut.lintClean) {
+            expectBitwiseEqual(refSnap, mut, "lint-clean edge removal", seed);
+        } else {
+            EXPECT_FALSE(mut.lintClean)
+                << "the lint missed mutation " << static_cast<int>(m) << " (seed " << seed
+                << ")";
+        }
     }
 
     // Fault-ordinal equality: decisions are a pure function of the plan
@@ -321,14 +411,12 @@ void runSeed(unsigned seed)
     // and transient transfer faults stay invisible to the data.
     if (fc.nDev > 1) {
         const uint64_t faultSeed = 77'000u + seed;
-        const Snapshot faultOff = execute(fc, Backend::EngineKind::Sequential,
-                                          ExecMode{false, false, false, faultSeed});
-        const Snapshot faultOn = execute(fc, Backend::EngineKind::Sequential,
-                                         ExecMode{true, true, false, faultSeed});
+        const Snapshot faultOff = execute(fc, ExecMode{false, false, false, faultSeed});
+        const Snapshot faultOn = execute(fc, ExecMode{true, true, false, faultSeed});
         ASSERT_EQ(faultOff.faultEvents, faultOn.faultEvents)
             << "fault ordinals diverged between recompile and cache replay (seed " << seed
             << ")";
-        expectBitwiseEqual(seqSnap, faultOff, "faulted recompile", seed);
+        expectBitwiseEqual(refSnap, faultOff, "faulted recompile", seed);
         expectBitwiseEqual(faultOff, faultOn, "faulted cache replay", seed);
     }
 }
@@ -350,7 +438,7 @@ class SkeletonFuzz : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(SkeletonFuzz, EnginesAgreeLintAndRacesClean)
+TEST_P(SkeletonFuzz, LintRacesCleanAndMutationsCaught)
 {
     unsigned pinned = 0;
     if (pinnedSeed(&pinned)) {

@@ -1,7 +1,7 @@
 // NEON_THREADS bitwise-determinism guarantee (docs/performance.md, "Host
 // parallelism"): dot / norm2Sq reductions and map field state must be
-// bitwise identical for any host-pool width, on both engines, and with the
-// access sanitizer on or off. The chunk partition is span-derived and the
+// bitwise identical for any host-pool width, with the access sanitizer on
+// or off. The chunk partition is span-derived and the
 // per-chunk partials fold through a fixed-shape combine tree, so no float
 // is ever added in a different order.
 
@@ -36,9 +36,9 @@ struct RunResult
 
 /// One full pipeline (map -> dot -> norm2Sq, 3 runs) at a given pool width,
 /// optionally through the sanitizer's instrumented trampolines.
-RunResult runAt(set::EngineKind kind, int hostThreads, int nDev, bool sanitize = false)
+RunResult runAt(int hostThreads, int nDev, bool sanitize = false)
 {
-    set::BackendSpec spec = set::BackendSpec::cpu(nDev, kind).withHostThreads(hostThreads);
+    set::BackendSpec spec = set::BackendSpec::cpu(nDev).withHostThreads(hostThreads);
     Backend          backend = Backend::make(spec);
     backend.profiler().enable();
 
@@ -76,7 +76,7 @@ RunResult runAt(set::EngineKind kind, int hostThreads, int nDev, bool sanitize =
     return out;
 }
 
-class ParallelReduce : public ::testing::TestWithParam<set::EngineKind>
+class ParallelReduce : public ::testing::Test
 {
    protected:
     void SetUp() override
@@ -88,12 +88,11 @@ class ParallelReduce : public ::testing::TestWithParam<set::EngineKind>
 
 }  // namespace
 
-TEST_P(ParallelReduce, BitwiseIdenticalAcrossPoolWidths)
+TEST_F(ParallelReduce, BitwiseIdenticalAcrossPoolWidths)
 {
-    const auto      kind = GetParam();
-    const RunResult ref = runAt(kind, 1, 2);
+    const RunResult ref = runAt(1, 2);
     for (const int width : {2, 8}) {
-        const RunResult got = runAt(kind, width, 2);
+        const RunResult got = runAt(width, 2);
         EXPECT_EQ(got.dot, ref.dot) << "dot diverged at width " << width;
         EXPECT_EQ(got.norm, ref.norm) << "norm2Sq diverged at width " << width;
         ASSERT_EQ(got.field.size(), ref.field.size());
@@ -106,29 +105,14 @@ TEST_P(ParallelReduce, BitwiseIdenticalAcrossPoolWidths)
     }
 }
 
-TEST_P(ParallelReduce, EnginesAgreeAtEveryWidth)
+TEST_F(ParallelReduce, SanitizedMatchesPlainAtEveryWidth)
 {
-    const auto kind = GetParam();
-    const auto other = kind == set::EngineKind::Sequential ? set::EngineKind::Threaded
-                                                           : set::EngineKind::Sequential;
-    for (const int width : {1, 8}) {
-        const RunResult a = runAt(kind, width, 2);
-        const RunResult b = runAt(other, width, 2);
-        EXPECT_EQ(a.dot, b.dot);
-        EXPECT_EQ(a.norm, b.norm);
-        ASSERT_EQ(a.field, b.field);
-    }
-}
-
-TEST_P(ParallelReduce, SanitizedMatchesPlainAtEveryWidth)
-{
-    const auto kind = GetParam();
-    auto&      session = set::sanitize::Session::instance();
+    auto& session = set::sanitize::Session::instance();
     for (const int nDev : {1, 2}) {
         for (const int width : {1, 2, 8}) {
-            const RunResult plain = runAt(kind, width, nDev);
+            const RunResult plain = runAt(width, nDev);
             session.clear();
-            const RunResult san = runAt(kind, width, nDev, true);
+            const RunResult san = runAt(width, nDev, true);
             EXPECT_FALSE(session.snapshot().empty()) << "sanitized kernels committed nothing";
             session.clear();
             EXPECT_EQ(san.dot, plain.dot) << "dot diverged, " << nDev << " dev, width " << width;
@@ -138,13 +122,5 @@ TEST_P(ParallelReduce, SanitizedMatchesPlainAtEveryWidth)
         }
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, ParallelReduce,
-                         ::testing::Values(set::EngineKind::Sequential,
-                                           set::EngineKind::Threaded),
-                         [](const auto& info) {
-                             return info.param == set::EngineKind::Sequential ? "sequential"
-                                                                              : "threaded";
-                         });
 
 }  // namespace neon::patterns

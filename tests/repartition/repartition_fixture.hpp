@@ -148,9 +148,9 @@ domain::PartitionPlan skewedPlan(const Grid& grid)
 /// Final `f` of an unfaulted, unrepartitioned single-device run — the
 /// reference trajectory every differential test compares against.
 template <typename Grid>
-std::vector<double> referenceRun(set::EngineKind kind, int steps)
+std::vector<double> referenceRun(int steps)
 {
-    Harness<Grid>      ref(set::Backend::make(set::BackendSpec::cpu(1, kind)));
+    Harness<Grid>      ref(set::Backend::make(set::BackendSpec::cpu(1)));
     skeleton::Skeleton skl(ref.grid.backend());
     auto               compiled =
         skl.sequence(ref.seq, skeleton::SequenceOptions().withName("ref"));

@@ -6,8 +6,9 @@
 // PermanentDeviceLoss must checkpoint, shrink to the survivors,
 // repartition, recompile and resume — and the final state must be
 // bitwise-equal to an unfaulted single-device run of the same length.
-// Exercised for every grid and both engines, plus the recovery mechanics
-// in isolation: survivorSpec remapping, FieldGuard restore fidelity and
+// Exercised for every grid, on one host thread (`*Sequential`) and on a
+// four-thread host pool (`*Threaded`), plus the recovery mechanics in
+// isolation: survivorSpec remapping, FieldGuard restore fidelity and
 // recovery composed with an explicit mid-run rebalance.
 
 #include <gtest/gtest.h>
@@ -24,7 +25,6 @@ namespace neon::repartition {
 
 using set::Backend;
 using set::BackendSpec;
-using set::EngineKind;
 
 namespace {
 
@@ -33,11 +33,11 @@ constexpr int kFaultAtRun = 3;
 constexpr int kLostDevice = 1;
 
 template <typename Grid>
-void recoveryDifferential(EngineKind kind)
+void recoveryDifferential(int hostThreads)
 {
-    const std::vector<double> want = referenceRun<Grid>(kind, kSteps);
+    const std::vector<double> want = referenceRun<Grid>(kSteps);
 
-    BackendSpec spec = BackendSpec::cpu(3, kind);
+    BackendSpec spec = BackendSpec::cpu(3).withHostThreads(hostThreads);
     spec.withFaults(sys::FaultPlan(7).add(
         sys::FaultSpec::deviceLoss(kLostDevice, kFaultAtRun)));
     Harness<Grid> h(Backend::make(spec));
@@ -64,37 +64,36 @@ void recoveryDifferential(EngineKind kind)
 
 TEST(RecoveryDifferential, DGridSequential)
 {
-    recoveryDifferential<dgrid::DGrid>(EngineKind::Sequential);
+    recoveryDifferential<dgrid::DGrid>(1);
 }
 TEST(RecoveryDifferential, DGridThreaded)
 {
-    recoveryDifferential<dgrid::DGrid>(EngineKind::Threaded);
+    recoveryDifferential<dgrid::DGrid>(4);
 }
 TEST(RecoveryDifferential, EGridSequential)
 {
-    recoveryDifferential<egrid::EGrid>(EngineKind::Sequential);
+    recoveryDifferential<egrid::EGrid>(1);
 }
 TEST(RecoveryDifferential, EGridThreaded)
 {
-    recoveryDifferential<egrid::EGrid>(EngineKind::Threaded);
+    recoveryDifferential<egrid::EGrid>(4);
 }
 TEST(RecoveryDifferential, BGridSequential)
 {
-    recoveryDifferential<bgrid::BGrid>(EngineKind::Sequential);
+    recoveryDifferential<bgrid::BGrid>(1);
 }
 TEST(RecoveryDifferential, BGridThreaded)
 {
-    recoveryDifferential<bgrid::BGrid>(EngineKind::Threaded);
+    recoveryDifferential<bgrid::BGrid>(4);
 }
 
 TEST(RecoveryDifferential, ComposesWithExplicitRebalance)
 {
     // Rebalance at step 2, lose device 1 at step 4: the runner must recover
     // from the *rebalanced* decomposition and still match the reference.
-    const std::vector<double> want =
-        referenceRun<dgrid::DGrid>(EngineKind::Sequential, kSteps);
+    const std::vector<double> want = referenceRun<dgrid::DGrid>(kSteps);
 
-    BackendSpec spec = BackendSpec::cpu(3, EngineKind::Sequential);
+    BackendSpec spec = BackendSpec::cpu(3);
     spec.withFaults(sys::FaultPlan(11).add(sys::FaultSpec::deviceLoss(1, 4)));
     Harness<dgrid::DGrid> h(Backend::make(spec));
 
@@ -118,10 +117,9 @@ TEST(RecoveryDifferential, SecondLossShrinksToOneDevice)
 {
     // Two sequential losses: 3 -> 2 -> 1 devices. Both recoveries restore
     // a consistent snapshot; the run still matches the reference.
-    const std::vector<double> want =
-        referenceRun<dgrid::DGrid>(EngineKind::Sequential, kSteps);
+    const std::vector<double> want = referenceRun<dgrid::DGrid>(kSteps);
 
-    BackendSpec spec = BackendSpec::cpu(3, EngineKind::Sequential);
+    BackendSpec spec = BackendSpec::cpu(3);
     // Old numbering: device 2 dies at run 2; after the shrink it is gone,
     // and survivor device 1 (old device 1) dies at survivor-run 2 — i.e.
     // original step 4 under the runner's one-run-per-step cadence.
@@ -150,7 +148,7 @@ TEST(RecoveryDifferential, NonDeviceLostFaultsPropagate)
 {
     // Transfer-failure faults are not recoverable by shrinking: the runner
     // must rethrow, not loop.
-    BackendSpec spec = BackendSpec::cpu(2, EngineKind::Sequential);
+    BackendSpec spec = BackendSpec::cpu(2);
     sys::FaultSpec transient = sys::FaultSpec::transientTransfer(1000);
     spec.withFaults(sys::FaultPlan(3).add(transient));
     Harness<dgrid::DGrid> h(Backend::make(spec));
@@ -209,7 +207,7 @@ TEST(ServiceRecovery, OtherJobsSurviveADeviceLoss)
     // Device 1 dies while job A runs. With a recovery handler installed the
     // service fails only job A; jobs B and C re-dispatch onto the survivor
     // backend and complete.
-    BackendSpec spec = BackendSpec::cpu(3, EngineKind::Sequential);
+    BackendSpec spec = BackendSpec::cpu(3);
     spec.withFaults(sys::FaultPlan(5).add(sys::FaultSpec::deviceLoss(1, 1)));
     Harness<dgrid::DGrid> h(Backend::make(spec));
 
@@ -247,7 +245,7 @@ TEST(ServiceRecovery, WithoutHandlerTheBlastRadiusStands)
     // The pre-existing fail-stop contract is the default: no handler, and
     // a device loss fails the attributed job (and, had others been queued
     // behind it on the dead backend, them too).
-    BackendSpec spec = BackendSpec::cpu(3, EngineKind::Sequential);
+    BackendSpec spec = BackendSpec::cpu(3);
     spec.withFaults(sys::FaultPlan(5).add(sys::FaultSpec::deviceLoss(1, 0)));
     Harness<dgrid::DGrid> h(Backend::make(spec));
 

@@ -1,8 +1,9 @@
 // Adaptive-repartitioning differential battery (docs/robustness.md).
 //
 // The core property: repartitioning mid-run is invisible to the data. For
-// every grid (DGrid / EGrid / BGrid) and both engines, a pipeline that runs
-// k steps, migrates to a skewed decomposition and runs to completion must
+// every grid (DGrid / EGrid / BGrid), on one host thread (`*Sequential`)
+// and on a four-thread host pool (`*Threaded`), a pipeline that runs k
+// steps, migrates to a skewed decomposition and runs to completion must
 // produce final state bitwise-equal to an unrepartitioned single-device
 // reference. Around that core: migration preserves field values with no
 // compute at all, uneven slabs feed exactly the right halo halves (the
@@ -30,7 +31,6 @@ namespace neon::repartition {
 using set::Backend;
 using set::BackendSpec;
 using set::Container;
-using set::EngineKind;
 
 namespace {
 
@@ -58,11 +58,11 @@ constexpr int kTotalSteps = 6;
 constexpr int kRepartitionAt = 2;
 
 template <typename Grid>
-void repartitionDifferential(EngineKind kind)
+void repartitionDifferential(int hostThreads)
 {
-    const std::vector<double> want = referenceRun<Grid>(kind, kTotalSteps);
+    const std::vector<double> want = referenceRun<Grid>(kTotalSteps);
 
-    Harness<Grid> h(Backend::make(BackendSpec::cpu(3, kind)));
+    Harness<Grid> h(Backend::make(BackendSpec::cpu(3).withHostThreads(hostThreads)));
     auto          analyzer = h.grid.backend().analysis();
     analyzer.enable();
     skeleton::Skeleton skl(h.grid.backend());
@@ -114,31 +114,31 @@ void migrationPreservesData()
 
 }  // namespace
 
-// --- grid x engine battery -------------------------------------------------
+// --- grid battery ----------------------------------------------------------
 
 TEST(RepartitionDifferential, DGridSequential)
 {
-    repartitionDifferential<dgrid::DGrid>(EngineKind::Sequential);
+    repartitionDifferential<dgrid::DGrid>(1);
 }
 TEST(RepartitionDifferential, DGridThreaded)
 {
-    repartitionDifferential<dgrid::DGrid>(EngineKind::Threaded);
+    repartitionDifferential<dgrid::DGrid>(4);
 }
 TEST(RepartitionDifferential, EGridSequential)
 {
-    repartitionDifferential<egrid::EGrid>(EngineKind::Sequential);
+    repartitionDifferential<egrid::EGrid>(1);
 }
 TEST(RepartitionDifferential, EGridThreaded)
 {
-    repartitionDifferential<egrid::EGrid>(EngineKind::Threaded);
+    repartitionDifferential<egrid::EGrid>(4);
 }
 TEST(RepartitionDifferential, BGridSequential)
 {
-    repartitionDifferential<bgrid::BGrid>(EngineKind::Sequential);
+    repartitionDifferential<bgrid::BGrid>(1);
 }
 TEST(RepartitionDifferential, BGridThreaded)
 {
-    repartitionDifferential<bgrid::BGrid>(EngineKind::Threaded);
+    repartitionDifferential<bgrid::BGrid>(4);
 }
 
 TEST(RepartitionMigration, DGridPreservesData)

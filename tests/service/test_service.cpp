@@ -1,7 +1,7 @@
 // Multi-tenant service battery (docs/service.md).
 //
-// Asserts the four contract properties of neon::service across both
-// engines and host-pool widths:
+// Asserts the four contract properties of neon::service across host-pool
+// widths:
 //   1. isolation — every job's fields/scalars are bitwise equal to the
 //      same job run solo on a fresh backend,
 //   2. FIFO preserves per-tenant (and global) dispatch order,
@@ -39,9 +39,9 @@ struct EnvGuard
 
 /// Oracle: the same JobDesc built and run alone on a fresh backend of the
 /// same shape (device count drives partitioning, so it must match).
-std::vector<double> soloRun(const JobDesc& desc, Backend::EngineKind kind, int nDev)
+std::vector<double> soloRun(const JobDesc& desc, int nDev)
 {
-    Backend            bk = Backend::cpu(nDev, kind);
+    Backend            bk = Backend::cpu(nDev);
     BuiltJob           bj = buildJob(bk, desc);
     skeleton::Skeleton skl(bk);
     skl.sequence(bj.request.ops, bj.request.options);
@@ -61,22 +61,8 @@ void expectBitwise(const std::vector<double>& got, const std::vector<double>& wa
     }
 }
 
-struct Matrix
-{
-    Backend::EngineKind kind;
-    int                 threads;
-    std::string         label;
-};
-
-std::vector<Matrix> matrix()
-{
-    return {
-        {Backend::EngineKind::Sequential, 1, "sequential/threads=1"},
-        {Backend::EngineKind::Sequential, 8, "sequential/threads=8"},
-        {Backend::EngineKind::Threaded, 1, "threaded/threads=1"},
-        {Backend::EngineKind::Threaded, 8, "threaded/threads=8"},
-    };
-}
+/// Host-pool widths every property is checked at.
+constexpr int kPoolWidths[] = {1, 8};
 
 }  // namespace
 
@@ -85,11 +71,11 @@ std::vector<Matrix> matrix()
 TEST(Service, IsolationBitwiseEqualToSoloRuns)
 {
     const auto trace = makeTrace(TrafficSpec().withSeed(11).withJobs(18).withTenants(3));
-    for (const auto& m : matrix()) {
-        SCOPED_TRACE(m.label);
-        EnvGuard guard("NEON_THREADS", std::to_string(m.threads));
+    for (const int threads : kPoolWidths) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EnvGuard guard("NEON_THREADS", std::to_string(threads));
         const int nDev = 2;
-        Backend   bk = Backend::cpu(nDev, m.kind);
+        Backend   bk = Backend::cpu(nDev);
         Service   svc(bk, ServiceConfig().withMaxInFlight(4).withBatching(true, 3));
 
         std::vector<BuiltJob> built;
@@ -101,7 +87,7 @@ TEST(Service, IsolationBitwiseEqualToSoloRuns)
         }
         svc.drain();
 
-        ASSERT_EQ(svc.completedCount(), static_cast<int>(trace.size())) << m.label;
+        ASSERT_EQ(svc.completedCount(), static_cast<int>(trace.size()));
         ASSERT_EQ(svc.failedCount(), 0);
         for (size_t i = 0; i < jobs.size(); ++i) {
             SCOPED_TRACE(built[i].desc.toString());
@@ -109,7 +95,7 @@ TEST(Service, IsolationBitwiseEqualToSoloRuns)
             jobs[i].rethrowIfFailed();
             EXPECT_GE(jobs[i].latency(), 0.0);
             EXPECT_GE(jobs[i].queueDelay(), 0.0);
-            expectBitwise(snapshot(built[i]), soloRun(built[i].desc, m.kind, nDev),
+            expectBitwise(snapshot(built[i]), soloRun(built[i].desc, nDev),
                           "job " + std::to_string(jobs[i].id()));
         }
     }
@@ -123,10 +109,10 @@ TEST(Service, FifoPreservesPerTenantSubmissionOrder)
     for (auto& d : trace) {
         d.arrival = 0.0;  // all-at-once burst: order must come from policy
     }
-    for (const auto& m : matrix()) {
-        SCOPED_TRACE(m.label);
-        EnvGuard guard("NEON_THREADS", std::to_string(m.threads));
-        Backend  bk = Backend::cpu(2, m.kind);
+    for (const int threads : kPoolWidths) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EnvGuard guard("NEON_THREADS", std::to_string(threads));
+        Backend  bk = Backend::cpu(2);
         Service  svc(bk, ServiceConfig().withPolicy(Policy::Fifo).withMaxInFlight(2));
 
         std::vector<Job> jobs;
@@ -195,12 +181,12 @@ TEST(Service, FairShareBoundsVictimLatencyUnderHogTenant)
 // enqueue the rejected request, and frees up after a drain.
 TEST(Service, QuotaRejectsOverQuotaSubmissionsWithAttribution)
 {
-    for (const auto& m : matrix()) {
-        SCOPED_TRACE(m.label);
-        EnvGuard guard("NEON_THREADS", std::to_string(m.threads));
+    for (const int threads : kPoolWidths) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EnvGuard guard("NEON_THREADS", std::to_string(threads));
         // Non-zero cost model: in-flight jobs take virtual time to finish,
         // so the quota actually binds (zero-cost jobs retire instantly).
-        Backend bk = Backend::simGpu(1, sys::SimConfig::dgxA100Like(), m.kind);
+        Backend bk = Backend::simGpu(1, sys::SimConfig::dgxA100Like());
         Service svc(bk, ServiceConfig().withMaxInFlight(1).withTenantQuota(2));
 
         const auto trace = makeTrace(TrafficSpec().withSeed(3).withJobs(4).withTenants(1));
@@ -275,8 +261,7 @@ TEST(Service, BatchingGroupsStructurallyIdenticalJobs)
         }
         for (size_t i = 0; i < jobs.size(); ++i) {
             ASSERT_EQ(jobs[i].state(), JobState::Completed);
-            expectBitwise(snapshot(built[i]),
-                          soloRun(built[i].desc, Backend::EngineKind::Sequential, 2),
+            expectBitwise(snapshot(built[i]), soloRun(built[i].desc, 2),
                           std::string("batching=") + (batching ? "on" : "off") + " job " +
                               std::to_string(jobs[i].id()));
         }

@@ -59,8 +59,7 @@ TEST(Backend, HandleIsShared)
 TEST(Backend, ToStringMentionsKindAndCount)
 {
     EXPECT_NE(Backend::simGpu(8).toString().find("SIM_GPU x8"), std::string::npos);
-    EXPECT_NE(Backend::cpu(1, Backend::EngineKind::Threaded).toString().find("threaded"),
-              std::string::npos);
+    EXPECT_NE(Backend::cpu(1).toString().find("CPU x1"), std::string::npos);
 }
 
 TEST(Backend, DataUidsAreProcessUnique)

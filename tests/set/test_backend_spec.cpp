@@ -16,25 +16,21 @@ TEST(BackendSpec, MakeBuildsFromNamedFields)
     BackendSpec spec;
     spec.nDevices = 3;
     spec.deviceType = sys::DeviceType::SIM_GPU;
-    spec.engine = EngineKind::Sequential;
     spec.config = sys::SimConfig::dgxA100Like();
     spec.preset = "dgxA100";
     Backend b = Backend::make(spec);
     EXPECT_EQ(b.devCount(), 3);
-    EXPECT_EQ(b.engineKind(), EngineKind::Sequential);
     EXPECT_EQ(b.spec().preset, "dgxA100");
 }
 
 TEST(BackendSpec, ToStringRoundTripsThroughFromString)
 {
-    const BackendSpec spec = BackendSpec::simGpu(4, sys::SimConfig::dgxA100Like(),
-                                                 EngineKind::Threaded);
+    const BackendSpec spec = BackendSpec::simGpu(4, sys::SimConfig::dgxA100Like());
     const std::string text = spec.toString();
     const BackendSpec back = BackendSpec::fromString(text);
     EXPECT_EQ(back.toString(), text);
     EXPECT_EQ(back.nDevices, 4);
     EXPECT_EQ(back.deviceType, sys::DeviceType::SIM_GPU);
-    EXPECT_EQ(back.engine, EngineKind::Threaded);
     EXPECT_EQ(back.preset, "dgxA100");
 }
 
@@ -88,7 +84,7 @@ TEST(BackendSpec, HostThreadsResolution)
     // Auto resolves to at least one thread.
     Backend fromAuto = Backend::make(BackendSpec::cpu(1));
     EXPECT_GE(fromAuto.hostThreads(), 1);
-    // NEON_THREADS overrides the spec (same convention as NEON_ENGINE).
+    // NEON_THREADS overrides the spec.
     setenv("NEON_THREADS", "5", 1);
     Backend fromEnv = Backend::make(BackendSpec::cpu(1).withHostThreads(3));
     unsetenv("NEON_THREADS");
@@ -97,15 +93,14 @@ TEST(BackendSpec, HostThreadsResolution)
 
 TEST(BackendSpec, FromStringRejectsBadThreadCount)
 {
-    EXPECT_THROW(BackendSpec::fromString("CPU x1 engine=sequential preset=zeroCost threads=0"),
-                 NeonException);
+    EXPECT_THROW(BackendSpec::fromString("CPU x1 preset=zeroCost threads=0"), NeonException);
 }
 
 TEST(BackendSpec, FromStringRejectsGarbage)
 {
     EXPECT_THROW(BackendSpec::fromString("TPU x4"), NeonException);
     EXPECT_THROW(BackendSpec::fromString("SIM_GPU four"), NeonException);
-    EXPECT_THROW(BackendSpec::fromString("SIM_GPU x2 engine=warp"), NeonException);
+    EXPECT_THROW(BackendSpec::fromString("SIM_GPU x2 engine=sequential"), NeonException);
     EXPECT_THROW(BackendSpec::fromString("SIM_GPU x2 preset=nosuch"), NeonException);
     EXPECT_THROW(BackendSpec::fromString("SIM_GPU x2 wat"), NeonException);
 }

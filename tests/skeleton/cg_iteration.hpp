@@ -16,11 +16,11 @@
 
 namespace neon::skeleton::testing {
 
-inline set::Backend dryA100s(int nDev, set::Backend::EngineKind engine)
+inline set::Backend dryA100s(int nDev)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     cfg.dryRun = true;
-    return set::Backend::make(set::BackendSpec::simGpu(nDev, cfg, engine));
+    return set::Backend::make(set::BackendSpec::simGpu(nDev, cfg));
 }
 
 struct CgIteration

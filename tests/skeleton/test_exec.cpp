@@ -1,13 +1,14 @@
 // End-to-end Skeleton execution: a map -> stencil -> reduce -> scalar ->
 // map pipeline iterated several times must produce identical results for
-// every (device count) x (OCC variant) x (engine) combination — the paper's
-// core promise that the runtime's distribution and optimizations never
-// change semantics. Also checks that OCC actually shortens the virtual
-// timeline on the simulated multi-GPU backend.
+// every (device count) x (OCC variant) x (host-pool width) combination —
+// the paper's core promise that the runtime's distribution and
+// optimizations never change semantics. Also checks that OCC actually
+// shortens the virtual timeline on the simulated multi-GPU backend.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -72,11 +73,24 @@ struct RunResult
     double              s = 0.0;
 };
 
-RunResult runPipeline(int nDev, Occ occ, Backend::EngineKind engine,
+/// How the CPU devices run their kernels: on one host thread, or with the
+/// chunks fanned out over a four-worker host pool.
+enum class HostPool : std::uint8_t
+{
+    Sequential,
+    Threaded,
+};
+
+RunResult runPipeline(int nDev, Occ occ, HostPool pool,
                       sys::SimConfig cfg = sys::SimConfig::zeroCost(),
                       double* vtimeOut = nullptr, index_3d dim = kDim)
 {
-    Backend      backend(nDev, sys::DeviceType::CPU, cfg, engine);
+    set::BackendSpec spec;
+    spec.nDevices = nDev;
+    spec.config = cfg;
+    spec.preset = "custom";
+    spec.hostThreads = pool == HostPool::Sequential ? 1 : 4;
+    Backend      backend = Backend::make(spec);
     dgrid::DGrid grid(backend, dim, Stencil::laplace7());
     auto         A = grid.newField<double>("A", 1, 0.0);
     auto         B = grid.newField<double>("B", 1, 0.0);
@@ -132,7 +146,7 @@ RunResult runPipeline(int nDev, Occ occ, Backend::EngineKind engine,
 
 }  // namespace
 
-using ExecCase = std::tuple<int, Occ, Backend::EngineKind>;
+using ExecCase = std::tuple<int, Occ, HostPool>;
 
 class SkeletonExec : public ::testing::TestWithParam<ExecCase>
 {
@@ -140,10 +154,10 @@ class SkeletonExec : public ::testing::TestWithParam<ExecCase>
 
 TEST_P(SkeletonExec, MatchesHostReference)
 {
-    const auto [nDev, occ, engine] = GetParam();
+    const auto [nDev, occ, pool] = GetParam();
     static const Reference ref;
 
-    RunResult got = runPipeline(nDev, occ, engine);
+    RunResult got = runPipeline(nDev, occ, pool);
     EXPECT_NEAR(got.s, ref.s, std::abs(ref.s) * 1e-10 + 1e-10);
     kDim.forEach([&](const index_3d& g) {
         const double expect = ref.A[kDim.pitch(g)];
@@ -156,12 +170,11 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SkeletonExec,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 8),
                        ::testing::Values(Occ::NONE, Occ::STANDARD, Occ::EXTENDED, Occ::TWO_WAY),
-                       ::testing::Values(Backend::EngineKind::Sequential,
-                                         Backend::EngineKind::Threaded)),
+                       ::testing::Values(HostPool::Sequential, HostPool::Threaded)),
     [](const auto& info) {
         return "dev" + std::to_string(std::get<0>(info.param)) + "_" +
                to_string(std::get<1>(info.param)) + "_" +
-               (std::get<2>(info.param) == Backend::EngineKind::Sequential ? "seq" : "thr");
+               (std::get<2>(info.param) == HostPool::Sequential ? "seq" : "thr");
     });
 
 TEST(SkeletonVtime, OccShortensTheVirtualTimeline)
@@ -173,8 +186,8 @@ TEST(SkeletonVtime, OccShortensTheVirtualTimeline)
     const index_3d dim{32, 32, 128};
     double tNone = 0.0;
     double tStd = 0.0;
-    runPipeline(8, Occ::NONE, Backend::EngineKind::Sequential, cfg, &tNone, dim);
-    runPipeline(8, Occ::STANDARD, Backend::EngineKind::Sequential, cfg, &tStd, dim);
+    runPipeline(8, Occ::NONE, HostPool::Sequential, cfg, &tNone, dim);
+    runPipeline(8, Occ::STANDARD, HostPool::Sequential, cfg, &tStd, dim);
     EXPECT_LT(tStd, tNone);
 }
 
@@ -183,15 +196,15 @@ TEST(SkeletonVtime, SingleDeviceOccIsFree)
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     double tNone = 0.0;
     double tTwo = 0.0;
-    runPipeline(1, Occ::NONE, Backend::EngineKind::Sequential, cfg, &tNone);
-    runPipeline(1, Occ::TWO_WAY, Backend::EngineKind::Sequential, cfg, &tTwo);
+    runPipeline(1, Occ::NONE, HostPool::Sequential, cfg, &tNone);
+    runPipeline(1, Occ::TWO_WAY, HostPool::Sequential, cfg, &tTwo);
     EXPECT_DOUBLE_EQ(tNone, tTwo);
 }
 
 TEST(SkeletonVtime, TraceShowsCommunicationComputationOverlap)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
-    Backend        backend(4, sys::DeviceType::CPU, cfg, Backend::EngineKind::Sequential);
+    Backend        backend(4, sys::DeviceType::CPU, cfg);
     dgrid::DGrid   grid(backend, {16, 16, 64}, Stencil::laplace7());
     auto           B = grid.newField<double>("B", 1, 0.0);
     auto           C = grid.newField<double>("C", 1, 0.0);

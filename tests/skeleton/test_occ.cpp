@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "dgrid/dfield.hpp"
 #include "dgrid/dgrid.hpp"
 #include "patterns/blas.hpp"
@@ -242,6 +246,109 @@ TEST(Occ, TaskOrderIsTopological)
                 << to_string(occ);
         }
     }
+}
+
+namespace {
+
+/// One op of a skeleton-fuzz sequence (tests/fuzz/test_skeleton_fuzz.cpp):
+/// "sten" reads fa through a 7-point stencil into fb, "map" blends fa into
+/// fb, "dot" reduces fa . fb into s1, "scal" mixes s0 and s1 into s0.
+struct FuzzOp
+{
+    std::string op;
+    int         a = 0;
+    int         b = 0;
+};
+
+/// Build `ops` over 4 fields on `nDev` CPU devices under two-way OCC; the
+/// schedule must lint clean and three runs must be race free.
+void expectTwoWayScheduleClean(index_3d dim, int nDev, int maxStreams,
+                               const std::vector<FuzzOp>& ops)
+{
+    Backend      backend = Backend::cpu(nDev);
+    dgrid::DGrid grid(backend, dim, Stencil::laplace7());
+    GlobalScalar<double> s0(backend, "s0", 0.3);
+    GlobalScalar<double> s1(backend, "s1", 0.7);
+    std::vector<dgrid::DField<double>> f;
+    for (int i = 0; i < 4; ++i) {
+        f.push_back(grid.newField<double>("f" + std::to_string(i), 1, 0.1 * i + 0.05));
+    }
+    std::vector<Container> seq;
+    for (size_t k = 0; k < ops.size(); ++k) {
+        const std::string name = ops[k].op + std::to_string(k);
+        auto              src = f[static_cast<size_t>(ops[k].a)];
+        auto              dst = f[static_cast<size_t>(ops[k].b)];
+        if (ops[k].op == "sten") {
+            seq.push_back(grid.newContainer(name, [src, dst](auto& l) mutable {
+                auto sp = l.load(src, Access::READ, Compute::STENCIL);
+                auto dp = l.load(dst, Access::WRITE);
+                return [=](const dgrid::DCell& c) mutable {
+                    double acc = -6.0 * sp(c);
+                    for (const auto& off : Stencil::laplace7().points()) {
+                        acc += sp.nghVal(c, off);
+                    }
+                    dp(c) = sp(c) + 0.05 * acc;
+                };
+            }));
+        } else if (ops[k].op == "map") {
+            seq.push_back(grid.newContainer(name, [src, dst, s = s0](auto& l) mutable {
+                auto sp = l.load(src, Access::READ);
+                auto dp = l.load(dst, Access::WRITE);
+                auto sv = l.load(s, Access::READ);
+                return [=](const dgrid::DCell& c) mutable {
+                    dp(c) = 0.9 * dp(c) + sv() * sp(c) + 0.01;
+                };
+            }));
+        } else if (ops[k].op == "dot") {
+            seq.push_back(patterns::dot(grid, src, dst, s1, name));
+        } else {
+            seq.push_back(Container::scalarOp<double>(
+                name, backend, {s0, s1}, {s0}, [x = s0, y = s1]() mutable {
+                    x.set(0.5 * x.hostValue() + y.hostValue() / (1.0 + std::abs(y.hostValue())));
+                }));
+        }
+    }
+
+    auto analyzer = backend.analysis();
+    analyzer.enable();
+    Skeleton skl(backend);
+    skl.sequence(seq, SequenceOptions().withOcc(Occ::TWO_WAY).withMaxStreams(maxStreams));
+    const auto lint = skl.validate();
+    EXPECT_TRUE(lint.clean()) << lint.toString();
+    for (int r = 0; r < 3; ++r) {
+        skl.run();
+    }
+    skl.sync();
+    const auto races = analyzer.raceReport();
+    EXPECT_TRUE(races.clean()) << races.toString();
+}
+
+}  // namespace
+
+// A two-way split child (map4 after sten3) that writes a field another
+// split stencil (sten2) reads through its stencil: each half of that
+// stencil must precede both child halves, not only the matching one.
+TEST(Occ, TwoWayOrdersCrossHalfWaRFromOtherSplitStencils)
+{
+    // Skeleton-fuzz seed 5427.
+    expectTwoWayScheduleClean({4, 6, 14}, 2, 2,
+                              {{"sten", 0, 1},
+                               {"dot", 3, 3},
+                               {"sten", 3, 2},
+                               {"sten", 1, 0},
+                               {"map", 0, 3},
+                               {"dot", 3, 2}});
+    // Skeleton-fuzz seed 2179.
+    expectTwoWayScheduleClean({8, 6, 13}, 4, 5,
+                              {{"sten", 1, 3},
+                               {"map", 1, 0},
+                               {"sten", 1, 2},
+                               {"dot", 3, 0},
+                               {"sten", 0, 1},
+                               {"scal", 0, 2},
+                               {"sten", 3, 0},
+                               {"map", 2, 3},
+                               {"sten", 1, 0}});
 }
 
 }  // namespace neon::skeleton

@@ -1,6 +1,6 @@
 // Randomized property test: generate arbitrary (seeded) sequences of map /
 // stencil / reduce / scalar containers and check that every backend
-// configuration — device count x OCC level x engine — produces the same
+// configuration — device count x OCC level — produces the same
 // fields and scalars as the single-device reference. This is the paper's
 // core contract stated as a property.
 
@@ -150,21 +150,14 @@ TEST_P(RandomPipelines, AllConfigurationsMatchReference)
 
     struct Config
     {
-        int                 nDev;
-        Occ                 occ;
-        Backend::EngineKind engine;
+        int nDev;
+        Occ occ;
     };
     const Config configs[] = {
-        {2, Occ::NONE, Backend::EngineKind::Sequential},
-        {4, Occ::STANDARD, Backend::EngineKind::Sequential},
-        {3, Occ::EXTENDED, Backend::EngineKind::Threaded},
-        {4, Occ::TWO_WAY, Backend::EngineKind::Threaded},
-        {8, Occ::TWO_WAY, Backend::EngineKind::Sequential},
+        {2, Occ::NONE}, {4, Occ::STANDARD}, {3, Occ::EXTENDED}, {4, Occ::TWO_WAY}, {8, Occ::TWO_WAY},
     };
     for (const auto& cfg : configs) {
-        Pipeline p(Backend(cfg.nDev, sys::DeviceType::CPU, sys::SimConfig::zeroCost(),
-                           cfg.engine),
-                   seed);
+        Pipeline p(Backend(cfg.nDev, sys::DeviceType::CPU, sys::SimConfig::zeroCost()), seed);
         const auto got = p.execute(cfg.occ);
         ASSERT_EQ(got.data.size(), ref.data.size());
         for (size_t i = 0; i < ref.data.size(); ++i) {

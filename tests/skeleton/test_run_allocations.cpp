@@ -46,7 +46,7 @@ TEST(RunAllocations, CachedCgIterationAllocatesTheSameAtEveryDeviceCount)
     size_t           atOneDevice = 0;
     for (const int nDev : {1, 2, 4, 8}) {
         SCOPED_TRACE(std::to_string(nDev) + " device(s)");
-        set::Backend         backend = testing::dryA100s(nDev, set::Backend::EngineKind::Sequential);
+        set::Backend         backend = testing::dryA100s(nDev);
         testing::CgIteration cg(backend);
         Skeleton             skl(backend);
         skl.sequence(cg.containers(), testing::CgIteration::options());

@@ -132,55 +132,39 @@ TEST(SchedulerEdge, SequenceCanBeRedefined)
     EXPECT_DOUBLE_EQ(app.fields[1].hVal({0, 0, 0}), -3.0);
 }
 
-TEST(SchedulerEdge, ThreadedEngineHandlesWideGraphs)
-{
-    WideApp  app(Backend::cpu(2, Backend::EngineKind::Threaded), 4);
-    Skeleton skl(app.grid.backend());
-    skl.sequence(app.sequence(), SequenceOptions().withName("wide"));
-    for (int i = 0; i < 5; ++i) {
-        skl.run();
-    }
-    skl.sync();
-    app.fields[0].updateHost();
-    EXPECT_DOUBLE_EQ(app.fields[0].hVal({2, 2, 2}), 10.0);
-}
-
 TEST(SchedulerEdge, ScalarTasksSyncOnDeviceZeroOnly)
 {
     using testing::CgIteration;
     using testing::OpCounter;
     constexpr int kDevs = 8;
-    for (const auto engine : {Backend::EngineKind::Sequential, Backend::EngineKind::Threaded}) {
-        SCOPED_TRACE(set::to_string(engine));
-        Backend     backend = testing::dryA100s(kDevs, engine);
-        CgIteration cg(backend);
-        Skeleton    skl(backend);
-        skl.sequence(cg.containers(), CgIteration::options());
-        EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
-        skl.run();  // warm: the next run also waits on this one's data chains
-        skl.sync();
+    Backend     backend = testing::dryA100s(kDevs);
+    CgIteration cg(backend);
+    Skeleton    skl(backend);
+    skl.sequence(cg.containers(), CgIteration::options());
+    EXPECT_TRUE(skl.validate().clean()) << skl.validate().toString();
+    skl.run();  // warm: the next run also waits on this one's data chains
+    skl.sync();
 
-        auto counter = std::make_shared<OpCounter>(skl.graph());
-        backend.engine().setEnqueueHook(counter);
-        skl.run();
-        backend.engine().setEnqueueHook(nullptr);
-        skl.sync();
-        // A reduce combine, alpha and beta run on device 0 only; so do their
-        // waits and completion records.
-        EXPECT_EQ(counter->scalarSyncOffRoot(), 0);
-        EXPECT_EQ(counter->count(sys::OpKind::Kernel), 56);
-        EXPECT_EQ(counter->count(sys::OpKind::Transfer), 8);
-        EXPECT_EQ(counter->count(sys::OpKind::HostFn), 4);
-        EXPECT_LE(counter->count(sys::OpKind::Wait), 130);
-        EXPECT_LE(counter->count(sys::OpKind::Record), 60);
-        EXPECT_LE(counter->total(), 260);
+    auto counter = std::make_shared<OpCounter>(skl.graph());
+    backend.engine().setEnqueueHook(counter);
+    skl.run();
+    backend.engine().setEnqueueHook(nullptr);
+    skl.sync();
+    // A reduce combine, alpha and beta run on device 0 only; so do their
+    // waits and completion records.
+    EXPECT_EQ(counter->scalarSyncOffRoot(), 0);
+    EXPECT_EQ(counter->count(sys::OpKind::Kernel), 56);
+    EXPECT_EQ(counter->count(sys::OpKind::Transfer), 8);
+    EXPECT_EQ(counter->count(sys::OpKind::HostFn), 4);
+    EXPECT_LE(counter->count(sys::OpKind::Wait), 130);
+    EXPECT_LE(counter->count(sys::OpKind::Record), 60);
+    EXPECT_LE(counter->total(), 260);
 
-        auto races = backend.analysis();
-        races.enable();
-        skl.run();
-        skl.sync();
-        EXPECT_TRUE(races.raceReport().clean()) << races.raceReport().toString();
-    }
+    auto races = backend.analysis();
+    races.enable();
+    skl.run();
+    skl.sync();
+    EXPECT_TRUE(races.raceReport().clean()) << races.raceReport().toString();
 }
 
 TEST(SchedulerEdge, ScalarSyncKeepsCgMakespan)
@@ -190,7 +174,7 @@ TEST(SchedulerEdge, ScalarSyncKeepsCgMakespan)
     // device. Consumers wait on the scalar's device-0 event, so keeping the
     // scalar's own waits off devices 1-7 must not move it.
     constexpr double kMakespan = 0.00069627143225806435;
-    Backend          backend = testing::dryA100s(8, Backend::EngineKind::Sequential);
+    Backend          backend = testing::dryA100s(8);
     dgrid::DGrid     grid(backend, testing::CgIteration::kDim, Stencil::laplace7());
     auto             x = grid.newField<double>("x", 1, 0.0);
     auto             b = grid.newField<double>("b", 1, 0.0);

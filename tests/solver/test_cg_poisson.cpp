@@ -1,9 +1,10 @@
 // CG + Poisson: convergence, accuracy against the analytic solution and
-// against the native baseline, across device counts, OCC variants, engines
-// and grid types.
+// against the native baseline, across device counts, OCC variants,
+// host-pool widths and grid types.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "dgrid/dfield.hpp"
@@ -19,10 +20,19 @@ namespace {
 
 constexpr index_3d kDim{14, 14, 14};
 
-double solveDense(int nDev, Occ occ, Backend::EngineKind engine, solver::CgResult* resultOut,
+/// How the CPU devices run their kernels: on one host thread, or with the
+/// chunks fanned out over a four-worker host pool.
+enum class HostPool : std::uint8_t
+{
+    Sequential,
+    Threaded,
+};
+
+double solveDense(int nDev, Occ occ, HostPool pool, solver::CgResult* resultOut,
                   std::vector<double>* xOut = nullptr)
 {
-    Backend      backend(nDev, sys::DeviceType::CPU, sys::SimConfig::zeroCost(), engine);
+    const int    threads = pool == HostPool::Sequential ? 1 : 4;
+    Backend      backend = Backend::make(set::BackendSpec::cpu(nDev).withHostThreads(threads));
     dgrid::DGrid grid(backend, kDim, Stencil::laplace7());
     auto         x = grid.newField<double>("x", 1, 0.0);
     auto         b = grid.newField<double>("b", 1, 0.0);
@@ -53,7 +63,7 @@ double solveDense(int nDev, Occ occ, Backend::EngineKind engine, solver::CgResul
 
 }  // namespace
 
-using CgCase = std::tuple<int, Occ, Backend::EngineKind>;
+using CgCase = std::tuple<int, Occ, HostPool>;
 
 class CgPoisson : public ::testing::TestWithParam<CgCase>
 {
@@ -61,9 +71,9 @@ class CgPoisson : public ::testing::TestWithParam<CgCase>
 
 TEST_P(CgPoisson, ConvergesToAnalyticSolution)
 {
-    const auto [nDev, occ, engine] = GetParam();
+    const auto [nDev, occ, pool] = GetParam();
     solver::CgResult result;
-    const double     maxErr = solveDense(nDev, occ, engine, &result);
+    const double     maxErr = solveDense(nDev, occ, pool, &result);
     EXPECT_TRUE(result.converged);
     EXPECT_LE(result.relativeResidual, 1e-10);
     // Discretization error of the 7-point stencil at this resolution.
@@ -74,12 +84,11 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, CgPoisson,
     ::testing::Combine(::testing::Values(1, 2, 4),
                        ::testing::Values(Occ::NONE, Occ::STANDARD, Occ::EXTENDED, Occ::TWO_WAY),
-                       ::testing::Values(Backend::EngineKind::Sequential,
-                                         Backend::EngineKind::Threaded)),
+                       ::testing::Values(HostPool::Sequential, HostPool::Threaded)),
     [](const auto& info) {
         return "dev" + std::to_string(std::get<0>(info.param)) + "_" +
                to_string(std::get<1>(info.param)) + "_" +
-               (std::get<2>(info.param) == Backend::EngineKind::Sequential ? "seq" : "thr");
+               (std::get<2>(info.param) == HostPool::Sequential ? "seq" : "thr");
     });
 
 TEST(CgPoisson, MatchesNativeBaseline)
@@ -91,7 +100,7 @@ TEST(CgPoisson, MatchesNativeBaseline)
 
     std::vector<double> neonX;
     solver::CgResult    neonResult;
-    solveDense(2, Occ::TWO_WAY, Backend::EngineKind::Sequential, &neonResult, &neonX);
+    solveDense(2, Occ::TWO_WAY, HostPool::Sequential, &neonResult, &neonX);
 
     // Same operator, same algorithm: iteration counts match and solutions
     // agree to solver tolerance.
@@ -105,8 +114,8 @@ TEST(CgPoisson, IterationCountIndependentOfDeviceCount)
 {
     solver::CgResult r1;
     solver::CgResult r4;
-    solveDense(1, Occ::NONE, Backend::EngineKind::Sequential, &r1);
-    solveDense(4, Occ::TWO_WAY, Backend::EngineKind::Sequential, &r4);
+    solveDense(1, Occ::NONE, HostPool::Sequential, &r1);
+    solveDense(4, Occ::TWO_WAY, HostPool::Sequential, &r4);
     EXPECT_NEAR(r1.iterations, r4.iterations, 2);
 }
 

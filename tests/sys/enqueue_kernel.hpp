@@ -1,9 +1,8 @@
 #pragma once
 // Test helper: enqueue a host callback as a one-chunk KernelWork, the
-// engines' single kernel execution path.
+// engine's single kernel execution path.
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -17,15 +16,13 @@ inline void enqueueKernel(Stream& stream, std::string name, size_t items, Kernel
                           std::function<void()> body)
 {
     using Body = std::function<void()>;
-    auto     fn = std::make_shared<Body>(std::move(body));
     KernelOp op;
     op.name = std::move(name);
     op.items = items;
     op.hint = hint;
     op.work.run = [](void* ctx, int32_t, int32_t) { (*static_cast<Body*>(ctx))(); };
-    op.work.ctx = fn.get();
+    op.work.ctx = &body;  // the op runs at enqueue, while `body` lives
     op.work.chunks = 1;
-    op.work.owner = std::move(fn);
     stream.enqueue(std::move(op));
 }
 
