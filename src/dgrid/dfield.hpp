@@ -74,7 +74,27 @@ struct DPartition
         return {mem[at(cell.mIdx + linearOffset(offset), c)], true};
     }
 
+    /// Interior cells (DInteriorCell): an offset in [-1, 1]^3 stays inside
+    /// the global domain — and, as the halo radius is at least 1, inside
+    /// the allocation — so the read skips the bounds test. Any other
+    /// offset takes the checked read. Value and validity equal the checked
+    /// read's for every offset; for a literal offset the test folds away.
+    [[nodiscard]] NghData nghData(const DInteriorCell& cell, const index_3d& offset,
+                                  int32_t c = 0) const
+    {
+        if (withinOne(offset)) {
+            return {mem[at(cell.mIdx + linearOffset(offset), c)], true};
+        }
+        return nghData(static_cast<const DCell&>(cell), offset, c);
+    }
+
     [[nodiscard]] T nghVal(const DCell& cell, const index_3d& offset, int32_t c = 0) const
+    {
+        return nghData(cell, offset, c).value;
+    }
+
+    [[nodiscard]] T nghVal(const DInteriorCell& cell, const index_3d& offset,
+                           int32_t c = 0) const
     {
         return nghData(cell, offset, c).value;
     }
@@ -117,6 +137,14 @@ struct DPartition
     [[nodiscard]] size_t at(int64_t lin, int32_t c) const
     {
         return static_cast<size_t>((lowHalo + lin) * cellStride + c * compStride);
+    }
+
+    [[nodiscard]] static bool withinOne(const index_3d& offset)
+    {
+        // -1 wraps to 0 and 1 to 2; anything else lands above 2.
+        return (static_cast<uint32_t>(offset.x) + 1U <= 2U) &
+               (static_cast<uint32_t>(offset.y) + 1U <= 2U) &
+               (static_cast<uint32_t>(offset.z) + 1U <= 2U);
     }
 
     [[nodiscard]] int64_t linearOffset(const index_3d& offset) const

@@ -86,13 +86,14 @@ domain::CellWindow DGrid::cellWindow(int dev) const
 DSpan DGrid::span(int dev, DataView view) const
 {
     const PartInfo& p = part(dev);
+    const index_3d  d = dim();
     switch (view) {
         case DataView::STANDARD:
-            return DSpan(dim().x, dim().y, {0, p.zCount});
+            return DSpan(d.x, d.y, p.zOrigin, d.z, {0, p.zCount});
         case DataView::INTERNAL:
-            return DSpan(dim().x, dim().y, {p.bLow, p.zCount - p.bLow - p.bHigh});
+            return DSpan(d.x, d.y, p.zOrigin, d.z, {p.bLow, p.zCount - p.bLow - p.bHigh});
         case DataView::BOUNDARY:
-            return DSpan(dim().x, dim().y, {0, p.bLow}, {p.zCount - p.bHigh, p.bHigh});
+            return DSpan(d.x, d.y, p.zOrigin, d.z, {0, p.bLow}, {p.zCount - p.bHigh, p.bHigh});
     }
     return {};
 }

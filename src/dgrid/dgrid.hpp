@@ -39,6 +39,7 @@ struct DCell
 
    private:
     friend struct DSpanDecoder;
+    friend struct DInteriorCell;
     template <typename T>
     friend struct DPartition;
 
@@ -47,21 +48,84 @@ struct DCell
     int64_t mIdx = 0;
 };
 
+/// A cell whose radius-1 neighbourhood lies inside the global domain:
+/// x in [1, dimX-1), y in [1, dimY-1), global z in [1, dimZ-1). Only the
+/// span decoder builds one, so the type itself is the proof: DPartition
+/// reads a neighbour of it at an offset in [-1, 1]^3 without the bounds
+/// test. Kernels taking `const DCell&` receive it as a DCell and keep the
+/// checked reads (docs/domain.md, "Dense cells").
+struct DInteriorCell : DCell
+{
+   private:
+    friend struct DSpanDecoder;
+
+    DInteriorCell(int32_t x, int32_t y, int32_t z, int64_t idx) : DCell(x, y, z, idx) {}
+};
+
 /// domain::Span decoder for the dense grid: a slot is one z-plane, expanded
-/// y-outer/x-inner. The linear index is incremented, never recomputed.
+/// y-outer/x-inner. In a row with y in [1, dimY-1) of a plane with global z
+/// in [1, dimZ-1), the cells x in [1, dimX-1) arrive as DInteriorCell;
+/// every other cell is a DCell. Order and linear index do not depend on
+/// the cell type.
 struct DSpanDecoder
 {
     int32_t dimX = 0;
     int32_t dimY = 0;
+    int32_t zOrigin = 0;  ///< global z of the partition's local plane 0
+    int32_t dimZ = 0;     ///< global z extent
 
     template <typename Fn>
     void forEachInSlot(int32_t z, Fn&& fn) const
     {
-        int64_t idx = static_cast<int64_t>(z) * dimY * dimX;
+        visit<false>(z, fn);
+    }
+
+    /// forEachInSlot for kernels whose cells are independent (no cell reads
+    /// what another cell of the same launch writes, set::Loader): each
+    /// row's interior run becomes one loop that the compiler may vectorize.
+    /// flatten inlines the kernel body, and everything it calls, at every
+    /// cell of the plane: the row split gives the body several call sites,
+    /// and GCC's inliner would otherwise leave some of them as one
+    /// out-of-line call per cell.
+    template <typename Fn>
+    [[gnu::flatten]] void forEachInSlotIndependent(int32_t z, Fn&& fn) const
+    {
+        visit<true>(z, fn);
+    }
+
+   private:
+    template <bool kIndependent, typename Fn>
+    void visit(int32_t z, Fn& fn) const
+    {
+        const int32_t gz = zOrigin + z;
+        const bool    interiorPlane = gz >= 1 && gz < dimZ - 1 && dimX >= 3;
+        int64_t       idx = static_cast<int64_t>(z) * dimY * dimX;
         for (int32_t y = 0; y < dimY; ++y) {
-            for (int32_t x = 0; x < dimX; ++x, ++idx) {
-                fn(DCell(x, y, z, idx));
+            if (!interiorPlane || y < 1 || y >= dimY - 1) {
+                for (int32_t x = 0; x < dimX; ++x, ++idx) {
+                    fn(DCell(x, y, z, idx));
+                }
+                continue;
             }
+            fn(DCell(0, y, z, idx));
+            if constexpr (kIndependent) {
+                // No iteration depends on another, so GCC may drop the
+                // loop-carried dependence it would otherwise assume between
+                // the kernel's partition pointers and vectorize the row
+                // with whole cells as lanes (docs/performance.md,
+                // "Interior rows").
+#pragma GCC ivdep
+                for (int32_t x = 1; x < dimX - 1; ++x) {
+                    fn(DInteriorCell(x, y, z, idx + x));
+                }
+            } else {
+                for (int32_t x = 1; x < dimX - 1; ++x) {
+                    fn(DInteriorCell(x, y, z, idx + x));
+                }
+            }
+            idx += dimX - 1;
+            fn(DCell(dimX - 1, y, z, idx));
+            ++idx;
         }
     }
 };
@@ -75,9 +139,12 @@ class DSpan : public domain::Span<DSpanDecoder>
     using ZRange = domain::SpanRange;
 
     DSpan() = default;
-    DSpan(int32_t dimX, int32_t dimY, ZRange r0, ZRange r1 = {0, 0})
+    /// Span over planes of a partition whose local plane 0 is global plane
+    /// `zOrigin` of a grid `dimZ` planes deep.
+    DSpan(int32_t dimX, int32_t dimY, int32_t zOrigin, int32_t dimZ, ZRange r0,
+          ZRange r1 = {0, 0})
         : domain::Span<DSpanDecoder>(
-              DSpanDecoder{dimX, dimY},
+              DSpanDecoder{dimX, dimY, zOrigin, dimZ},
               static_cast<size_t>(dimX) * static_cast<size_t>(dimY) *
                   static_cast<size_t>(r0.count + r1.count),
               r0, r1)

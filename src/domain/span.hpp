@@ -89,7 +89,7 @@ class Span
     template <typename Fn>
     void forEach(Fn&& fn) const
     {
-        forSlots(0, slotCount(), fn);
+        forSlots<false>(0, slotCount(), fn);
     }
 
     /// Visit chunk `chunk` of a fixed `nChunks`-way partition: slot
@@ -99,25 +99,48 @@ class Span
     template <typename Fn>
     void forEachChunk(int32_t chunk, int32_t nChunks, Fn&& fn) const
     {
-        const auto s = static_cast<int64_t>(slotCount());
-        const auto lo = static_cast<int32_t>(static_cast<int64_t>(chunk) * s / nChunks);
-        const auto hi = static_cast<int32_t>(static_cast<int64_t>(chunk + 1) * s / nChunks);
-        forSlots(lo, hi, fn);
+        forSlots<false>(chunkFirst(chunk, nChunks), chunkFirst(chunk + 1, nChunks), fn);
+    }
+
+    /// forEachChunk for a kernel whose cells are independent: no cell reads
+    /// what another cell of the launch writes (set::Loader decides). Same
+    /// cells, same order; the decoder may overlap consecutive cells. Only
+    /// for decoders with `forEachInSlotIndependent` (the dense grid's).
+    template <typename Fn>
+    void forEachChunkIndependent(int32_t chunk, int32_t nChunks, Fn&& fn) const
+    {
+        forSlots<true>(chunkFirst(chunk, nChunks), chunkFirst(chunk + 1, nChunks), fn);
     }
 
    private:
+    /// First slot ordinal of chunk `chunk` of an `nChunks`-way partition.
+    [[nodiscard]] int32_t chunkFirst(int32_t chunk, int32_t nChunks) const
+    {
+        return static_cast<int32_t>(static_cast<int64_t>(chunk) * slotCount() / nChunks);
+    }
+
     /// Visit slot ordinals [lo, hi): ordinal o maps into range 0 while
     /// o < r0.count, then into range 1.
-    template <typename Fn>
+    template <bool kIndependent, typename Fn>
     void forSlots(int32_t lo, int32_t hi, Fn&& fn) const
     {
         const int32_t in0 = hi < mR0.count ? hi : mR0.count;
         for (int32_t o = lo; o < in0; ++o) {
-            mDecoder.forEachInSlot(mR0.first + o, fn);
+            visitSlot<kIndependent>(mR0.first + o, fn);
         }
         const int32_t from1 = lo > mR0.count ? lo : mR0.count;
         for (int32_t o = from1; o < hi; ++o) {
-            mDecoder.forEachInSlot(mR1.first + (o - mR0.count), fn);
+            visitSlot<kIndependent>(mR1.first + (o - mR0.count), fn);
+        }
+    }
+
+    template <bool kIndependent, typename Fn>
+    void visitSlot(int32_t slot, Fn& fn) const
+    {
+        if constexpr (kIndependent) {
+            mDecoder.forEachInSlotIndependent(slot, fn);
+        } else {
+            mDecoder.forEachInSlot(slot, fn);
         }
     }
 

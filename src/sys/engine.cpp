@@ -87,7 +87,7 @@ void Engine::runKernelWork(const Device& dev, int streamId, const KernelOp& op, 
 
 // Fault consult and structured errors --------------------------------------
 
-FaultDecision Engine::consultFaults(const Stream& stream, OpKind kind, const std::string& opName,
+FaultDecision Engine::consultFaults(const Stream& stream, OpKind kind, std::string_view opName,
                                     const OpAttribution& attr)
 {
     FaultDecision d = mFaults.decide(stream.device().id(), stream.id(), kind, attr);
@@ -99,7 +99,7 @@ FaultDecision Engine::consultFaults(const Stream& stream, OpKind kind, const std
 }
 
 void Engine::throwRuntimeError(RuntimeError::Kind kind, int device, int stream,
-                               std::string_view opKind, const std::string& opName,
+                               std::string_view opKind, std::string_view opName,
                                const OpAttribution& attr, int attempts, double timeout)
 {
     RuntimeError::Info info;
@@ -158,8 +158,8 @@ Engine::OpCharge Engine::charge(Stream& stream, const O& op)
         if (mFaults.active()) {
             d = consultFaults(stream, kKindOf<O>, op.name, op.attr);
             if (d.stallSeconds > 0.0) {
-                traceRow(stream, OpKind::Fault, "stall:" + op.name, start, start + d.stallSeconds,
-                         0, op.attr);
+                traceRow(stream, OpKind::Fault, "stall:" + std::string(op.name), start,
+                         start + d.stallSeconds, 0, op.attr);
                 start += d.stallSeconds;
             }
         }
@@ -227,8 +227,8 @@ void Engine::finish(const Stream& stream, const O& op, const OpCharge& c)
         if (!dev.config().dryRun) {
             if constexpr (std::is_same_v<O, KernelOp>) {
                 runKernelWork(dev, stream.id(), op, c.start);
-            } else if (op.fn) {
-                op.fn();
+            } else if (op.fn != nullptr && *op.fn) {
+                (*op.fn)();
             }
         }
         traceRow(stream, kKindOf<O>, op.name, c.start, c.end, 0, op.attr);

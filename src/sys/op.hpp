@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -137,12 +138,14 @@ struct TransferOp
 };
 
 /// Host-side work executed in stream order (e.g. the reduce combine step).
+/// Borrows its name and callable: ops run inside Stream::enqueue, while the
+/// enqueuer (a scalar container's launch) holds both.
 struct HostFnOp
 {
-    std::string           name;
-    double                simDuration = 0.0;
-    std::function<void()> fn;
-    OpAttribution         attr;
+    std::string_view             name;
+    double                       simDuration = 0.0;
+    const std::function<void()>* fn = nullptr;
+    OpAttribution                attr;
 };
 
 /// Record `event` when the stream reaches this op.

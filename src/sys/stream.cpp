@@ -28,10 +28,10 @@ void Stream::transfer(TransferOp op)
     enqueue(std::move(op));
 }
 
-void Stream::hostFn(std::string name, double simDuration, std::function<void()> fn,
+void Stream::hostFn(std::string_view name, double simDuration, const std::function<void()>& fn,
                     const OpAttribution& attr)
 {
-    enqueue(HostFnOp{std::move(name), simDuration, std::move(fn), attr});
+    enqueue(HostFnOp{name, simDuration, &fn, attr});
 }
 
 void Stream::record(EventPtr event, const OpAttribution& attr)

@@ -39,7 +39,9 @@ class Stream
 
     // Convenience wrappers -------------------------------------------------
     void transfer(TransferOp op);
-    void hostFn(std::string name, double simDuration, std::function<void()> fn,
+    /// Run `fn` in stream order; the op borrows `name` and `fn` for the
+    /// duration of the call.
+    void hostFn(std::string_view name, double simDuration, const std::function<void()>& fn,
                 const OpAttribution& attr = {});
     void record(EventPtr event, const OpAttribution& attr = {});
     void wait(EventPtr event, const OpAttribution& attr = {});
@@ -160,11 +162,11 @@ class Engine
     /// Consult the fault injector for the op about to be charged; on
     /// permanent device loss, throw with the attribution of the op that
     /// triggered the loss.
-    FaultDecision consultFaults(const Stream& stream, OpKind kind, const std::string& opName,
+    FaultDecision consultFaults(const Stream& stream, OpKind kind, std::string_view opName,
                                 const OpAttribution& attr);
     /// Latch the abort and throw a RuntimeError of `kind` naming the op.
     [[noreturn]] void throwRuntimeError(RuntimeError::Kind kind, int device, int stream,
-                                        std::string_view opKind, const std::string& opName,
+                                        std::string_view opKind, std::string_view opName,
                                         const OpAttribution& attr, int attempts = 0,
                                         double timeout = 0.0);
     /// Execute a KernelOp's computation on `dev`. Chunked work on a CPU
