@@ -12,12 +12,15 @@
 //       the number is dispatch overhead rather than parallel speedup,
 //   (d) the CG abstraction ratio: one-thread 32^3 cgSolve against the
 //       hand-written NativeCg on the same seeded right-hand side (median
-//       of interleaved solves, so host load cancels out of the ratio).
+//       of interleaved solves, so host load cancels out of the ratio),
+//   (e) trace cost: the Fig. 8 CG (320^3 on 8 dry-run A100s, standard OCC,
+//       200 fixed iterations) with the trace off and on, medians of
+//       interleaved solves, and the rows one traced solve records.
 // Emits BENCH_overhead_report.json; CI gates enqueue cost, cached-sequence
 // cost and ns-per-cell dispatch against
 // bench/baselines/BENCH_overhead_baseline.json,
 // requires the cached path to be >= 10x cheaper than the compile path and
-// bounds the CG ratio (tools/check_bench_reports.py).
+// bounds the CG and trace on/off ratios (tools/check_bench_reports.py).
 
 #include <benchmark/benchmark.h>
 
@@ -198,6 +201,58 @@ CgRatio measureCgRatio()
     return r;
 }
 
+/// (e) Trace cost: the dry-run CG of Fig. 8, where host time is the runtime
+/// itself, so every trace row's cost shows.
+constexpr index_3d kTraceDim{320, 320, 320};
+constexpr int      kTraceDevices = 8;
+constexpr int      kTraceIterations = 200;
+constexpr int      kTraceReps = 31;
+
+struct TraceCost
+{
+    benchtool::PairedMedians seconds;  ///< a: trace off, b: trace on
+    size_t                   rows = 0;  ///< rows of one traced solve
+};
+
+TraceCost measureTraceCost()
+{
+    using Field = dgrid::DField<double>;
+    sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
+    cfg.dryRun = true;
+    auto         backend = set::Backend::make(set::BackendSpec::simGpu(kTraceDevices, cfg));
+    dgrid::DGrid grid(backend, kTraceDim, Stencil::laplace7());
+    Field        x = grid.newField<double>("x", 1, 0.0);
+    Field        b = grid.newField<double>("b", 1, 0.0);
+    const std::function<set::Container(Field, Field)> apply = [&grid](Field in, Field out) {
+        return poisson::makeLaplacianApply(grid, in, out);
+    };
+    solver::CgOptions options;
+    options.maxIterations = kTraceIterations;
+    options.occ = Occ::STANDARD;
+    options.fixedIterations = true;
+
+    auto profiler = backend.profiler();
+    auto solve = [&](bool traced) {
+        profiler.clear();
+        profiler.enable(traced);
+        const auto t0 = Clock::now();
+        (void)solver::cgSolve<dgrid::DGrid, Field, double>(grid, apply, x, b, options);
+        const double ns = nsBetween(t0, Clock::now());
+        profiler.enable(false);
+        return ns * 1e-9;
+    };
+
+    TraceCost r;
+    r.seconds = benchtool::interleavedMedians(
+        kTraceReps, [&] { return solve(false); },
+        [&] {
+            const double s = solve(true);
+            r.rows = profiler.trace().size();
+            return s;
+        });
+    return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv)
@@ -304,6 +359,10 @@ int main(int argc, char** argv)
     const CgRatio cg = measureCgRatio();
     const double  cgRatio = cg.seconds.a / cg.seconds.b;
 
+    // ---- (e) trace cost --------------------------------------------------
+    const TraceCost trace = measureTraceCost();
+    const double    traceRatio = trace.seconds.b / trace.seconds.a;
+
     benchtool::Table table;
     table.title = "Runtime overhead (zero-cost backend, wall clock)";
     table.header = {"metric", "value"};
@@ -318,6 +377,10 @@ int main(int argc, char** argv)
         {"CG 32^3, 1 thread: Neon (ms, median)", benchtool::fmt(cg.seconds.a * 1e3, 1)},
         {"CG 32^3, 1 thread: native (ms, median)", benchtool::fmt(cg.seconds.b * 1e3, 1)},
         {"CG Neon / native", benchtool::fmt(cgRatio, 2)},
+        {"dry CG 320^3 x8, trace off (ms, median)", benchtool::fmt(trace.seconds.a * 1e3, 2)},
+        {"dry CG 320^3 x8, trace on (ms, median)", benchtool::fmt(trace.seconds.b * 1e3, 2)},
+        {"trace rows per solve", benchtool::fmt(static_cast<double>(trace.rows), 0)},
+        {"trace on / off", benchtool::fmt(traceRatio, 2)},
     };
     table.print();
 
@@ -352,6 +415,16 @@ int main(int argc, char** argv)
        << "    \"neon_ms\": " << cg.seconds.a * 1e3 << ",\n"
        << "    \"native_ms\": " << cg.seconds.b * 1e3 << ",\n"
        << "    \"ratio\": " << cgRatio << "\n"
+       << "  },\n"
+       << "  \"trace\": {\n"
+       << "    \"devices\": " << kTraceDevices << ",\n"
+       << "    \"cells\": " << kTraceDim.size() << ",\n"
+       << "    \"iterations\": " << kTraceIterations << ",\n"
+       << "    \"reps\": " << kTraceReps << ",\n"
+       << "    \"rows\": " << trace.rows << ",\n"
+       << "    \"off_ms\": " << trace.seconds.a * 1e3 << ",\n"
+       << "    \"on_ms\": " << trace.seconds.b * 1e3 << ",\n"
+       << "    \"ratio\": " << traceRatio << "\n"
        << "  }\n"
        << "}\n";
     std::cout << "wrote BENCH_overhead_report.json (speedup " << benchtool::fmt(speedup, 1)

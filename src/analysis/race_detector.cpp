@@ -267,7 +267,6 @@ void RaceSession::onEnqueue(const sys::Stream& stream, const sys::Op& op)
             r.runId = o.attr.runId;
         },
         op);
-    std::lock_guard<std::mutex> lock(mMutex);
     if (!mEnabled) {
         return;
     }
@@ -281,43 +280,36 @@ void RaceSession::onEnqueue(const sys::Stream& stream, const sys::Op& op)
 
 void RaceSession::registerRun(int runId, std::shared_ptr<const ContainerMetaMap> meta)
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     mMetaByRun[runId] = std::move(meta);
 }
 
 void RaceSession::setEnabled(bool on)
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     mEnabled = on;
 }
 
 bool RaceSession::enabled() const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     return mEnabled;
 }
 
 void RaceSession::reportFindings()
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     mReportFindings = true;
 }
 
 AnalysisReport RaceSession::report() const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     return mDetector.report();
 }
 
 AnalysisReport RaceSession::takeNew()
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     return mDetector.takeNew();
 }
 
 void RaceSession::clear()
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     mDetector = RaceDetector(mDevCount);
     mNextSeq = 0;
     mMetaByRun.clear();

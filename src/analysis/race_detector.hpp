@@ -11,7 +11,6 @@
 // order, before any engine runs them.
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -103,7 +102,8 @@ class RaceDetector
 /// A backend's live race analysis (set::Analyzer): installed as the
 /// engine's enqueue hook, it feeds every op to one RaceDetector as the op is
 /// enqueued, and owns the container metadata the Skeleton registers per run.
-/// No op is stored. Thread-safe.
+/// No op is stored: a record copies the op's event id. Driven, like its
+/// Backend, by one host thread at a time.
 class RaceSession final : public sys::EnqueueHook
 {
    public:
@@ -132,12 +132,11 @@ class RaceSession final : public sys::EnqueueHook
     void clear();
 
    private:
-    mutable std::mutex mMutex;
-    int                mDevCount;
-    RaceDetector       mDetector;
-    uint64_t           mNextSeq = 0;
-    bool               mEnabled = true;
-    bool               mReportFindings = false;
+    int          mDevCount;
+    RaceDetector mDetector;
+    uint64_t     mNextSeq = 0;
+    bool         mEnabled = true;
+    bool         mReportFindings = false;
     std::unordered_map<int, std::shared_ptr<const ContainerMetaMap>> mMetaByRun;
 };
 

@@ -145,9 +145,8 @@ class FieldBase
                             seg.count);
                     }
                     if (!chunks.empty()) {
-                        sys::TransferOp op{"migrate(" + name + ")",
-                                           sys::TransferChunks(std::move(chunks)), {}};
-                        backend.stream(srcDev, 0).transfer(std::move(op));
+                        const std::string opName = "migrate(" + name + ")";
+                        backend.stream(srcDev, 0).transfer({opName, chunks, {}});
                     }
                 }
                 backend.sync();

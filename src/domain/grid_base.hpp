@@ -15,7 +15,6 @@
 //     rebindBackend) over three per-grid partition hooks.
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,10 +50,13 @@ class GridBase
     }
 
     /// Register a field's migration hook (called by FieldBase::initCore).
-    /// Weak: fields own the grid, never the reverse.
+    /// Weak: fields own the grid, never the reverse. Expired registrations
+    /// are dropped first: a dead field's weak reference would keep its
+    /// control block allocated, so a grid that outlives many short-lived
+    /// fields (one cgSolve per call) would grow without bound.
     void registerRegridClient(const std::weak_ptr<RegridClient>& client) const
     {
-        std::lock_guard<std::mutex> lock(mBase->fieldsMutex);
+        std::erase_if(mBase->fields, [](const auto& f) { return f.expired(); });
         mBase->fields.push_back(client);
     }
 
@@ -63,18 +65,11 @@ class GridBase
     /// after its tables are re-sliced, so fields see the new geometry.
     void applyRegridToFields(const RegridInfo& info) const
     {
+        std::erase_if(mBase->fields, [](const auto& f) { return f.expired(); });
+        // Pin the live fields first: a migration may build or drop fields.
         std::vector<std::shared_ptr<RegridClient>> live;
-        {
-            std::lock_guard<std::mutex> lock(mBase->fieldsMutex);
-            auto& fields = mBase->fields;
-            for (size_t i = 0; i < fields.size();) {
-                if (auto client = fields[i].lock()) {
-                    live.push_back(std::move(client));
-                    ++i;
-                } else {
-                    fields.erase(fields.begin() + static_cast<std::ptrdiff_t>(i));
-                }
-            }
+        for (const auto& f : mBase->fields) {
+            live.push_back(f.lock());
         }
         for (const auto& client : live) {
             client->applyRegrid(info);
@@ -98,8 +93,7 @@ class GridBase
         std::vector<std::vector<HaloSegment>> haloSegments;
 
         /// Migration hooks of the fields built on this grid (weak — see
-        /// registerRegridClient) and their guard.
-        std::mutex                               fieldsMutex;
+        /// registerRegridClient).
         std::vector<std::weak_ptr<RegridClient>> fields;
 
         virtual ~BaseImpl() = default;

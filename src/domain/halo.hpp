@@ -72,7 +72,7 @@ void appendCellCopies(std::vector<sys::TransferChunk>& out, int direction, MemLa
 ///
 /// The buffers of a field are fixed until a regrid replaces its halo, so
 /// each device's chunk list and the op name are built once, here; every
-/// exchange enqueues an op that shares them.
+/// exchange enqueues an op that borrows them.
 template <typename T>
 class SegmentHalo final : public set::HaloOps
 {
@@ -101,7 +101,7 @@ class SegmentHalo final : public set::HaloOps
     void enqueueHaloSend(int dev, sys::Stream& stream,
                          const sys::OpAttribution& attr) const override
     {
-        const sys::TransferChunks& chunks = mChunks[static_cast<size_t>(dev)];
+        const std::vector<sys::TransferChunk>& chunks = mChunks[static_cast<size_t>(dev)];
         if (!chunks.empty()) {
             stream.transfer({mOpName, chunks, attr});
         }
@@ -125,11 +125,11 @@ class SegmentHalo final : public set::HaloOps
     }
 
    private:
-    set::MemSet<T>                        mData;
-    std::string                           mName;
-    std::string                           mOpName;    ///< "halo(<name>)"
-    std::vector<std::vector<HaloSegment>> mSegments;  ///< per sending device
-    std::vector<sys::TransferChunks>      mChunks;    ///< per sending device
+    set::MemSet<T>                               mData;
+    std::string                                  mName;
+    std::string                                  mOpName;    ///< "halo(<name>)"
+    std::vector<std::vector<HaloSegment>>        mSegments;  ///< per sending device
+    std::vector<std::vector<sys::TransferChunk>> mChunks;    ///< per sending device
 };
 
 }  // namespace neon::domain

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 
@@ -171,7 +170,6 @@ struct Service::Impl
 {
     set::Backend  backend;
     ServiceConfig config;
-    std::mutex    mutex;
 
     double clock = 0.0;
     int    nextId = 0;
@@ -292,16 +290,11 @@ void retire(Service::Impl& s)
 {
     for (size_t i = s.inflight.size(); i-- > 0;) {
         auto& j = s.inflight[i];
-        if (j->state != JobState::Running && j->state != JobState::Failed) {
-            continue;
-        }
         if (j->completion > s.clock) {
             continue;
         }
-        if (j->state == JobState::Running) {
-            j->state = JobState::Completed;
-            s.completed++;
-        }
+        j->state = JobState::Completed;
+        s.completed++;
         j->lease.reset();
         s.inflight.erase(s.inflight.begin() + static_cast<std::ptrdiff_t>(i));
     }
@@ -359,8 +352,8 @@ void dispatchOne(Service::Impl& s, const std::shared_ptr<Job::State>& job,
         // Arrival padding: a host-recorded event at the start timestamp,
         // waited by every leased stream, pushes their virtual clocks to at
         // least the job's start without ever reading a vtime on the host.
-        auto pad = std::make_shared<sys::Event>();
-        pad->record(job->start);
+        sys::Event pad;
+        pad.record(job->start);
         for (int d = 0; d < s.backend.devCount(); ++d) {
             for (int si = 0; si < nStreams; ++si) {
                 s.backend.stream(d, lease->base + si).wait(pad);
@@ -474,15 +467,12 @@ Service::Service(set::Backend backend, ServiceConfig config)
 
 void Service::setRecoveryHandler(RecoveryHandler handler)
 {
-    auto&                       s = *mImpl;
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.onDeviceLoss = std::move(handler);
+    mImpl->onDeviceLoss = std::move(handler);
 }
 
 Job Service::submit(JobRequest request)
 {
-    auto&                       s = *mImpl;
-    std::lock_guard<std::mutex> lock(s.mutex);
+    auto& s = *mImpl;
     NEON_CHECK(!request.ops.empty(), "Service::submit: empty container sequence");
 
     const double arrival = request.arrival < 0.0 ? s.clock : request.arrival;
@@ -532,8 +522,7 @@ Job Service::submit(JobRequest request)
 
 void Service::drain()
 {
-    auto&                       s = *mImpl;
-    std::lock_guard<std::mutex> lock(s.mutex);
+    auto& s = *mImpl;
     while (!s.queue.empty() || !s.inflight.empty()) {
         step(s);
     }
@@ -543,8 +532,7 @@ void Service::drain()
 void Service::wait(const Job& job)
 {
     NEON_CHECK(job.valid(), "Service::wait: invalid job handle");
-    auto&                       s = *mImpl;
-    std::lock_guard<std::mutex> lock(s.mutex);
+    auto& s = *mImpl;
     while (!job.done() && (!s.queue.empty() || !s.inflight.empty())) {
         step(s);
     }
@@ -567,9 +555,8 @@ set::Backend& Service::backend()
 
 std::vector<Job> Service::jobs() const
 {
-    auto&                       s = *mImpl;
-    std::lock_guard<std::mutex> lock(s.mutex);
-    std::vector<Job>            out;
+    auto&            s = *mImpl;
+    std::vector<Job> out;
     out.reserve(s.all.size());
     for (const auto& st : s.all) {
         out.push_back(Job(st));

@@ -24,10 +24,10 @@
 // next arrival or completion event), discrete-event style, so a whole
 // traffic replay is deterministic for a fixed seed.
 //
-// Threading contract: the engine accepts host enqueues from one thread at
-// a time, so Service is itself single-threaded — one thread calls
-// submit()/drain()/wait(). A mutex serializes the public methods to make
-// accidental cross-thread use fail safe rather than corrupt state.
+// Threading contract: one host thread at a time drives a Backend and
+// everything built on it (set/backend.hpp), so a Service is driven by one
+// thread too — the one that calls submit()/drain()/wait() — and takes no
+// lock.
 
 #include <cstdint>
 #include <functional>

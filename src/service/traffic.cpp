@@ -90,9 +90,11 @@ Container makeStencil(dgrid::DGrid& grid, const std::string& name,
     return grid.newContainer(name, [src, dst](auto& l) mutable {
         auto sp = l.load(src, Access::READ, Compute::STENCIL);
         auto dp = l.load(dst, Access::WRITE);
+        // Built once per launch record, not once per cell.
+        const std::vector<index_3d> points = Stencil::laplace7().points();
         return [=](const dgrid::DCell& c) mutable {
             double acc = -6.0 * sp(c);
-            for (const auto& off : Stencil::laplace7().points()) {
+            for (const auto& off : points) {
                 acc += sp.nghVal(c, off);
             }
             dp(c) = sp(c) + 0.05 * acc;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -154,15 +153,13 @@ struct Backend::Impl
     std::unique_ptr<sys::Engine>               engine;
     std::vector<std::unique_ptr<sys::Device>>  devices;
     // streams[dev][idx], lazily grown
-    mutable std::mutex                                      streamMutex;
     mutable std::vector<std::vector<std::unique_ptr<sys::Stream>>> streams;
     // Per-uid inter-run event chains (see sys/data_barriers.hpp).
     mutable sys::DataBarriers dataBarriers;
     // Stream-index leases: sorted disjoint [base, base+count) blocks.
-    mutable std::mutex                       leaseMutex;
     mutable std::vector<std::pair<int, int>> leases;
     // Partition-geometry epoch (see Backend::geometryEpoch).
-    mutable std::atomic<uint64_t> geometryEpoch{0};
+    mutable uint64_t geometryEpoch = 0;
 
     ~Impl()
     {
@@ -285,7 +282,6 @@ sys::Stream& Backend::stream(int dev, int streamIdx) const
 {
     NEON_CHECK(dev >= 0 && dev < devCount(), "device index out of range");
     NEON_CHECK(streamIdx >= 0, "stream index must be non-negative");
-    std::lock_guard<std::mutex> lock(mImpl->streamMutex);
     auto& perDev = mImpl->streams[static_cast<size_t>(dev)];
     while (static_cast<int>(perDev.size()) <= streamIdx) {
         perDev.push_back(std::make_unique<sys::Stream>(
@@ -312,7 +308,6 @@ sys::DataBarriers& Backend::dataBarriers() const
 int Backend::leaseStreams(int count) const
 {
     NEON_CHECK(count >= 1, "Backend::leaseStreams: count must be >= 1");
-    std::lock_guard<std::mutex> lock(mImpl->leaseMutex);
     auto& leases = mImpl->leases;
     int   base = 0;
     for (size_t i = 0;; ++i) {
@@ -328,7 +323,6 @@ int Backend::leaseStreams(int count) const
 
 void Backend::releaseStreams(int base, int count) const
 {
-    std::lock_guard<std::mutex> lock(mImpl->leaseMutex);
     auto& leases = mImpl->leases;
     for (size_t i = 0; i < leases.size(); ++i) {
         if (leases[i].first == base && leases[i].second == count) {
@@ -347,12 +341,12 @@ double Backend::makespanNow() const
 
 uint64_t Backend::geometryEpoch() const
 {
-    return mImpl->geometryEpoch.load(std::memory_order_acquire);
+    return mImpl->geometryEpoch;
 }
 
 void Backend::noteGeometryChange() const
 {
-    mImpl->geometryEpoch.fetch_add(1, std::memory_order_acq_rel);
+    ++mImpl->geometryEpoch;
 }
 
 void Backend::resetClocks() const

@@ -9,6 +9,14 @@
 // simGpu()/cpu() as one-line preset wrappers. Observability (trace, Gantt,
 // chrome-trace export, ExecutionReport aggregation) hangs off
 // backend.profiler().
+//
+// One driving thread (DESIGN.md §4): one host thread at a time drives a
+// Backend and everything built on it — grids, fields, containers,
+// skeletons, a Service — so per-Backend state (streams, leases, data
+// chains, trace, fault injector, device accounting) takes no lock. Only
+// process-wide state keeps its synchronisation: the host ThreadPool, the
+// ScheduleCache, the sanitizer Session and the id counters (newDataUid,
+// event ids, container ordinals).
 
 #include <cstdint>
 #include <memory>
@@ -197,7 +205,8 @@ class StreamSet
     int     mSetIdx = 0;
 };
 
-/// One event per device: the paper's "multi-GPU Event" (§IV-B4).
+/// One event per device: the paper's "multi-GPU Event" (§IV-B4). Copies
+/// share the events, so a set may outlive the run that recorded it.
 class EventSet
 {
    public:
@@ -212,9 +221,9 @@ class EventSet
         return es;
     }
 
-    [[nodiscard]] const sys::EventPtr& operator[](int dev) const
+    [[nodiscard]] sys::Event& operator[](int dev) const
     {
-        return mEvents[static_cast<size_t>(dev)];
+        return *mEvents[static_cast<size_t>(dev)];
     }
     [[nodiscard]] int  devCount() const { return static_cast<int>(mEvents.size()); }
     [[nodiscard]] bool valid() const { return !mEvents.empty(); }

@@ -124,7 +124,6 @@ bool Container::isReduce() const
 
 void Container::Impl::ensureSanitized()
 {
-    std::lock_guard<std::mutex> lock(sanMutex);
     if (sanBuilt) {
         return;
     }
@@ -139,11 +138,8 @@ void Container::rebuild()
     if (impl.builder) {
         impl.builder(impl, false);
     }
-    {
-        std::lock_guard<std::mutex> lock(impl.sanMutex);
-        impl.sanRecords.clear();
-        impl.sanBuilt = false;
-    }
+    impl.sanRecords.clear();
+    impl.sanBuilt = false;
     // Parse-time state snapshots the field's halo plan and per-item byte
     // counts; both may have changed with the geometry, so re-parse lazily.
     impl.parsed = false;
@@ -189,13 +185,7 @@ void Container::launch(int dev, sys::Stream& stream, DataView view, bool sanitiz
         if (rec.items == 0 && mImpl->combine == nullptr) {
             return;
         }
-        sys::KernelOp op;
-        op.name = mImpl->name;
-        op.items = rec.items;
-        op.hint = mImpl->hint;
-        op.work = rec.work;
-        op.attr = attr;
-        stream.enqueue(std::move(op));
+        stream.enqueue(sys::KernelOp{mImpl->name, rec.items, mImpl->hint, rec.work, attr});
         return;
     }
     mImpl->launcher(dev, stream, attr);

@@ -7,7 +7,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -533,13 +532,11 @@ class Container
 
         /// Access sanitizer (set/sanitize.hpp): creation ordinal for stable
         /// report keys, whether the kernel can be instrumented, and the
-        /// instrumented records (same dev * 3 + view indexing), built once
-        /// under a mutex + flag (not std::once_flag, so rebuild() can reset
-        /// it).
+        /// instrumented records (same dev * 3 + view indexing), built on the
+        /// first sanitized launch (rebuild() resets them).
         uint64_t                  seq = 0;
         bool                      sanitizable = false;
         std::vector<LaunchRecord> sanRecords;
-        std::mutex                sanMutex;
         bool                      sanBuilt = false;
 
         [[nodiscard]] const LaunchRecord& recordAt(int dev, DataView view) const
@@ -552,7 +549,7 @@ class Container
             return sanRecords[static_cast<size_t>(dev * 3 + viewIndex(view))];
         }
 
-        /// Build the sanitized trampolines once (thread-safe).
+        /// Build the sanitized trampolines once.
         void ensureSanitized();
 
         // lazily parsed

@@ -422,9 +422,10 @@ struct Entry
 };
 
 /// Process-wide collection point. Trampoline finalize() commits the merged
-/// chunk observations here (under a mutex — commits may race across engine
-/// worker threads, but every merge is monotone and entries are keyed by
-/// (container seq, device), so the final state is order-independent).
+/// chunk observations here, on the thread driving the launching Backend.
+/// The Session is shared by every Backend in the process, so it keeps a
+/// mutex; every merge is monotone and entries are keyed by (container seq,
+/// device), so the final state is order-independent.
 class Session
 {
    public:

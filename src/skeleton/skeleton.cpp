@@ -88,9 +88,9 @@ int assignEventSlots(const Graph& g, const std::vector<Task>& tasks, int nDev,
 }
 
 /// Resolve every (device, stream) the schedule uses to a raw Stream
-/// pointer once per compilation: Backend::stream() takes a mutex per call
-/// and the stream objects are stable, so the run hot loop can index a flat
-/// array instead.
+/// pointer once per compilation: Backend::stream() checks its indices and
+/// walks the lazily grown stream table per call, and the stream objects are
+/// stable, so the run hot loop can index a flat array instead.
 void prefetchStreams(set::Backend& backend, std::vector<sys::Stream*>& out, int nStreams)
 {
     const int nDev = backend.devCount();
@@ -524,8 +524,8 @@ struct Skeleton::ScheduleState
     std::vector<uint64_t> readUids;
     std::vector<uint64_t> writeUids;
     /// Raw stream pointers, indexed [dev * nStreams + stream] (see
-    /// prefetchStreams): the run hot loop must not take the backend's
-    /// stream-map mutex per task per device.
+    /// prefetchStreams): the run hot loop must not look streams up through
+    /// the backend per task per device.
     std::vector<sys::Stream*> streams;
     /// Per node, the first of its nDev completion events in a run's event
     /// block (assignEventSlots); the tail events follow at completionEvents.
@@ -549,7 +549,7 @@ struct Skeleton::Impl
     sys::EventPtr lastTail;
     /// Data-chain events a run waits on (DataBarriers::acquire); reused
     /// across runs so a cached run does not allocate the list.
-    std::vector<sys::EventPtr> chainDeps;
+    std::vector<const sys::Event*> chainDeps;
 };
 
 struct CompiledSchedule::Impl
@@ -812,8 +812,8 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     const sys::OpAttribution runAttr{-1, runId, scope.jobId};
 
     // Leased runs resolve their stream block here instead of using the
-    // base-0 pointers prefetched at sequence() time; the extra mutex hops
-    // only hit the service dispatch path.
+    // base-0 pointers prefetched at sequence() time; the extra lookups only
+    // hit the service dispatch path.
     std::vector<sys::Stream*> leasedStreams;
     if (scope.streamBase != 0) {
         leasedStreams.resize(static_cast<size_t>(nDev) * static_cast<size_t>(st.nStreams));
@@ -839,15 +839,15 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     // alternating skeletons (e.g. the even/odd steps of a ping-pong LBM)
     // are chained too.
     if (scope.chainData) {
-        std::vector<sys::EventPtr>& deps = s.chainDeps;
+        std::vector<const sys::Event*>& deps = s.chainDeps;
         s.backend.dataBarriers().acquire(st.readUids, st.writeUids, deps);
-        for (const sys::EventPtr& dep : deps) {
+        for (const sys::Event* dep : deps) {
             // Every stream of this run waits: the dep may have been
             // recorded on any stream of any previous run (no FIFO shortcut
             // is safe across leases).
             for (int d = 0; d < nDev; ++d) {
                 for (int stIdx = 0; stIdx < st.nStreams; ++stIdx) {
-                    streamAt(d, stIdx).wait(dep, runAttr);
+                    streamAt(d, stIdx).wait(*dep, runAttr);
                 }
             }
         }
@@ -855,12 +855,11 @@ void Skeleton::runBody(int runId, const RunScope& scope)
     }
 
     // One event block per run: the completion events (nDev per recording
-    // node, in task order), then nDev * nStreams tail events. Ops hold
-    // aliasing pointers into it, so it lives until the last one retires.
-    const int                           tailBase = st.completionEvents;
-    const std::shared_ptr<sys::Event[]> events(
-        new sys::Event[static_cast<size_t>(tailBase + nDev * st.nStreams)]);
-    auto eventAt = [&](int i) { return sys::EventPtr(events, &events[i]); };
+    // node, in task order), then nDev * nStreams tail events. Ops borrow
+    // their event for the enqueue call only, so the block dies with the run.
+    const int  tailBase = st.completionEvents;
+    const auto events =
+        std::make_unique<sys::Event[]>(static_cast<size_t>(tailBase + nDev * st.nStreams));
 
     for (const Task& t : st.tasks) {
         const GraphNode&         n = st.graph.node(t.nodeId);
@@ -875,47 +874,46 @@ void Skeleton::runBody(int runId, const RunScope& scope)
                 const int ev = st.eventSlot[static_cast<size_t>(w.parent)];
                 switch (w.scope) {
                     case WaitScope::SameDev:
-                        stream.wait(eventAt(ev + d), attr);
+                        stream.wait(events[ev + d], attr);
                         break;
                     case WaitScope::Neighbours:
                         for (int dd = std::max(d - 1, 0); dd <= std::min(d + 1, nDev - 1); ++dd) {
-                            stream.wait(eventAt(ev + dd), attr);
+                            stream.wait(events[ev + dd], attr);
                         }
                         break;
                     case WaitScope::Root:
-                        stream.wait(eventAt(ev), attr);
+                        stream.wait(events[ev], attr);
                         break;
                     case WaitScope::All:
                         for (int dd = 0; dd < nDev; ++dd) {
-                            stream.wait(eventAt(ev + dd), attr);
+                            stream.wait(events[ev + dd], attr);
                         }
                         break;
                 }
             }
             n.container.launch(d, stream, n.view, st.options.sanitize, attr);
             if (n.needsEvent) {
-                stream.record(eventAt(st.eventSlot[static_cast<size_t>(t.nodeId)] + d), attr);
+                stream.record(events[st.eventSlot[static_cast<size_t>(t.nodeId)] + d], attr);
             }
         }
     }
 
     // Record the tail barrier: the run's stream (0, base) gathers every
     // other stream's tail event and records one barrier whose virtual
-    // timestamp is the run's completion time. The barrier escapes the run
-    // (DataBarriers, lastRunTail()), so it is its own allocation: a
-    // retained chain pins one event, not the run's block.
+    // timestamp is the run's completion time. The barrier outlives the run
+    // (DataBarriers, lastRunTail()), so it is the one shared event.
     for (int d = 0; d < nDev; ++d) {
         for (int stIdx = 0; stIdx < st.nStreams; ++stIdx) {
             if (d == 0 && stIdx == 0) {
                 continue;
             }
-            sys::EventPtr tail = eventAt(tailBase + d * st.nStreams + stIdx);
+            sys::Event& tail = events[tailBase + d * st.nStreams + stIdx];
             streamAt(d, stIdx).record(tail, runAttr);
-            streamAt(0, 0).wait(std::move(tail), runAttr);
+            streamAt(0, 0).wait(tail, runAttr);
         }
     }
     auto barrier = std::make_shared<sys::Event>();
-    streamAt(0, 0).record(barrier, runAttr);
+    streamAt(0, 0).record(*barrier, runAttr);
     if (scope.chainData) {
         s.backend.dataBarriers().publish(st.readUids, st.writeUids, barrier);
     }

@@ -6,20 +6,19 @@ namespace neon::sys {
 
 namespace {
 
-void pushUnique(std::vector<EventPtr>& out, const EventPtr& ev)
+void pushUnique(std::vector<const Event*>& out, const EventPtr& ev)
 {
-    if (ev && std::find(out.begin(), out.end(), ev) == out.end()) {
-        out.push_back(ev);
+    if (ev && std::find(out.begin(), out.end(), ev.get()) == out.end()) {
+        out.push_back(ev.get());
     }
 }
 
 }  // namespace
 
 void DataBarriers::acquire(const std::vector<uint64_t>& reads, const std::vector<uint64_t>& writes,
-                           std::vector<EventPtr>& out)
+                           std::vector<const Event*>& out)
 {
     out.clear();
-    std::lock_guard<std::mutex> lock(mMutex);
     for (const uint64_t uid : writes) {
         auto it = mChains.find(uid);
         if (it == mChains.end()) {
@@ -49,7 +48,6 @@ void DataBarriers::publish(const std::vector<uint64_t>& reads, const std::vector
     if (!tail) {
         return;
     }
-    std::lock_guard<std::mutex> lock(mMutex);
     for (const uint64_t uid : writes) {
         Chain& c = mChains[uid];
         c.writeTail = tail;
@@ -68,13 +66,11 @@ void DataBarriers::publish(const std::vector<uint64_t>& reads, const std::vector
 
 void DataBarriers::clear()
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     mChains.clear();
 }
 
 size_t DataBarriers::trackedCount() const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     return mChains.size();
 }
 

@@ -13,7 +13,6 @@
 // barrier provided.
 
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -30,9 +29,10 @@ class DataBarriers
     /// the last write tail for every uid, plus every reader tail since that
     /// write for uids in `writes` (write-after-read). Deduplicated;
     /// unrecorded entries never appear because tails are published at
-    /// enqueue time in program order.
+    /// enqueue time in program order. The pointers borrow the chains'
+    /// events: valid until the next publish() or clear().
     void acquire(const std::vector<uint64_t>& reads, const std::vector<uint64_t>& writes,
-                 std::vector<EventPtr>& out);
+                 std::vector<const Event*>& out);
 
     /// Publish `tail` as the completion event of a run that read `reads`
     /// and wrote `writes`. Written uids start a fresh chain epoch (their
@@ -55,7 +55,6 @@ class DataBarriers
         std::vector<EventPtr> readTails;  ///< tails of reads since that write
     };
 
-    mutable std::mutex                  mMutex;
     std::unordered_map<uint64_t, Chain> mChains;
 };
 

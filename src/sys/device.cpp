@@ -23,7 +23,6 @@ Device::~Device()
 
 void* Device::alloc(size_t bytes)
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     if (mInUse + bytes > mConfig.deviceMemCapacity) {
         throw DeviceMemoryError(mId, bytes, mInUse, mConfig.deviceMemCapacity);
     }
@@ -49,7 +48,6 @@ void Device::free(void* ptr) noexcept
     if (ptr == nullptr) {
         return;
     }
-    std::lock_guard<std::mutex> lock(mMutex);
     auto it = mAllocs.find(ptr);
     if (it == mAllocs.end()) {
         return;
@@ -63,13 +61,11 @@ void Device::free(void* ptr) noexcept
 
 size_t Device::bytesInUse() const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     return mInUse;
 }
 
 size_t Device::peakBytes() const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     return mPeak;
 }
 

@@ -4,7 +4,6 @@
 // "Memory Management" back-end capability).
 
 #include <cstddef>
-#include <mutex>
 #include <unordered_map>
 
 #include "sys/cost_model.hpp"
@@ -53,11 +52,10 @@ class Device
     DeviceType mType;
     SimConfig  mConfig;
 
-    mutable std::mutex               mMutex;
     std::unordered_map<void*, size_t> mAllocs;
-    size_t                           mInUse = 0;
-    size_t                           mPeak = 0;
-    size_t                           mDryRunCursor = 0;  ///< fake address source in dry-run
+    size_t                            mInUse = 0;
+    size_t                            mPeak = 0;
+    size_t                            mDryRunCursor = 0;  ///< fake address source in dry-run
 };
 
 }  // namespace neon::sys

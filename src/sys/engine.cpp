@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <type_traits>
 
@@ -20,21 +19,18 @@ namespace neon::sys {
 
 void Engine::attach(Stream& stream)
 {
-    std::lock_guard<std::mutex> lock(mRegistryMutex);
     mStreams.insert(&stream);
     mDevices.insert(&stream.device());
 }
 
 void Engine::detach(Stream& stream)
 {
-    std::lock_guard<std::mutex> lock(mRegistryMutex);
     mStreams.erase(&stream);
 }
 
 double Engine::maxVtime() const
 {
-    std::lock_guard<std::mutex> lock(mRegistryMutex);
-    double                      v = 0.0;
+    double v = 0.0;
     for (const Stream* s : mStreams) {
         v = std::max(v, s->mVtime);
     }
@@ -43,7 +39,6 @@ double Engine::maxVtime() const
 
 void Engine::resetClocks()
 {
-    std::lock_guard<std::mutex> lock(mRegistryMutex);
     for (Stream* s : mStreams) {
         s->mVtime = 0.0;
     }
@@ -176,8 +171,8 @@ Engine::OpCharge Engine::charge(Stream& stream, const O& op)
                 const TransferSchedule bad = planTransfer(dev, start, op, d.slowdown, false);
                 const double           retryAt = bad.end + retryBackoff(cfg, attempt);
                 traceRow(stream, OpKind::Fault,
-                         "retry#" + std::to_string(attempt) + ":" + op.name, start, retryAt,
-                         bad.totalBytes, op.attr);
+                         "retry#" + std::to_string(attempt) + ":" + std::string(op.name), start,
+                         retryAt, bad.totalBytes, op.attr);
                 start = retryAt;
             }
             if (d.failedAttempts >= cfg.retry.maxAttempts) {

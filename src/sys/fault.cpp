@@ -136,11 +136,10 @@ std::string FaultPlan::toString() const
 
 void FaultInjector::setPlan(FaultPlan plan)
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     mPlan = std::move(plan);
     mOrdinals.clear();
     mLost.clear();
-    mActive.store(!mPlan.empty(), std::memory_order_relaxed);
+    mActive = !mPlan.empty();
 }
 
 const FaultPlan& FaultInjector::plan() const
@@ -150,18 +149,16 @@ const FaultPlan& FaultInjector::plan() const
 
 bool FaultInjector::deviceLost(int device) const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     return device >= 0 && static_cast<size_t>(device) < mLost.size() &&
            mLost[static_cast<size_t>(device)].has_value();
 }
 
 FaultDecision FaultInjector::decide(int device, int stream, OpKind kind, const OpAttribution& attr)
 {
-    if (!active()) {
+    if (!mActive) {
         return {};
     }
-    std::lock_guard<std::mutex> lock(mMutex);
-    const uint64_t              ordinal = mOrdinals[ordinalKey(device, stream, kind)]++;
+    const uint64_t ordinal = mOrdinals[ordinalKey(device, stream, kind)]++;
 
     FaultDecision d;
     for (size_t i = 0; i < mPlan.specs.size(); ++i) {

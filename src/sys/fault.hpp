@@ -8,9 +8,7 @@
 // op's (device, stream, kind, per-stream ordinal, run id), so a faulted
 // run is bitwise reproducible.
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -120,10 +118,10 @@ struct FaultDecision
 
 /// Engine-owned runtime state of a FaultPlan: per-(device, stream, kind) op
 /// ordinals for the seeded probability gate and the sticky lost-device
-/// latch, which keeps the triggering op's attribution. decide() is
-/// thread-safe; each stream's ops are processed in FIFO order, so the
-/// ordinals — and therefore every decision — are a function of the
-/// schedule.
+/// latch, which keeps the triggering op's attribution. Driven by the
+/// Backend's one host thread (sys/stream.hpp); each stream's ops are
+/// processed in FIFO order, so the ordinals — and therefore every
+/// decision — are a function of the schedule.
 class FaultInjector
 {
    public:
@@ -131,7 +129,7 @@ class FaultInjector
     void setPlan(FaultPlan plan);
     [[nodiscard]] const FaultPlan& plan() const;
     /// Fast check used on the engine's hot path.
-    [[nodiscard]] bool active() const { return mActive.load(std::memory_order_relaxed); }
+    [[nodiscard]] bool active() const { return mActive; }
 
     /// Decision for the op about to be processed. Increments the op ordinal
     /// for (device, stream, kind).
@@ -141,9 +139,8 @@ class FaultInjector
     [[nodiscard]] bool deviceLost(int device) const;
 
    private:
-    mutable std::mutex                     mMutex;
     FaultPlan                              mPlan;
-    std::atomic<bool>                      mActive{false};
+    bool                                   mActive = false;
     std::unordered_map<uint64_t, uint64_t> mOrdinals;
     /// Per device: the attribution of the op that triggered its loss.
     std::vector<std::optional<OpAttribution>> mLost;

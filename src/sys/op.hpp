@@ -5,13 +5,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 #include <variant>
-#include <vector>
 
 #include "sys/cost_model.hpp"
 #include "sys/event.hpp"
@@ -56,7 +55,6 @@ struct OpAttribution
 /// launch into a fixed chunk partition (domain::spanChunkCount) and hands
 /// the engine two plain function pointers over an opaque context. The hot
 /// path is exactly one indirect call per chunk — no std::function hops.
-/// The op borrows `ctx`: ops run at enqueue, while the enqueuer holds it.
 struct KernelWork
 {
     ChunkFn run = nullptr;       ///< run(ctx, chunk, chunks): one chunk's cells
@@ -71,11 +69,11 @@ struct KernelWork
 /// the simulated duration comes from `items` and `hint`.
 struct KernelOp
 {
-    std::string    name;
-    size_t         items = 0;
-    KernelCostHint hint;
-    KernelWork     work;
-    OpAttribution  attr;
+    std::string_view name;
+    size_t           items = 0;
+    KernelCostHint   hint;
+    KernelWork       work;
+    OpAttribution    attr;
 };
 
 /// One contiguous device-to-device copy of `bytes` from `src` to `dst`;
@@ -91,55 +89,18 @@ struct TransferChunk
     void*       dst = nullptr;
 };
 
-/// The chunks of a TransferOp: a list shared by every op built from it, so
-/// a halo builds each device's list once and each exchange it enqueues
-/// shares that list instead of copying it. push_back() builds a list in
-/// place, copying it first when another op still shares it.
-class TransferChunks
-{
-   public:
-    TransferChunks() = default;
-    explicit TransferChunks(std::vector<TransferChunk> chunks)
-        : mList(std::make_shared<std::vector<TransferChunk>>(std::move(chunks)))
-    {
-    }
-
-    void push_back(const TransferChunk& chunk)
-    {
-        if (mList == nullptr) {
-            mList = std::make_shared<std::vector<TransferChunk>>();
-        } else if (mList.use_count() > 1) {
-            mList = std::make_shared<std::vector<TransferChunk>>(*mList);
-        }
-        mList->push_back(chunk);
-    }
-
-    [[nodiscard]] size_t size() const { return mList ? mList->size() : 0; }
-    [[nodiscard]] bool   empty() const { return size() == 0; }
-    [[nodiscard]] const TransferChunk* begin() const { return mList ? mList->data() : nullptr; }
-    [[nodiscard]] const TransferChunk* end() const
-    {
-        return mList ? mList->data() + mList->size() : nullptr;
-    }
-
-   private:
-    std::shared_ptr<std::vector<TransferChunk>> mList;
-};
-
 /// A group of copies issued together (e.g. one haloUpdate on one device).
 /// Chunks with the same direction serialize on that DMA engine; the two
 /// directions proceed in parallel — this is what makes the SoA layout pay
 /// `n` latencies per direction while AoS pays one (paper §IV-C2).
 struct TransferOp
 {
-    std::string    name;
-    TransferChunks chunks;
-    OpAttribution  attr;
+    std::string_view               name;
+    std::span<const TransferChunk> chunks;
+    OpAttribution                  attr;
 };
 
 /// Host-side work executed in stream order (e.g. the reduce combine step).
-/// Borrows its name and callable: ops run inside Stream::enqueue, while the
-/// enqueuer (a scalar container's launch) holds both.
 struct HostFnOp
 {
     std::string_view             name;
@@ -151,17 +112,21 @@ struct HostFnOp
 /// Record `event` when the stream reaches this op.
 struct RecordOp
 {
-    EventPtr      event;
+    Event*        event = nullptr;
     OpAttribution attr;
 };
 
 /// Hold the stream until `event` is recorded.
 struct WaitOp
 {
-    EventPtr      event;
+    const Event*  event = nullptr;
     OpAttribution attr;
 };
 
+/// One enqueued operation. An op is a borrowed view: its names, chunk list,
+/// callable, kernel context and event belong to the enqueuer and are valid
+/// only for the Stream::enqueue call that runs it. No EnqueueHook may keep
+/// an op (or anything it points to) past onEnqueue; copy what you need.
 using Op = std::variant<KernelOp, TransferOp, HostFnOp, RecordOp, WaitOp>;
 
 [[nodiscard]] inline OpKind kindOf(const Op& op)

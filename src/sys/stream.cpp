@@ -15,7 +15,7 @@ Stream::~Stream()
     mEngine->detach(*this);
 }
 
-void Stream::enqueue(Op op)
+void Stream::enqueue(const Op& op)
 {
     if (EnqueueHook* hook = mEngine->enqueueHook()) {
         hook->onEnqueue(*this, op);
@@ -23,9 +23,9 @@ void Stream::enqueue(Op op)
     mEngine->enqueue(*this, op);
 }
 
-void Stream::transfer(TransferOp op)
+void Stream::transfer(const TransferOp& op)
 {
-    enqueue(std::move(op));
+    enqueue(op);
 }
 
 void Stream::hostFn(std::string_view name, double simDuration, const std::function<void()>& fn,
@@ -34,14 +34,14 @@ void Stream::hostFn(std::string_view name, double simDuration, const std::functi
     enqueue(HostFnOp{name, simDuration, &fn, attr});
 }
 
-void Stream::record(EventPtr event, const OpAttribution& attr)
+void Stream::record(Event& event, const OpAttribution& attr)
 {
-    enqueue(RecordOp{std::move(event), attr});
+    enqueue(RecordOp{&event, attr});
 }
 
-void Stream::wait(EventPtr event, const OpAttribution& attr)
+void Stream::wait(const Event& event, const OpAttribution& attr)
 {
-    enqueue(WaitOp{std::move(event), attr});
+    enqueue(WaitOp{&event, attr});
 }
 
 void Stream::sync()

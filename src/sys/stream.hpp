@@ -2,12 +2,16 @@
 // Stream: FIFO command queue bound to one device (CUDA Stream analogue,
 // paper §IV-A), and the Engine that runs its ops. Ops run in FIFO order on
 // the enqueuing thread; only their virtual clocks model asynchrony.
+//
+// One driving thread (DESIGN.md §4): one host thread at a time drives a
+// Backend and everything built on it — its engine, streams, trace, fault
+// injector, devices and data chains — so none of them takes a lock. Only
+// the host pool's workers run concurrently, and they run kernel chunks only.
 
 #include <algorithm>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -35,16 +39,19 @@ class Stream
     Stream(const Stream&) = delete;
     Stream& operator=(const Stream&) = delete;
 
-    void enqueue(Op op);
+    /// Run `op` now. The op borrows what it names for this call only.
+    void enqueue(const Op& op);
 
     // Convenience wrappers -------------------------------------------------
-    void transfer(TransferOp op);
-    /// Run `fn` in stream order; the op borrows `name` and `fn` for the
-    /// duration of the call.
+    void transfer(const TransferOp& op);
+    /// Run `fn` in stream order.
     void hostFn(std::string_view name, double simDuration, const std::function<void()>& fn,
                 const OpAttribution& attr = {});
-    void record(EventPtr event, const OpAttribution& attr = {});
-    void wait(EventPtr event, const OpAttribution& attr = {});
+    /// Record `event` at this stream's clock.
+    void record(Event& event, const OpAttribution& attr = {});
+    /// Hold this stream until `event`'s recorded time; `event` must already
+    /// be recorded (InternalError otherwise).
+    void wait(const Event& event, const OpAttribution& attr = {});
 
     /// Host blocks until every enqueued op completed.
     void sync();
@@ -67,7 +74,8 @@ class Stream
 
 /// Sees every op at enqueue, in enqueue order and before the engine runs it
 /// (neon::analysis feeds its race detector from here, docs/analysis.md).
-/// Called on the enqueuing host thread.
+/// Called on the enqueuing host thread. The op is borrowed (see Op): a hook
+/// copies what it keeps.
 class EnqueueHook
 {
    public:
@@ -185,7 +193,6 @@ class Engine
 
     std::exception_ptr mAbortError;  ///< the latched abort; null while running
 
-    mutable std::mutex          mRegistryMutex;
     std::unordered_set<Stream*> mStreams;
     std::unordered_set<Device*> mDevices;
 };

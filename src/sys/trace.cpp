@@ -27,14 +27,9 @@ constexpr size_t kFirstRows = 1024;
 
 }  // namespace
 
-void Trace::enable(bool on)
-{
-    mEnabled.store(on, std::memory_order_relaxed);
-}
-
 uint32_t Trace::internName(std::string_view name)
 {
-    // Called with mMutex held. Only a new name allocates.
+    // Only a new name allocates.
     auto it = mNameIds.find(name);
     if (it != mNameIds.end()) {
         return it->second;
@@ -49,10 +44,9 @@ void Trace::record(int device, int stream, OpKind kind, std::string_view name, d
                    double endV, uint64_t bytes, const OpAttribution& attr, uint64_t waitEventId,
                    int srcDevice, int srcStream)
 {
-    if (!enabled()) {
+    if (!mEnabled) {
         return;
     }
-    std::lock_guard<std::mutex> lock(mMutex);
     if (mRows.capacity() == 0) {
         mRows.reserve(kFirstRows);
     }
@@ -62,7 +56,6 @@ void Trace::record(int device, int stream, OpKind kind, std::string_view name, d
 
 void Trace::clear()
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     mRows.clear();
     mNames.clear();
     mNameIds.clear();
@@ -70,13 +63,11 @@ void Trace::clear()
 
 size_t Trace::size() const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     return mRows.size();
 }
 
 size_t Trace::countKind(OpKind kind) const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
     return static_cast<size_t>(std::count_if(mRows.begin(), mRows.end(),
                                              [kind](const Row& r) { return r.kind == kind; }));
 }
@@ -91,8 +82,7 @@ TraceEntry Trace::materialize(const Row& r) const
 template <class Keep>
 std::vector<TraceEntry> Trace::entriesWhere(Keep keep) const
 {
-    std::lock_guard<std::mutex> lock(mMutex);
-    std::vector<TraceEntry>     out;
+    std::vector<TraceEntry> out;
     for (const Row& r : mRows) {
         if (keep(r)) {
             out.push_back(materialize(r));
@@ -120,7 +110,7 @@ std::vector<TraceEntry> Trace::entriesForJob(int jobId) const
 
 int Trace::nextRunId()
 {
-    return mNextRunId.fetch_add(1, std::memory_order_relaxed);
+    return mNextRunId++;
 }
 
 std::string Trace::gantt(int columns) const

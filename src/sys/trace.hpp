@@ -10,11 +10,13 @@
 // recording an event on the engine hot path appends one row of scalars plus
 // one name-id lookup, instead of constructing two heap strings per entry. The
 // TraceEntry view is materialized on demand by entries().
+//
+// Single writer: the engine records rows on the thread that drives its
+// Backend (host-pool rows too, after the pool's parallelFor returns), so the
+// trace takes no lock.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -46,8 +48,8 @@ struct TraceEntry
 class Trace
 {
    public:
-    void enable(bool on);
-    [[nodiscard]] bool enabled() const { return mEnabled.load(std::memory_order_relaxed); }
+    void enable(bool on) { mEnabled = on; }
+    [[nodiscard]] bool enabled() const { return mEnabled; }
 
     /// Hot-path recording: no TraceEntry construction, the name is interned
     /// (repeated kernel/transfer names share one stored string).
@@ -110,13 +112,12 @@ class Trace
     template <class Keep>
     [[nodiscard]] std::vector<TraceEntry> entriesWhere(Keep keep) const;
 
-    mutable std::mutex mMutex;
-    std::atomic<bool>  mEnabled{false};
-    std::vector<Row>   mRows;
+    bool             mEnabled = false;
+    std::vector<Row> mRows;
     /// Interned name table: id -> string, plus the reverse lookup.
     std::vector<std::string>                                           mNames;
     std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>> mNameIds;
-    std::atomic<int>                                                   mNextRunId{0};
+    int                                                                mNextRunId = 0;
 };
 
 }  // namespace neon::sys

@@ -75,8 +75,8 @@ TEST(EventSet, MakeAllocatesPerDevice)
     auto es = EventSet::make(3);
     EXPECT_TRUE(es.valid());
     EXPECT_EQ(es.devCount(), 3);
-    EXPECT_NE(es[0], es[1]);
-    EXPECT_FALSE(es[2]->recorded());
+    EXPECT_NE(&es[0], &es[1]);
+    EXPECT_FALSE(es[2].recorded());
 }
 
 TEST(StreamSet, IndexesAColumnOfTheStreamMatrix)

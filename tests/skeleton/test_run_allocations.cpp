@@ -1,8 +1,10 @@
-// A cached Skeleton::run() of a CG iteration allocates a fixed, small number
-// of heap blocks, whatever the device count: one event block, the tail
-// barrier and the data-chain wait list (host-function ops borrow their
-// callable and name). This is its own executable because it replaces the
-// global operator new to count allocations.
+// Heap-block counts of the runtime's steady state. A cached Skeleton::run()
+// of a CG iteration allocates a fixed, small number of heap blocks, whatever
+// the device count: the run's event block and the tail barrier (ops borrow
+// their events, callables and names, and the data-chain wait list is
+// reused). A grid that outlives many short-lived fields holds no block for
+// a dead one. This is its own executable because it replaces the global
+// operator new and delete to count allocations and frees.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,21 @@
 
 namespace {
 std::atomic<size_t> gAllocations{0};
+std::atomic<size_t> gFrees{0};
+
+/// Blocks allocated through the counting operator new and not yet freed.
+size_t liveBlocks()
+{
+    return gAllocations.load(std::memory_order_relaxed) - gFrees.load(std::memory_order_relaxed);
+}
+
+void countedFree(void* p) noexcept
+{
+    if (p != nullptr) {
+        gFrees.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t bytes)
@@ -29,12 +46,12 @@ void* operator new(std::size_t bytes)
 // free() reads to GCC as a mismatched deallocation (-Wmismatched-new-delete).
 [[gnu::noinline]] void operator delete(void* p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace neon::skeleton {
@@ -42,7 +59,7 @@ namespace neon::skeleton {
 TEST(RunAllocations, CachedCgIterationAllocatesTheSameAtEveryDeviceCount)
 {
     constexpr int    kRuns = 20;
-    constexpr size_t kMaxPerRun = 3;
+    constexpr size_t kMaxPerRun = 2;
     size_t           atOneDevice = 0;
     for (const int nDev : {1, 2, 4, 8}) {
         SCOPED_TRACE(std::to_string(nDev) + " device(s)");
@@ -68,6 +85,26 @@ TEST(RunAllocations, CachedCgIterationAllocatesTheSameAtEveryDeviceCount)
         }
         EXPECT_EQ(perRun, atOneDevice);
     }
+}
+
+TEST(GridAllocations, DroppedFieldsLeaveNoLiveBlocksOnTheirGrid)
+{
+    set::Backend backend = testing::dryA100s(8);
+    dgrid::DGrid grid(backend, testing::CgIteration::kDim, Stencil::laplace7());
+    auto         buildAndDrop = [&grid](int fields) {
+        for (int i = 0; i < fields; ++i) {
+            (void)grid.newField<double>("f", 1, 0.0);
+        }
+    };
+    buildAndDrop(1);  // warm: first-allocation paths of the devices
+    const size_t base = liveBlocks();
+    buildAndDrop(1);
+    const size_t afterOne = liveBlocks();
+    buildAndDrop(1000);
+    const size_t afterMany = liveBlocks();
+
+    EXPECT_LE(afterMany, afterOne) << "1000 dropped fields hold " << afterMany - base
+                                   << " live blocks, one holds " << afterOne - base;
 }
 
 }  // namespace neon::skeleton

@@ -17,7 +17,7 @@ inline void enqueueKernel(Stream& stream, std::string name, size_t items, Kernel
 {
     using Body = std::function<void()>;
     KernelOp op;
-    op.name = std::move(name);
+    op.name = name;  // the op borrows `name` for the enqueue call
     op.items = items;
     op.hint = hint;
     op.work.run = [](void* ctx, int32_t, int32_t) { (*static_cast<Body*>(ctx))(); };

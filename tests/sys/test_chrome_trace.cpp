@@ -234,14 +234,12 @@ JsonValue recordedChromeTrace(std::string* rawOut = nullptr)
     profiler.enable(true);
 
     enqueueKernel(b.stream(0, 0), "produce", 1'000'000, {100.0, 0.0}, [] {});
-    auto ev = std::make_shared<Event>();
+    Event ev;
     b.stream(0, 0).record(ev);
     b.stream(1, 0).wait(ev);
 
-    TransferOp op;
-    op.name = "halo";
-    op.chunks.push_back({1 << 20, 1});
-    b.stream(1, 0).transfer(std::move(op));
+    const std::vector<TransferChunk> chunks = {{1 << 20, 1}};
+    b.stream(1, 0).transfer({"halo", chunks, {}});
     enqueueKernel(b.stream(1, 0), "consume", 1'000'000, {100.0, 0.0}, [] {});
     b.sync();
     profiler.enable(false);

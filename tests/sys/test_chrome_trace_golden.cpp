@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "set/backend.hpp"
 #include "sys/fault.hpp"
@@ -65,10 +66,8 @@ std::string recordedTrace()
     b.profiler().enable();
 
     enqueueKernel(b.stream(0), "compute", 1'000'000, {100.0, 0.0}, [] {});
-    TransferOp op;
-    op.name = "halo";
-    op.chunks.push_back({1 << 20, 1});
-    b.stream(0).transfer(std::move(op));
+    const std::vector<TransferChunk> chunks = {{1 << 20, 1}};
+    b.stream(0).transfer({"halo", chunks, {}});
     b.sync();
 
     return b.profiler().chromeTrace();

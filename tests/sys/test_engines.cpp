@@ -52,7 +52,7 @@ TEST_P(EngineTest, StreamIsFifo)
 TEST_P(EngineTest, EventOrdersAcrossStreams)
 {
     Backend          b = makeBackend(1, sys::SimConfig::zeroCost());
-    auto             ev = std::make_shared<sys::Event>();
+    sys::Event       ev;
     int              stage = 0;
 
     auto& s0 = b.stream(0, 0);
@@ -118,10 +118,8 @@ TEST_P(EngineTest, TransferOverlapsComputeOnDifferentStreams)
     const double tXfer = sys::transferDuration(cfg, bytes);
 
     enqueueKernel(b.stream(0, 0), "compute", 1'000'000, {1000.0, 0.0}, [] {});
-    sys::TransferOp op;
-    op.name = "halo";
-    op.chunks.push_back({bytes, 1});
-    b.stream(0, 1).transfer(std::move(op));
+    const std::vector<sys::TransferChunk> chunks = {{bytes, 1}};
+    b.stream(0, 1).transfer({"halo", chunks, {}});
     b.sync();
     EXPECT_NEAR(b.profiler().makespan(), std::max(tKernel, tXfer), std::max(tKernel, tXfer) * 0.01);
 }
@@ -132,11 +130,11 @@ TEST_P(EngineTest, SoAHaloPaysPerComponentLatency)
     Backend        b = makeBackend(1, cfg);
     const size_t   bytes = 1024;
     // 8 chunks in one direction serialize on the DMA engine.
-    sys::TransferOp op;
+    std::vector<sys::TransferChunk> chunks;
     for (int c = 0; c < 8; ++c) {
-        op.chunks.push_back({bytes, 1});
+        chunks.push_back({bytes, 1});
     }
-    b.stream(0).transfer(std::move(op));
+    b.stream(0).transfer({{}, chunks, {}});
     b.sync();
     EXPECT_NEAR(b.profiler().makespan(), 8 * sys::transferDuration(cfg, bytes), 1e-12);
 }
@@ -145,10 +143,8 @@ TEST_P(EngineTest, TwoDirectionsUseParallelDmaEngines)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     Backend        b = makeBackend(1, cfg);
-    sys::TransferOp op;
-    op.chunks.push_back({1 << 20, 0});
-    op.chunks.push_back({1 << 20, 1});
-    b.stream(0).transfer(std::move(op));
+    const std::vector<sys::TransferChunk> chunks = {{1 << 20, 0}, {1 << 20, 1}};
+    b.stream(0).transfer({{}, chunks, {}});
     b.sync();
     EXPECT_NEAR(b.profiler().makespan(), sys::transferDuration(cfg, 1 << 20), 1e-12);
 }
@@ -203,7 +199,7 @@ TEST_P(EngineTest, TraceRecordsEntries)
 TEST(Engine, WaitOnUnrecordedEventThrows)
 {
     Backend b(1, sys::DeviceType::CPU, sys::SimConfig::zeroCost());
-    auto ev = std::make_shared<sys::Event>();
+    sys::Event ev;
     EXPECT_THROW(b.stream(0).wait(ev), InternalError);
 }
 

@@ -26,12 +26,12 @@ Backend faultyBackend(int nDev, sys::SimConfig cfg, sys::FaultPlan plan)
     return Backend::make(BackendSpec::simGpu(nDev, cfg).withFaults(std::move(plan)));
 }
 
-sys::TransferOp oneChunk(size_t bytes, const void* src = nullptr, void* dst = nullptr)
+/// Enqueue a one-chunk "halo" transfer on `stream`.
+void transferOneChunk(sys::Stream& stream, size_t bytes, const void* src = nullptr,
+                      void* dst = nullptr)
 {
-    sys::TransferOp op;
-    op.name = "halo";
-    op.chunks.push_back({bytes, 1, src, dst});
-    return op;
+    const std::vector<sys::TransferChunk> chunks = {{bytes, 1, src, dst}};
+    stream.transfer({"halo", chunks, {}});
 }
 
 /// The engine executes every op eagerly, in enqueue order, on the enqueuing
@@ -113,7 +113,7 @@ TEST_P(FaultEngineTest, TransientRetrySucceedsWithBackoffTimeline)
     const size_t      bytes = 1 << 20;
     std::vector<char> src(bytes, 1);
     std::vector<char> dst(bytes, 0);
-    b.stream(0).transfer(oneChunk(bytes, src.data(), dst.data()));
+    transferOneChunk(b.stream(0), bytes, src.data(), dst.data());
     b.sync();
     const bool copied = dst == src;
 
@@ -137,7 +137,7 @@ TEST_P(FaultEngineTest, RetryExhaustionRaisesTransferFailed)
     std::vector<char> src(1 << 20, 1);
     std::vector<char> dst(1 << 20, 0);
     try {
-        b.stream(0).transfer(oneChunk(1 << 20, src.data(), dst.data()));
+        transferOneChunk(b.stream(0), 1 << 20, src.data(), dst.data());
         b.sync();
         FAIL() << "expected RuntimeError";
     } catch (const RuntimeError& e) {
@@ -179,7 +179,7 @@ TEST_P(FaultEngineTest, LinkDegradationScalesTransferDuration)
     Backend b = faultyBackend(1, cfg, plan);
 
     const size_t bytes = 1 << 20;
-    b.stream(0).transfer(oneChunk(bytes));
+    transferOneChunk(b.stream(0), bytes);
     b.sync();
     EXPECT_NEAR(b.stream(0).vtime(), 3.0 * sys::transferDuration(cfg, bytes), 1e-12);
 }
@@ -194,7 +194,7 @@ TEST_P(FaultEngineTest, NonMatchingPlanLeavesTimelineUntouched)
 
     for (Backend* b : {&clean, &faulty}) {
         enqueueKernel(b->stream(0), "k", 1'000'000, {100.0, 0.0}, [] {});
-        b->stream(0).transfer(oneChunk(1 << 20));
+        transferOneChunk(b->stream(0), 1 << 20);
         b->sync();
     }
     EXPECT_DOUBLE_EQ(clean.stream(0).vtime(), faulty.stream(0).vtime());

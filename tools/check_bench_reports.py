@@ -21,7 +21,11 @@ These schemas are understood:
   in one cached run), the cached-path wall cost and the dispatch
   ns_per_cell are additionally gated at 2x the committed baseline, so a
   hot-path regression fails CI even when the compile path regresses by
-  the same factor.
+  the same factor. The trace section times the Fig. 8 dry-run CG (320^3
+  on 8 simulated A100s, standard OCC, 200 fixed iterations) with the
+  trace off and on, medians of interleaved solves in one process; its
+  on/off ratio is gated at MAX_TRACE_RATIO, so a trace row that grows
+  expensive (a lock, an allocation per row) fails CI.
 * The multi-tenant traffic replay from bench_service
   (docs/service.md, "bench": "service"): >= 1000 mixed jobs replayed
   both serialized (maxInFlight=1, no batching) and concurrent
@@ -87,6 +91,7 @@ OVERHEAD_ENQUEUE_KEYS = ["ops_per_run", "runs_measured", "ns_per_op"]
 OVERHEAD_SEQUENCE_KEYS = ["repeats", "compile_ns", "cached_ns", "speedup", "cache_hits"]
 OVERHEAD_DISPATCH_KEYS = ["cells", "runs_measured", "ns_per_cell"]
 OVERHEAD_CG_KEYS = ["cells", "reps", "converged", "neon_ms", "native_ms", "ratio"]
+OVERHEAD_TRACE_KEYS = ["devices", "iterations", "reps", "rows", "off_ms", "on_ms", "ratio"]
 
 # A cached sequence() is a recipe replay; anything under this factor means
 # it is recompiling (or the cache stopped hitting).
@@ -98,6 +103,10 @@ BASELINE_SLACK = 2.0
 # linear cell addressing, 5.8x with the coordinate-addressed accessors and
 # runtime component loops it replaced.
 MAX_CG_RATIO = 2.5
+# Traced over untraced wall time of the dry-run Fig. 8 CG (docs/performance.md,
+# "CI gates"): 1.40-1.76 over 40 runs of the single-writer trace on a 4-core
+# shared host; a heap string per row measured 2.05-2.25.
+MAX_TRACE_RATIO = 2.0
 
 TABLE1_MLUPS_KEYS = ["neon_1t", "native", "neon_pool"]
 # One-thread Neon D2Q9 step over the hand-written solver on the same domain
@@ -157,6 +166,7 @@ def check_overhead_report(path: str, report: dict, baseline_path: str | None) ->
     sequence = report.get("sequence")
     dispatch = report.get("dispatch")
     cg = report.get("cg")
+    trace = report.get("trace")
     if not isinstance(enqueue, dict):
         errors.append(f"{path}: missing 'enqueue' section")
     else:
@@ -181,6 +191,12 @@ def check_overhead_report(path: str, report: dict, baseline_path: str | None) ->
         for key in OVERHEAD_CG_KEYS:
             if key not in cg:
                 errors.append(f"{path}: cg section missing '{key}'")
+    if not isinstance(trace, dict):
+        errors.append(f"{path}: missing 'trace' section")
+    else:
+        for key in OVERHEAD_TRACE_KEYS:
+            if key not in trace:
+                errors.append(f"{path}: trace section missing '{key}'")
     if errors:
         return errors
 
@@ -206,6 +222,14 @@ def check_overhead_report(path: str, report: dict, baseline_path: str | None) ->
         errors.append(
             f"{path}: one-thread CG takes {cg['ratio']:.2f}x the hand-written CG "
             f"(gate: <= {MAX_CG_RATIO}x; {cg['neon_ms']:.1f} ms vs {cg['native_ms']:.1f} ms)"
+        )
+    if trace["rows"] <= 0 or trace["off_ms"] <= 0 or trace["on_ms"] <= 0:
+        errors.append(f"{path}: trace section malformed (no rows or non-positive timings)")
+    elif trace["ratio"] > MAX_TRACE_RATIO:
+        errors.append(
+            f"{path}: the traced dry-run CG takes {trace['ratio']:.2f}x the untraced one "
+            f"(gate: <= {MAX_TRACE_RATIO}x; {trace['on_ms']:.2f} ms vs {trace['off_ms']:.2f} ms "
+            f"over {trace['rows']} rows)"
         )
 
     if baseline_path is not None:
