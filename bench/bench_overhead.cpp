@@ -141,7 +141,7 @@ double medianNs(std::vector<double> xs)
 constexpr index_3d kCgDim{32, 32, 32};
 constexpr double   kCgTolerance = 1e-8;
 constexpr int      kCgMaxIterations = 1000;
-constexpr int      kCgReps = 7;
+constexpr int      kCgReps = 15;
 
 struct CgRatio
 {

@@ -24,9 +24,19 @@ int RaceDetector::slotOf(int device, int stream)
     auto [it, inserted] = mSlots.try_emplace(slotKey(device, stream),
                                              static_cast<int>(mVC.size()));
     if (inserted) {
-        mVC.emplace_back();
+        mVC.push_back(mBarrier);
     }
     return it->second;
+}
+
+void RaceDetector::barrier()
+{
+    for (const Clock& vc : mVC) {
+        joinInto(mBarrier, vc);
+    }
+    for (Clock& vc : mVC) {
+        vc = mBarrier;
+    }
 }
 
 bool RaceDetector::happensBefore(const Prev& p, const Clock& cur)
@@ -276,6 +286,11 @@ void RaceSession::onEnqueue(const sys::Stream& stream, const sys::Op& op)
     if (mReportFindings) {
         reportEnvViolations("race detector", mDetector.takeNew());
     }
+}
+
+void RaceSession::onReset()
+{
+    mDetector.barrier();
 }
 
 void RaceSession::registerRun(int runId, std::shared_ptr<const ContainerMetaMap> meta)

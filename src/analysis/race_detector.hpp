@@ -45,6 +45,11 @@ class RaceDetector
     /// no read/write sets).
     void feed(const EnqueueRecord& r, const ContainerMetaMap* meta);
 
+    /// A host-wide barrier: every op fed so far happens before every op fed
+    /// after (each stream's clock, and any stream's first, starts from the
+    /// join of all clocks).
+    void barrier();
+
     /// All findings so far (cumulative).
     [[nodiscard]] const AnalysisReport& report() const { return mReport; }
     /// Findings added since the previous takeNew() (for incremental drains).
@@ -80,8 +85,9 @@ class RaceDetector
 
     int mDevCount = 1;
 
-    std::unordered_map<uint64_t, int> mSlots;  ///< (dev,stream) -> clock index
-    std::vector<Clock>                mVC;     ///< per-slot vector clock
+    std::unordered_map<uint64_t, int> mSlots;    ///< (dev,stream) -> clock index
+    std::vector<Clock>                mVC;       ///< per-slot vector clock
+    Clock                             mBarrier;  ///< join of all clocks at the last barrier()
 
     std::unordered_map<uint64_t, Clock> mEventClock;
     std::vector<uint64_t>               mEventOrder;  ///< for pruning
@@ -113,6 +119,9 @@ class RaceSession final : public sys::EnqueueHook
     [[nodiscard]] static RaceSession* of(const sys::Engine& engine);
 
     void onEnqueue(const sys::Stream& stream, const sys::Op& op) override;
+    /// Backend::resetClocks is a barrier (RaceDetector::barrier): the reset
+    /// drops the data chains, but every op before it has already run.
+    void onReset() override;
 
     /// Attach the metadata of the graph that issues run `runId`; called
     /// before the run's first op is enqueued.

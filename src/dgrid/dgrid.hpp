@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/index3d.hpp"
@@ -63,12 +64,17 @@ struct DInteriorCell : DCell
 };
 
 /// domain::Span decoder for the dense grid: a slot is one z-plane, expanded
-/// y-outer/x-inner. In a row with y in [1, dimY-1) of a plane with global z
-/// in [1, dimZ-1), the cells x in [1, dimX-1) arrive as DInteriorCell;
-/// every other cell is a DCell. Order and linear index do not depend on
-/// the cell type.
+/// y-outer/x-inner. The Ordered and Rows walks split the plane into rows:
+/// in a row with y in [1, dimY-1) of a plane with global z in [1, dimZ-1),
+/// the cells x in [1, dimX-1) arrive as DInteriorCell; every other cell is
+/// a DCell. The Flat and Lanes walks run the plane as one loop of DCells,
+/// keeping x and y by increment. Order and linear index do not depend on
+/// the walk or the cell type.
 struct DSpanDecoder
 {
+    /// Has the shaped walks (domain::Walk).
+    static constexpr bool kShapedWalks = true;
+
     int32_t dimX = 0;
     int32_t dimY = 0;
     int32_t zOrigin = 0;  ///< global z of the partition's local plane 0
@@ -77,55 +83,104 @@ struct DSpanDecoder
     template <typename Fn>
     void forEachInSlot(int32_t z, Fn&& fn) const
     {
-        visit<false>(z, fn);
+        visit<domain::Walk::Ordered>(z, fn);
     }
 
-    /// forEachInSlot for kernels whose cells are independent (no cell reads
-    /// what another cell of the same launch writes, set::Loader): each
-    /// row's interior run becomes one loop that the compiler may vectorize.
-    /// flatten inlines the kernel body, and everything it calls, at every
-    /// cell of the plane: the row split gives the body several call sites,
-    /// and GCC's inliner would otherwise leave some of them as one
-    /// out-of-line call per cell.
-    template <typename Fn>
-    [[gnu::flatten]] void forEachInSlotIndependent(int32_t z, Fn&& fn) const
+    /// The shaped walks. Rows and Flat are for kernels whose cells are
+    /// independent (no cell reads what another cell of the same launch
+    /// writes, set::Loader), so their loops carry `ivdep` and the compiler
+    /// may vectorize them with whole cells as lanes. Flat is for kernels
+    /// that also read no neighbour: it hands out no DInteriorCell, so a
+    /// neighbour read would take the checked path. Lanes is the reductions'
+    /// walk: fn(cell, lane) with the lane a compile-time
+    /// std::integral_constant. flatten inlines the kernel body, and
+    /// everything it calls, at every call site of the plane: GCC's inliner
+    /// would otherwise leave some of them as one out-of-line call per cell.
+    template <domain::Walk W, typename Fn>
+    [[gnu::flatten]] void walk(int32_t z, Fn& fn) const
     {
-        visit<true>(z, fn);
+        visit<W>(z, fn);
     }
 
    private:
-    template <bool kIndependent, typename Fn>
+    template <int L>
+    using Lane = std::integral_constant<int, L>;
+
+    template <domain::Walk W, typename Fn>
     void visit(int32_t z, Fn& fn) const
     {
-        const int32_t gz = zOrigin + z;
-        const bool    interiorPlane = gz >= 1 && gz < dimZ - 1 && dimX >= 3;
-        int64_t       idx = static_cast<int64_t>(z) * dimY * dimX;
-        for (int32_t y = 0; y < dimY; ++y) {
-            if (!interiorPlane || y < 1 || y >= dimY - 1) {
-                for (int32_t x = 0; x < dimX; ++x, ++idx) {
-                    fn(DCell(x, y, z, idx));
+        const int64_t plane = static_cast<int64_t>(dimX) * dimY;
+        int64_t       idx = z * plane;
+        if constexpr (W == domain::Walk::Flat || W == domain::Walk::Lanes) {
+            int32_t x = 0;
+            int32_t y = 0;
+            // The cell at linear index i; steps x and y to the next one.
+            // A kernel that never reads them leaves both dead.
+            auto next = [&](int64_t i) {
+                const DCell cell(x, y, z, i);
+                if (++x == dimX) {
+                    x = 0;
+                    ++y;
                 }
-                continue;
-            }
-            fn(DCell(0, y, z, idx));
-            if constexpr (kIndependent) {
-                // No iteration depends on another, so GCC may drop the
-                // loop-carried dependence it would otherwise assume between
-                // the kernel's partition pointers and vectorize the row
-                // with whole cells as lanes (docs/performance.md,
-                // "Interior rows").
+                return cell;
+            };
+            const int64_t end = idx + plane;
+            if constexpr (W == domain::Walk::Flat) {
 #pragma GCC ivdep
-                for (int32_t x = 1; x < dimX - 1; ++x) {
-                    fn(DInteriorCell(x, y, z, idx + x));
+                for (int64_t i = idx; i < end; ++i) {
+                    fn(next(i));
                 }
             } else {
-                for (int32_t x = 1; x < dimX - 1; ++x) {
-                    fn(DInteriorCell(x, y, z, idx + x));
+                // In-plane index i - idx goes to lane (i - idx) % 4: four
+                // cells a step, then the plane's last plane % 4 cells.
+                static_assert(domain::kReduceLanes == 4);
+                int64_t i = idx;
+                for (; i + 4 <= end; i += 4) {
+                    fn(next(i), Lane<0>{});
+                    fn(next(i + 1), Lane<1>{});
+                    fn(next(i + 2), Lane<2>{});
+                    fn(next(i + 3), Lane<3>{});
+                }
+                if (i < end) {
+                    fn(next(i), Lane<0>{});
+                }
+                if (i + 1 < end) {
+                    fn(next(i + 1), Lane<1>{});
+                }
+                if (i + 2 < end) {
+                    fn(next(i + 2), Lane<2>{});
                 }
             }
-            idx += dimX - 1;
-            fn(DCell(dimX - 1, y, z, idx));
-            ++idx;
+        } else {
+            const int32_t gz = zOrigin + z;
+            const bool    interiorPlane = gz >= 1 && gz < dimZ - 1 && dimX >= 3;
+            for (int32_t y = 0; y < dimY; ++y) {
+                if (!interiorPlane || y < 1 || y >= dimY - 1) {
+                    for (int32_t x = 0; x < dimX; ++x, ++idx) {
+                        fn(DCell(x, y, z, idx));
+                    }
+                    continue;
+                }
+                fn(DCell(0, y, z, idx));
+                if constexpr (W == domain::Walk::Rows) {
+                    // No iteration depends on another, so GCC may drop the
+                    // loop-carried dependence it would otherwise assume
+                    // between the kernel's partition pointers and vectorize
+                    // the row with whole cells as lanes (docs/performance.md,
+                    // "Interior rows").
+#pragma GCC ivdep
+                    for (int32_t x = 1; x < dimX - 1; ++x) {
+                        fn(DInteriorCell(x, y, z, idx + x));
+                    }
+                } else {
+                    for (int32_t x = 1; x < dimX - 1; ++x) {
+                        fn(DInteriorCell(x, y, z, idx + x));
+                    }
+                }
+                idx += dimX - 1;
+                fn(DCell(dimX - 1, y, z, idx));
+                ++idx;
+            }
         }
     }
 };

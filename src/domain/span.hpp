@@ -13,6 +13,11 @@
 // any number of threads therefore touches exactly the same cells in the
 // same per-chunk order — the NEON_THREADS bitwise-determinism guarantee
 // builds on this (docs/performance.md, "Host parallelism").
+//
+// A decoder may also offer shaped walks of a slot (Walk): loops the
+// compiler may vectorize, for kernels whose cells are independent, and the
+// lane walk of reductions. Every walk hands out the same cells, in the same
+// order, as the ordered one.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,6 +53,22 @@ inline constexpr int32_t kSpanMaxChunks = 64;
     return n;
 }
 
+/// How a decoder walks one slot. Every decoder has the Ordered walk; a
+/// decoder with `kShapedWalks` (the dense grid's) also has the others, as
+/// `walk<W>(slot, fn)`. Each walk hands out the Ordered walk's cells, in
+/// its order (docs/performance.md, "Flat planes and lane reductions").
+enum class Walk : uint8_t
+{
+    Ordered,  ///< fn(cell), one cell at a time: any kernel
+    Rows,     ///< independent cells: each row's interior run is one loop
+    Flat,     ///< independent cells, no stencil read: each slot is one loop
+    Lanes,    ///< fn(cell, lane), lane = the cell's in-slot index mod kReduceLanes
+};
+
+/// Accumulator lanes of a Lanes walk. A constant, not a knob: it fixes the
+/// summation order of every dense reduction.
+inline constexpr int kReduceLanes = 4;
+
 /// Iteration space of one (device, DataView) pair, generic over a slot
 /// Decoder providing `forEachInSlot(int32_t slot, Fn&&)`. Cells are visited
 /// slot-ascending (range 0 then range 1), with the decoder's in-slot order
@@ -57,6 +78,9 @@ class Span
 {
    public:
     using Range = SpanRange;
+
+    /// True when the decoder has the shaped walks (Walk) besides Ordered.
+    static constexpr bool kShapedWalks = requires { Decoder::kShapedWalks; };
 
     Span() = default;
     Span(Decoder decoder, size_t cells, Range r0, Range r1 = {0, 0})
@@ -89,27 +113,37 @@ class Span
     template <typename Fn>
     void forEach(Fn&& fn) const
     {
-        forSlots<false>(0, slotCount(), fn);
+        forEachChunk(0, 1, fn);
     }
 
     /// Visit chunk `chunk` of a fixed `nChunks`-way partition: slot
-    /// ordinals [chunk*S/n, (chunk+1)*S/n). The partition depends only on
+    /// ordinals [chunk*S/n, (chunk+1)*S/n), each slot with walk `W` (any
+    /// but Ordered only when kShapedWalks). The partition depends only on
     /// (S, nChunks); executing chunks in any order or on any threads
     /// visits the same cells.
-    template <typename Fn>
+    template <Walk W = Walk::Ordered, typename Fn>
     void forEachChunk(int32_t chunk, int32_t nChunks, Fn&& fn) const
     {
-        forSlots<false>(chunkFirst(chunk, nChunks), chunkFirst(chunk + 1, nChunks), fn);
+        const int32_t lo = chunkFirst(chunk, nChunks);
+        const int32_t hi = chunkFirst(chunk + 1, nChunks);
+        // Ordinal o maps into range 0 while o < r0.count, then into range 1.
+        const int32_t in0 = hi < mR0.count ? hi : mR0.count;
+        for (int32_t o = lo; o < in0; ++o) {
+            visitSlot<W>(mR0.first + o, fn);
+        }
+        const int32_t from1 = lo > mR0.count ? lo : mR0.count;
+        for (int32_t o = from1; o < hi; ++o) {
+            visitSlot<W>(mR1.first + (o - mR0.count), fn);
+        }
     }
 
-    /// forEachChunk for a kernel whose cells are independent: no cell reads
-    /// what another cell of the launch writes (set::Loader decides). Same
-    /// cells, same order; the decoder may overlap consecutive cells. Only
-    /// for decoders with `forEachInSlotIndependent` (the dense grid's).
+    /// forEachChunk with the Rows walk: for a kernel whose cells are
+    /// independent, no cell reading what another cell of the launch writes
+    /// (set::Loader decides).
     template <typename Fn>
     void forEachChunkIndependent(int32_t chunk, int32_t nChunks, Fn&& fn) const
     {
-        forSlots<true>(chunkFirst(chunk, nChunks), chunkFirst(chunk + 1, nChunks), fn);
+        forEachChunk<Walk::Rows>(chunk, nChunks, fn);
     }
 
    private:
@@ -119,28 +153,13 @@ class Span
         return static_cast<int32_t>(static_cast<int64_t>(chunk) * slotCount() / nChunks);
     }
 
-    /// Visit slot ordinals [lo, hi): ordinal o maps into range 0 while
-    /// o < r0.count, then into range 1.
-    template <bool kIndependent, typename Fn>
-    void forSlots(int32_t lo, int32_t hi, Fn&& fn) const
-    {
-        const int32_t in0 = hi < mR0.count ? hi : mR0.count;
-        for (int32_t o = lo; o < in0; ++o) {
-            visitSlot<kIndependent>(mR0.first + o, fn);
-        }
-        const int32_t from1 = lo > mR0.count ? lo : mR0.count;
-        for (int32_t o = from1; o < hi; ++o) {
-            visitSlot<kIndependent>(mR1.first + (o - mR0.count), fn);
-        }
-    }
-
-    template <bool kIndependent, typename Fn>
+    template <Walk W, typename Fn>
     void visitSlot(int32_t slot, Fn& fn) const
     {
-        if constexpr (kIndependent) {
-            mDecoder.forEachInSlotIndependent(slot, fn);
-        } else {
+        if constexpr (W == Walk::Ordered) {
             mDecoder.forEachInSlot(slot, fn);
+        } else {
+            mDecoder.template walk<W>(slot, fn);
         }
     }
 
@@ -150,19 +169,12 @@ class Span
     Range   mR1;
 };
 
-/// Free-function spelling used by generic code (FieldBase host visits, the
-/// container trampolines): iterate a whole span.
+/// Free-function spelling used by generic code (FieldBase host visits):
+/// iterate a whole span.
 template <typename SpanT, typename Fn>
 void forEachSpan(const SpanT& span, Fn&& fn)
 {
     span.forEach(std::forward<Fn>(fn));
-}
-
-/// Iterate one chunk of a span's fixed partition.
-template <typename SpanT, typename Fn>
-void forEachSpanChunk(const SpanT& span, int32_t chunk, int32_t nChunks, Fn&& fn)
-{
-    span.forEachChunk(chunk, nChunks, std::forward<Fn>(fn));
 }
 
 }  // namespace neon::domain

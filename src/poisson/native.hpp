@@ -6,6 +6,7 @@
 // baseline rows in the Fig. 8 bench.
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/index3d.hpp"
@@ -69,13 +70,41 @@ class NativeCg
         }
     }
 
+    /// Four accumulators, element i into lane i % 4, folded as
+    /// (l0 + l1) + (l2 + l3): the lane order of Neon's dense reductions
+    /// (docs/performance.md, "Flat planes and lane reductions"), so the
+    /// baseline gets the same four add chains instead of one.
     [[nodiscard]] static double dot(const std::vector<double>& a, const std::vector<double>& b)
     {
-        double s = 0.0;
-        for (size_t i = 0; i < a.size(); ++i) {
-            s += a[i] * b[i];
+        // A signed index, as in Neon's plane walk: with size_t, GCC 12
+        // vectorized the loop two quads at a time through shuffles and
+        // kept the adds scalar, and out of line it ran no faster than one
+        // chain; with int64_t it packs lanes (0, 1) and (2, 3) into two
+        // SSE2 registers, as it does for Neon's lanes.
+        const auto    n = static_cast<int64_t>(a.size());
+        const double* pa = a.data();
+        const double* pb = b.data();
+        double        l0 = 0.0;
+        double        l1 = 0.0;
+        double        l2 = 0.0;
+        double        l3 = 0.0;
+        int64_t       i = 0;
+        for (; i + 4 <= n; i += 4) {
+            l0 += pa[i] * pb[i];
+            l1 += pa[i + 1] * pb[i + 1];
+            l2 += pa[i + 2] * pb[i + 2];
+            l3 += pa[i + 3] * pb[i + 3];
         }
-        return s;
+        if (i < n) {
+            l0 += pa[i] * pb[i];
+        }
+        if (i + 1 < n) {
+            l1 += pa[i + 1] * pb[i + 1];
+        }
+        if (i + 2 < n) {
+            l2 += pa[i + 2] * pb[i + 2];
+        }
+        return (l0 + l1) + (l2 + l3);
     }
 
     Result solve(int maxIterations, double tolerance)

@@ -267,12 +267,9 @@ bool recoverDeviceLoss(Service::Impl& s, const RuntimeError::Info& info)
     skeleton::ScheduleCache::instance().invalidateDevCount(oldDevCount);
     s.backend = std::move(survivor);
 
-    const auto running = s.inflight;
-    s.inflight.clear();
+    // inflight holds only Running jobs: each is requeued or failed.
+    const auto running = std::exchange(s.inflight, {});
     for (const auto& j : running) {
-        if (j->state != JobState::Running) {
-            continue;
-        }
         // A job can ride at most 3 recoveries; after that it inherits the
         // failure (guards against a handler that never actually heals).
         if (j->id == info.jobId || info.jobId < 0 || j->requeues >= 3) {

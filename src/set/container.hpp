@@ -5,6 +5,7 @@
 // access list used for dependency analysis; run in execution mode per device
 // it yields the device-specific kernel.
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "core/error.hpp"
 #include "core/types.hpp"
 #include "domain/concepts.hpp"
+#include "domain/span.hpp"
 #include "set/access.hpp"
 #include "set/backend.hpp"
 #include "set/loader.hpp"
@@ -270,9 +272,11 @@ class Container
     // access sinks). The two "no" policies are empty, so the plain map
     // trampoline is the bare chunk loop: no sink lookup, no per-chunk
     // branch and no finalize call. A plain map launch of a kernel whose
-    // cells are independent (Loader::cellsIndependent) on a span with an
-    // independent visit runs runIndependent instead: the same cells in the
-    // same order, with the dense grid's interior rows as vectorizable loops.
+    // cells are independent (Loader::cellsIndependent) on a span with
+    // shaped walks (the dense grid's) runs runWalk instead: the same cells
+    // in the same order, each plane as one vectorizable loop when the
+    // kernel reads no neighbour (Walk::Flat), else each row's interior run
+    // (Walk::Rows).
 
     /// Fixed-shape pairwise binary tree over `s[0, n)`, folded in place
     /// with `op`'s operator; a trailing odd element passes through. The
@@ -332,16 +336,31 @@ class Container
                     std::vector<T>(n, out.identity())};
         }
 
-        /// flatten inlines the span visit and the kernel into the chunk
-        /// loop: the dense span's row split gives the kernel several call
-        /// sites per plane, and GCC otherwise left the visit out of line
-        /// (a 32^3 dot ran ~10% slower per cell).
+        /// On a span with shaped walks (the dense grid's) the chunk
+        /// accumulates into kReduceLanes lanes, the cell with in-plane
+        /// index i into lane i % 4, and folds them as (l0 + l1) + (l2 + l3);
+        /// other spans keep one accumulator. Four independent chains, not
+        /// one, bound the loop (docs/performance.md, "Flat planes and lane
+        /// reductions"). flatten inlines the walk and the kernel into the
+        /// chunk loop, so the lanes stay in registers.
         template <typename SpanT, typename KernelT>
         [[gnu::flatten]] void runChunk(const SpanT& sp, KernelT& kernel, int32_t chunk,
                                        int32_t nChunks)
         {
             T acc = out.identity();
-            sp.forEachChunk(chunk, nChunks, [&](const auto& cell) { kernel(cell, acc); });
+            if constexpr (SpanT::kShapedWalks) {
+                std::array<T, domain::kReduceLanes> lanes;
+                lanes.fill(acc);
+                sp.template forEachChunk<domain::Walk::Lanes>(
+                    chunk, nChunks,
+                    [&](const auto& cell, auto lane) { kernel(cell, lanes[lane]); });
+                out.fold(lanes[0], lanes[1]);
+                out.fold(lanes[2], lanes[3]);
+                out.fold(lanes[0], lanes[2]);
+                acc = lanes[0];
+            } else {
+                sp.forEachChunk(chunk, nChunks, [&](const auto& cell) { kernel(cell, acc); });
+            }
             partials[static_cast<size_t>(chunk)] = acc;
         }
 
@@ -421,10 +440,11 @@ class Container
             t->reduce.runChunk(t->sp, t->kernel, chunk, nChunks);
         }
 
-        static void runIndependent(void* ctx, int32_t chunk, int32_t nChunks)
+        template <domain::Walk W>
+        static void runWalk(void* ctx, int32_t chunk, int32_t nChunks)
         {
             auto* t = static_cast<Trampoline*>(ctx);
-            t->sp.forEachChunkIndependent(chunk, nChunks, t->kernel);
+            t->sp.template forEachChunk<W>(chunk, nChunks, t->kernel);
         }
 
         static void finalize(void* ctx, int32_t, int32_t nChunks)
@@ -435,9 +455,11 @@ class Container
         }
     };
 
+    /// `walk` is the loop a plain map launch may take (mapWalk); reductions,
+    /// sanitized launches and spans without shaped walks ignore it.
     template <typename SpanT, typename KernelT, typename Reduce, typename Observe>
     static LaunchRecord makeRecord(const SpanT& span, KernelT kernel, Reduce reduce,
-                                   Observe observe, bool independent = false)
+                                   Observe observe, domain::Walk walk = domain::Walk::Ordered)
     {
         using Tramp = Trampoline<SpanT, KernelT, Reduce, Observe>;
         auto tramp = std::make_shared<Tramp>(span, std::move(kernel), std::move(reduce),
@@ -445,12 +467,11 @@ class Container
         LaunchRecord rec;
         rec.items = span.count();
         rec.work.run = &Tramp::run;
-        constexpr bool kVisitsIndependent = requires(const SpanT& sp, KernelT& k) {
-            sp.decoder().forEachInSlotIndependent(0, k);
-        };
-        if constexpr (!Reduce::kFolds && !Observe::kObserves && kVisitsIndependent) {
-            if (independent) {
-                rec.work.run = &Tramp::runIndependent;
+        if constexpr (!Reduce::kFolds && !Observe::kObserves && SpanT::kShapedWalks) {
+            if (walk == domain::Walk::Flat) {
+                rec.work.run = &Tramp::template runWalk<domain::Walk::Flat>;
+            } else if (walk == domain::Walk::Rows) {
+                rec.work.run = &Tramp::template runWalk<domain::Walk::Rows>;
             }
         }
         if constexpr (Reduce::kFolds || Observe::kObserves) {
@@ -460,6 +481,15 @@ class Container
         rec.work.chunks = span.chunkCount();
         rec.owner = std::move(tramp);
         return rec;
+    }
+
+    /// The loop a plain map launch takes, from what its loads declared.
+    static domain::Walk mapWalk(const Loader& loader)
+    {
+        if (!loader.cellsIndependent()) {
+            return domain::Walk::Ordered;
+        }
+        return loader.readsNoStencil() ? domain::Walk::Flat : domain::Walk::Rows;
     }
 
     /// Fill `impl.records` (or, when `sanitized`, `impl.sanRecords`) with
@@ -485,7 +515,7 @@ class Container
                     auto   kernel = fn(loader);
                     records.push_back(makeRecord(span, std::move(kernel),
                                                  reduce.at(dev, view, chunks), NoObserve{},
-                                                 loader.cellsIndependent()));
+                                                 mapWalk(loader)));
                 } else if constexpr (kSanitizable<LoadingLambda>) {
                     SanitizeObserve observe;
                     observe.impl = &impl;

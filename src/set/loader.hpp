@@ -101,6 +101,12 @@ class Loader
         return true;
     }
 
+    /// Execution mode: true when the kernel declared no stencil read. Such
+    /// a kernel gains nothing from interior cells, so when its cells are
+    /// also independent the dense grid runs each plane as one flat loop
+    /// (docs/performance.md, "Flat planes and lane reductions").
+    [[nodiscard]] bool readsNoStencil() const { return mStencilRead.count == 0; }
+
    private:
     Loader() = default;
 

@@ -45,6 +45,9 @@ void Engine::resetClocks()
     for (Device* d : mDevices) {
         d->resetClocks();
     }
+    if (mEnqueueHook) {
+        mEnqueueHook->onReset();
+    }
 }
 
 // Kernel-body execution ----------------------------------------------------

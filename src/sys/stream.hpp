@@ -81,6 +81,9 @@ class EnqueueHook
    public:
     virtual ~EnqueueHook() = default;
     virtual void onEnqueue(const Stream& stream, const Op& op) = 0;
+    /// Engine::resetClocks ran: every op enqueued so far has run, and the
+    /// data chains that would order later ops after them are dropped.
+    virtual void onReset() {}
 };
 
 /// Execution engine (DESIGN.md §4): a deterministic discrete-event engine.
@@ -102,7 +105,8 @@ class Engine
 
     /// Max vtime across every stream (virtual makespan of the work so far).
     [[nodiscard]] double maxVtime() const;
-    /// Zero every stream/device clock (between measured runs).
+    /// Zero every stream/device clock (between measured runs) and tell
+    /// the enqueue hook.
     void resetClocks();
 
     [[nodiscard]] Trace& trace() { return mTrace; }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis_fixture.hpp"
+#include "poisson/poisson.hpp"
 
 namespace neon::analysis {
 
@@ -337,6 +338,60 @@ TEST(RaceDetector, FlagsWaitEnqueuedBeforeRecord)
     det.feed({1, 0, 0, sys::OpKind::Record, 42, -1, -1}, nullptr);
     EXPECT_EQ(det.report().count(ViolationKind::WaitBeforeRecord), 1u)
         << det.report().toString();
+}
+
+TEST(RaceDetector, BarrierOrdersEveryEarlierOp)
+{
+    const ContainerMetaMap meta = twoWriters();
+    RaceDetector           det(1);
+    det.feed({0, 0, 0, sys::OpKind::Kernel, 0, 0, 0}, &meta);
+    det.barrier();
+    // Stream 1 gets its first clock after the barrier, so it starts there.
+    det.feed({1, 0, 1, sys::OpKind::Kernel, 0, 1, 0}, &meta);
+    EXPECT_TRUE(det.report().clean()) << det.report().toString();
+    // The barrier orders what came before it, not what comes after.
+    det.feed({2, 0, 0, sys::OpKind::Kernel, 0, 0, 0}, &meta);
+    // One WaW per segment of f (its internal and its boundary cells).
+    const AnalysisReport& rep = det.report();
+    ASSERT_EQ(rep.count(ViolationKind::Race), 2u) << rep.toString();
+    for (const Violation& v : rep.violations) {
+        EXPECT_EQ(v.containerA, "writerB");
+        EXPECT_EQ(v.containerB, "writerA");
+    }
+}
+
+TEST(RaceDetector, ResetClocksBetweenSolvesIsABarrier)
+{
+    // Backend::resetClocks drops the data chains that order one run after
+    // the previous one; the ops before it have all run, so the detector
+    // treats the reset as a barrier instead of reporting the next solve's
+    // first halo update against the last solve's writes.
+    using Field = dgrid::DField<double>;
+    sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
+    cfg.dryRun = true;
+    Backend      backend = Backend::make(set::BackendSpec::simGpu(2, cfg));
+    dgrid::DGrid grid(backend, index_3d{8, 8, 16}, Stencil::laplace7());
+    Field        x = grid.newField<double>("x", 1, 0.0);
+    Field        b = grid.newField<double>("b", 1, 0.0);
+    const std::function<Container(Field, Field)> apply = [&grid](Field in, Field out) {
+        return poisson::makeLaplacianApply(grid, in, out);
+    };
+    solver::CgOptions options;
+    options.maxIterations = 3;
+    options.occ = Occ::STANDARD;
+    options.fixedIterations = true;
+
+    auto an = backend.analysis();
+    an.enable();
+    for (int solve = 0; solve < 3; ++solve) {
+        if (solve > 0) {
+            backend.resetClocks();
+        }
+        (void)solver::cgSolve<dgrid::DGrid, Field, double>(grid, apply, x, b, options);
+    }
+    const AnalysisReport rep = an.raceReport();
+    EXPECT_TRUE(rep.clean()) << rep.toString();
+    EXPECT_GT(rep.opsAnalyzed, 0u);
 }
 
 }  // namespace neon::analysis

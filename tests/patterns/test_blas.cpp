@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dgrid/dfield.hpp"
 #include "egrid/efield.hpp"
 #include "patterns/blas.hpp"
+#include "set/sanitize.hpp"
 #include "skeleton/skeleton.hpp"
 
 namespace neon::patterns {
@@ -200,6 +205,75 @@ TEST(Blas, ScalarUpdateBetweenRunsIsVisible)
     f.y.forEachActiveHost([](const index_3d& g, int c, double& v) {
         EXPECT_DOUBLE_EQ(v, 2.0 * truth(g, c) + 11.0 * truth(g, c));
     });
+}
+
+namespace {
+
+// Several chunks per device, rows of 24 cells: the flat plane loop and its
+// vector remainder both run.
+constexpr index_3d kFlatDim{24, 20, 33};
+
+using DenseField = dgrid::DField<double>;
+using MapMaker = std::function<set::Container(const dgrid::DGrid&, DenseField, DenseField,
+                                              GlobalScalar<double>)>;
+
+/// y after one launch of `make(grid, x, y, s)`: plain, a map that declares
+/// no stencil read takes the flat plane loop; sanitized, it keeps the
+/// ordered per-cell loop.
+std::vector<double> mapResult(int nDev, int card, MemLayout layout, bool sanitize,
+                              const MapMaker& make)
+{
+    Backend      backend = Backend::make(set::BackendSpec::cpu(nDev).withHostThreads(2));
+    dgrid::DGrid grid(backend, kFlatDim, Stencil::laplace7());
+    auto         x = grid.newField<double>("x", card, 0.0, layout);
+    auto         y = grid.newField<double>("y", card, 0.0, layout);
+    x.forEachHost([](const index_3d& g, int c, double& v) {
+        v = 1e-7 * g.x + 0.3 * g.y + 70.0 * g.z + 0.1 * c + 0.7;
+    });
+    y.forEachHost([](const index_3d& g, int c, double& v) {
+        v = 3.0 / (1.0 + g.x) - 1e-4 * (g.y + g.z) + c;
+    });
+    x.updateDev();
+    y.updateDev();
+    GlobalScalar<double> s(backend, "s", 0.1);
+    skeleton::Skeleton   skl(backend);
+    skl.sequence({make(grid, x, y, s)},
+                 skeleton::SequenceOptions().withName("map").withSanitize(sanitize));
+    skl.run();
+    skl.sync();
+    y.updateHost();
+    std::vector<double> out;
+    y.forEachHost([&](const index_3d&, int, double& v) { out.push_back(v); });
+    return out;
+}
+
+}  // namespace
+
+TEST(BlasFlat, MapsMatchTheOrderedLoopBitwise)
+{
+    const std::vector<std::pair<const char*, MapMaker>> maps = {
+        {"setValue", [](const auto& g, auto, auto y, auto) { return setValue(g, y, 0.3); }},
+        {"copy", [](const auto& g, auto x, auto y, auto) { return copy(g, x, y); }},
+        {"axpy", [](const auto& g, auto x, auto y, auto s) { return axpy(g, s, x, y); }},
+        {"axmy", [](const auto& g, auto x, auto y, auto s) { return axmy(g, s, x, y); }},
+        {"xpby", [](const auto& g, auto x, auto y, auto s) { return xpby(g, x, s, y); }},
+    };
+    auto& session = set::sanitize::Session::instance();
+    for (const auto& [name, make] : maps) {
+        for (const int nDev : {1, 2}) {
+            for (const int card : {1, 3}) {
+                for (const MemLayout layout :
+                     {MemLayout::structOfArrays, MemLayout::arrayOfStructs}) {
+                    SCOPED_TRACE(std::string(name) + ", " + std::to_string(nDev) +
+                                 " dev, card " + std::to_string(card) +
+                                 (layout == MemLayout::structOfArrays ? " SoA" : " AoS"));
+                    const auto ordered = mapResult(nDev, card, layout, true, make);
+                    session.clear();
+                    EXPECT_EQ(mapResult(nDev, card, layout, false, make), ordered);
+                }
+            }
+        }
+    }
 }
 
 }  // namespace neon::patterns
