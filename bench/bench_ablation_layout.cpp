@@ -4,8 +4,6 @@
 //   (b) Interconnect presets — the paper's two systems (DGX A100 NVLink vs
 //       PCIe Gen3): the same application, very different scaling.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/benchtool.hpp"
@@ -51,13 +49,8 @@ size_t haloTransferCount(MemLayout layout)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    benchmark::Initialize(&argc, argv);
-    // This binary is a pure sweep (no registered gbench cases): the tables
-    // below are the ablation artifact.
-    benchmark::Shutdown();
-
     // (a) Layout: transfers per halo update and per-iteration impact.
     {
         benchtool::Table table;

@@ -5,8 +5,6 @@
 // dry-run mode (cost accounting without data execution); a small domain is
 // also executed for real to anchor the model to working code.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -56,38 +54,10 @@ void efficiencyTable(const std::vector<index_3d>& domains, bool dryRun, const ch
     }
 }
 
-void gbenchIteration(benchmark::State& state)
-{
-    const int nDev = static_cast<int>(state.range(0));
-    sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
-    auto backend = set::Backend::make(set::BackendSpec::simGpu(nDev, cfg));
-    dgrid::DGrid   grid(backend, {48, 48, 48}, lbm::D3Q19::stencil());
-    lbm::CavityD3Q19<dgrid::DGrid> solver(grid, kTau, kLid, Occ::STANDARD);
-    solver.run(2);
-    solver.sync();
-    for (auto _ : state) {
-        const double t = benchtool::measureVirtual(backend, 1, [&] { solver.run(1); });
-        state.SetIterationTime(t);
-    }
-    state.counters["vMLUPS"] = benchmark::Counter(
-        grid.dim().size() / 1e6, benchmark::Counter::kIsIterationInvariantRate);
-}
-
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    for (int n : {1, 2, 4, 8}) {
-        benchmark::RegisterBenchmark("fig7/lbm48/standardOcc/virtualTime", gbenchIteration)
-            ->Arg(n)
-            ->UseManualTime()
-            ->Iterations(4)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
     // Small domain, real execution: the simulator timing is driven by the
     // actual solver code paths. NOTE: these host-executable sizes sit deep
     // in the latency-dominated regime (a 48^3 slab's compute is ~7 us while
@@ -105,7 +75,7 @@ int main(int argc, char** argv)
     efficiencyTable(paper, /*dryRun=*/true, "paper sizes, dry-run cost model");
 
     // Export an ExecutionReport for one representative profiled run (4 GPUs,
-    // 48^3, standard OCC) next to any --benchmark_out JSON.
+    // 48^3, standard OCC).
     {
         auto backend =
             set::Backend::make(set::BackendSpec::simGpu(4, sys::SimConfig::dgxA100Like()));

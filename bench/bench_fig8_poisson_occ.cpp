@@ -6,8 +6,6 @@
 // Plus the paper's baseline comparison: Neon single-device vs the
 // hand-written flat-loop CG ("CUDA + cuBLAS"-like), wall-clock.
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <functional>
 #include <iostream>
@@ -92,30 +90,10 @@ void efficiencyBottomTable(const std::vector<index_3d>& dims, bool dryRun, const
     table.print();
 }
 
-void gbenchCg(benchmark::State& state)
-{
-    const int nDev = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        state.SetIterationTime(cgSecondsPerIter({48, 48, 48}, nDev, Occ::STANDARD,
-                                                sys::SimConfig::dgxA100Like(), false, 8));
-    }
-}
-
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    for (int n : {1, 4, 8}) {
-        benchmark::RegisterBenchmark("fig8/poisson48/standardOcc/virtualTimePerIter", gbenchCg)
-            ->Arg(n)
-            ->UseManualTime()
-            ->Iterations(2)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
     // Baseline overhead (paper: "Neon incurs a minimal overhead compared to
     // the hardwired application-specific implementation"): wall-clock CG on
     // one CPU device vs hand-written flat loops, on an equal budget — one
@@ -193,7 +171,7 @@ int main(int argc, char** argv)
     efficiencyBottomTable(dims, /*dryRun=*/true, "paper sizes, dry-run cost model");
 
     // Export an ExecutionReport for one representative profiled CG run
-    // (4 GPUs, 48^3, standard OCC) next to any --benchmark_out JSON.
+    // (4 GPUs, 48^3, standard OCC).
     {
         auto backend =
             set::Backend::make(set::BackendSpec::simGpu(4, sys::SimConfig::dgxA100Like()));

@@ -5,8 +5,6 @@
 // sparse structure at 512^3 fully dense exhausts a 32 GB device while the
 // dense grid fits).
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 #include <vector>
@@ -142,34 +140,10 @@ void sparsityTable(const std::vector<index_3d>& dims, int nDev, bool dryRun, siz
     table.print();
 }
 
-void gbenchFem(benchmark::State& state)
-{
-    const bool sparse = state.range(0) != 0;
-    for (auto _ : state) {
-        const auto m = sparse ? measureSparse({24, 24, 24}, 0.2, 4, false, 40ull << 30)
-                              : measureDense({24, 24, 24}, 0.2, 4, false, 40ull << 30);
-        state.SetIterationTime(m.seconds);
-    }
-}
-
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    benchmark::RegisterBenchmark("fig9/fem24/denseMasked/virtualTimePerIter", gbenchFem)
-        ->Arg(0)
-        ->UseManualTime()
-        ->Iterations(2)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("fig9/fem24/sparse/virtualTimePerIter", gbenchFem)
-        ->Arg(1)
-        ->UseManualTime()
-        ->Iterations(2)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
     // Real execution at small scale.
     sparsityTable({{20, 20, 20}, {28, 28, 28}}, 4, /*dryRun=*/false, 40ull << 30,
                   "real execution, 4 GPUs");
@@ -199,7 +173,7 @@ int main(int argc, char** argv)
     }
 
     // Export an ExecutionReport for one representative profiled FEM run
-    // (4 GPUs, 20^3 dense grid, ratio 0.5) next to any --benchmark_out JSON.
+    // (4 GPUs, 20^3 dense grid, ratio 0.5).
     {
         auto backend =
             set::Backend::make(set::BackendSpec::simGpu(4, sys::SimConfig::dgxA100Like()));

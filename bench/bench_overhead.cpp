@@ -22,8 +22,6 @@
 // requires the cached path to be >= 10x cheaper than the compile path and
 // bounds the CG and trace on/off ratios (tools/check_bench_reports.py).
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -255,13 +253,8 @@ TraceCost measureTraceCost()
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    benchmark::Initialize(&argc, argv);
-    // Pure sweep binary (no registered gbench cases): the report below is
-    // the artifact.
-    benchmark::Shutdown();
-
     // Simulated GPUs with a zero-cost model: kernels advance virtual time
     // instead of looping over cells on the host, so wall clock isolates the
     // runtime's own bookkeeping.

@@ -12,8 +12,6 @@
 // (tools/check_bench_reports.py): if measured-rate rebalancing stops
 // improving a 4x-spread heterogeneous mix, the repartitioner is broken.
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -97,13 +95,8 @@ std::string planToJson(const domain::PartitionPlan& plan)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    benchmark::Initialize(&argc, argv);
-    // Pure sweep binary (no registered gbench cases): the report below is
-    // the artifact.
-    benchmark::Shutdown();
-
     Rig rig;
     rig.backend.profiler().enable();
     skeleton::Skeleton skl(rig.backend);

@@ -11,8 +11,6 @@
 // AND utilization strictly better than serialized on the same trace
 // (tools/check_bench_reports.py).
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -112,13 +110,8 @@ void emit(std::ostream& os, const ModeResult& r, bool last)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    benchmark::Initialize(&argc, argv);
-    // Pure sweep binary (no registered gbench cases): the report below is
-    // the artifact.
-    benchmark::Shutdown();
-
     const auto trace = service::makeTrace(service::TrafficSpec()
                                               .withSeed(kSeed)
                                               .withJobs(kJobs)

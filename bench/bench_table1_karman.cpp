@@ -16,8 +16,6 @@
 // tools/check_bench_reports.py gates the one-thread time ratio Neon / native
 // at every size.
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -85,32 +83,6 @@ struct NeonKarman
     lbm::KarmanD2Q9<dgrid::DGrid> solver;
 };
 
-template <typename Fn>
-void runBench(benchmark::State& state, const SizeCase& sc, Fn&& step)
-{
-    step(2);  // warm the caches / first-run paths
-    for (auto _ : state) {
-        step(kItersPerRep);
-    }
-    state.counters["MLUPS"] = benchmark::Counter(
-        static_cast<double>(sc.nx) * sc.ny * kItersPerRep / 1e6,
-        benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void neonKarman(benchmark::State& state)
-{
-    const auto sc = sizes()[static_cast<size_t>(state.range(0))];
-    NeonKarman neon(sc, 1);
-    runBench(state, sc, [&](int n) { neon.step(n); });
-}
-
-void nativeKarman(benchmark::State& state)
-{
-    const auto                   sc = sizes()[static_cast<size_t>(state.range(0))];
-    lbm::NativeKarmanD2Q9<float> solver(configFor(sc));
-    runBench(state, sc, [&](int n) { solver.run(n); });
-}
-
 /// Seconds of kItersPerRep steps.
 template <typename Fn>
 double timed(Fn&& step)
@@ -138,24 +110,8 @@ struct SizeResult
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    for (size_t i = 0; i < sizes().size(); ++i) {
-        const auto& sc = sizes()[i];
-        const auto  label = std::to_string(sc.nx) + "x" + std::to_string(sc.ny);
-        benchmark::RegisterBenchmark(("table1/neon/" + label).c_str(), neonKarman)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(3)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark(("table1/taichiLike/" + label).c_str(), nativeKarman)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(3)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
     std::vector<SizeResult> results;
     int                     neonThreads = 0;
     int                     poolThreads = 0;

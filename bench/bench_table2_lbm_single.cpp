@@ -17,8 +17,6 @@
 // variants; the ordering (not the absolute MLUPS, which are host-CPU scale
 // here) is the reproduced result.
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -67,30 +65,6 @@ struct NeonCavity
     Cavity       solver;
 };
 
-template <typename Fn>
-void runBench(benchmark::State& state, Fn&& step)
-{
-    step(2);  // warmup
-    for (auto _ : state) {
-        step(kIters);
-    }
-    state.counters["MLUPS"] = benchmark::Counter(
-        benchDomain().size() * static_cast<double>(kIters) / 1e6,
-        benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void neonTwoPop(benchmark::State& state)
-{
-    NeonCavity neon(1);
-    runBench(state, [&](int n) { neon.step(n); });
-}
-
-void nativeVariant(benchmark::State& state, lbm::native::Variant variant)
-{
-    Native solver(benchDomain(), kTau, kLid, variant);
-    runBench(state, [&](int n) { solver.run(n); });
-}
-
 /// Seconds of kIters steps.
 template <typename Fn>
 double timed(Fn&& step)
@@ -107,26 +81,9 @@ double mlups(double seconds)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
     using lbm::native::Variant;
-    benchmark::RegisterBenchmark("table2/cuboltzLike", [](benchmark::State& s) {
-        nativeVariant(s, Variant::Fused);
-    })->Iterations(3)->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("table2/stlbmAALike", [](benchmark::State& s) {
-        nativeVariant(s, Variant::AA);
-    })->Iterations(3)->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("table2/stlbmTwoPopLike", [](benchmark::State& s) {
-        nativeVariant(s, Variant::TwoPopIdx);
-    })->Iterations(3)->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("table2/neonTwoPop", neonTwoPop)
-        ->Iterations(3)
-        ->Unit(benchmark::kMillisecond);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
     Native     fused(benchDomain(), kTau, kLid, Variant::Fused);
     Native     aa(benchDomain(), kTau, kLid, Variant::AA);
     Native     idx(benchDomain(), kTau, kLid, Variant::TwoPopIdx);

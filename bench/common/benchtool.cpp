@@ -5,21 +5,11 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 
 #include "set/profiler.hpp"
 
 namespace neon::benchtool {
-
-namespace {
-std::map<std::string, double>& registry()
-{
-    static std::map<std::string, double> r;
-    return r;
-}
-std::mutex gMutex;
-}  // namespace
 
 PairedMedians interleavedMedians(int reps, const std::function<double()>& a,
                                  const std::function<double()>& b)
@@ -44,25 +34,6 @@ bool paperScale()
 {
     const char* env = std::getenv("NEON_BENCH_PAPER");
     return env != nullptr && std::atoi(env) != 0;
-}
-
-void record(const std::string& key, double value)
-{
-    std::lock_guard<std::mutex> lock(gMutex);
-    registry()[key] = value;
-}
-
-double lookup(const std::string& key)
-{
-    std::lock_guard<std::mutex> lock(gMutex);
-    auto it = registry().find(key);
-    return it == registry().end() ? 0.0 : it->second;
-}
-
-bool has(const std::string& key)
-{
-    std::lock_guard<std::mutex> lock(gMutex);
-    return registry().count(key) > 0;
 }
 
 std::string fmt(double v, int precision)

@@ -1,14 +1,10 @@
 #pragma once
 // Shared helpers for the paper-reproduction benchmarks: paper-shaped table
-// printing, result registry (filled from inside google-benchmark bodies),
-// virtual-time measurement on the simulated backend, and the
-// NEON_BENCH_PAPER switch that adds the paper's exact domain sizes via the
-// simulator's dry-run mode.
-
-#include <benchmark/benchmark.h>
+// printing, virtual-time measurement on the simulated backend, interleaved
+// wall-clock medians, and the NEON_BENCH_PAPER switch that adds the paper's
+// exact domain sizes via the simulator's dry-run mode.
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -20,17 +16,11 @@ namespace neon::benchtool {
 /// domain sizes (executed in dry-run mode: cost accounting only).
 bool paperScale();
 
-/// Record a scalar result (e.g. seconds/iteration) under a key; used to
-/// assemble the paper-shaped summary tables after the benchmark run.
-void   record(const std::string& key, double value);
-double lookup(const std::string& key);
-bool   has(const std::string& key);
-
 /// Fixed-point formatting helper.
 std::string fmt(double v, int precision = 2);
 
 /// Write the backend's recorded ExecutionReport as BENCH_<name>_report.json
-/// in the working directory (next to any --benchmark_out JSON). Record the
+/// in the working directory. Record the
 /// section of interest with backend.profiler().enable(true) first.
 void writeReportJson(set::Backend& backend, const std::string& name);
 

@@ -58,6 +58,7 @@ struct BGrid::Impl : domain::GridBase::BaseImpl
 BGrid::BGrid(set::Backend backend, index_3d dim,
              const std::function<bool(const index_3d&)>& active, Stencil stencil, int blockDim)
 {
+    NEON_CHECK(backend.valid(), set::Backend::emptyError("BGrid"));
     NEON_CHECK(dim.x > 0 && dim.y > 0 && dim.z > 0, "grid dimensions must be positive");
     NEON_CHECK(blockDim >= 2 && blockDim <= 4,
                "bgrid block size must be in [2, 4] (one 64-bit mask per block)");

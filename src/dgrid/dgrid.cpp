@@ -8,6 +8,7 @@ namespace neon::dgrid {
 
 DGrid::DGrid(set::Backend backend, index_3d dim, Stencil stencil)
 {
+    NEON_CHECK(backend.valid(), set::Backend::emptyError("DGrid"));
     NEON_CHECK(dim.x > 0 && dim.y > 0 && dim.z > 0, "grid dimensions must be positive");
     auto impl = std::make_shared<Impl>();
     impl->name = "dGrid";

@@ -137,15 +137,6 @@ class Span
         }
     }
 
-    /// forEachChunk with the Rows walk: for a kernel whose cells are
-    /// independent, no cell reading what another cell of the launch writes
-    /// (set::Loader decides).
-    template <typename Fn>
-    void forEachChunkIndependent(int32_t chunk, int32_t nChunks, Fn&& fn) const
-    {
-        forEachChunk<Walk::Rows>(chunk, nChunks, fn);
-    }
-
    private:
     /// First slot ordinal of chunk `chunk` of an `nChunks`-way partition.
     [[nodiscard]] int32_t chunkFirst(int32_t chunk, int32_t nChunks) const

@@ -45,6 +45,7 @@ struct EGrid::Impl : domain::GridBase::BaseImpl
 EGrid::EGrid(set::Backend backend, index_3d dim,
              const std::function<bool(const index_3d&)>& active, Stencil stencil)
 {
+    NEON_CHECK(backend.valid(), set::Backend::emptyError("EGrid"));
     NEON_CHECK(dim.x > 0 && dim.y > 0 && dim.z > 0, "grid dimensions must be positive");
     auto  impl = std::make_shared<Impl>();
     Impl& g = *impl;

@@ -26,7 +26,8 @@ class CavityD3Q19
                 MemLayout layout = MemLayout::structOfArrays)
         : mGrid(grid),
           mOmega(static_cast<Real>(1.0 / tau)),
-          mLidU(static_cast<Real>(lidVelocity))
+          mLidU(static_cast<Real>(lidVelocity)),
+          mStep{skeleton::Skeleton(grid.backend()), skeleton::Skeleton(grid.backend())}
     {
         mF[0] = grid.template newField<Real>("lbm.f0", D3Q19::Q, Real(0), layout);
         mF[1] = grid.template newField<Real>("lbm.f1", D3Q19::Q, Real(0), layout);
@@ -34,7 +35,6 @@ class CavityD3Q19
             initEquilibrium();
         }
         for (int parity = 0; parity < 2; ++parity) {
-            mStep[parity] = skeleton::Skeleton(grid.backend());
             mStep[parity].sequence(
                 {collideStream(mF[static_cast<size_t>(parity)],
                                mF[static_cast<size_t>(1 - parity)])},
@@ -167,8 +167,7 @@ class CavityD3Q19
     Real                    mOmega;
     Real                    mLidU;
     std::array<Field, 2>    mF;
-    std::array<skeleton::Skeleton, 2> mStep{skeleton::Skeleton(set::Backend()),
-                                            skeleton::Skeleton(set::Backend())};
+    std::array<skeleton::Skeleton, 2> mStep;
     int                     mIter = 0;
 };
 

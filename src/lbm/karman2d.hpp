@@ -78,7 +78,10 @@ class KarmanD2Q9
     using FlagField = typename Grid::template FieldType<uint8_t>;
 
     KarmanD2Q9(Grid grid, KarmanConfig config, Occ occ = Occ::NONE)
-        : mGrid(grid), mConfig(config), mOmega(static_cast<Real>(1.0 / config.tau()))
+        : mGrid(grid),
+          mConfig(config),
+          mOmega(static_cast<Real>(1.0 / config.tau())),
+          mStep{skeleton::Skeleton(grid.backend()), skeleton::Skeleton(grid.backend())}
     {
         mF[0] = grid.template newField<Real>("k.f0", D2Q9::Q, Real(0));
         mF[1] = grid.template newField<Real>("k.f1", D2Q9::Q, Real(0));
@@ -93,7 +96,6 @@ class KarmanD2Q9
             initEquilibrium();
         }
         for (int parity = 0; parity < 2; ++parity) {
-            mStep[parity] = skeleton::Skeleton(grid.backend());
             mStep[parity].sequence(
                 {collideStream(mF[static_cast<size_t>(parity)],
                                mF[static_cast<size_t>(1 - parity)])},
@@ -218,8 +220,7 @@ class KarmanD2Q9
     Real         mOmega;
     std::array<Field, 2>              mF;
     FlagField                         mFlags;
-    std::array<skeleton::Skeleton, 2> mStep{skeleton::Skeleton(set::Backend()),
-                                            skeleton::Skeleton(set::Backend())};
+    std::array<skeleton::Skeleton, 2> mStep;
     int mIter = 0;
 };
 

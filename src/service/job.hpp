@@ -33,7 +33,7 @@ struct JobRequest
     std::string name = "job";
     /// The container sequence, exactly as Skeleton::sequence takes it.
     std::vector<set::Container> ops;
-    skeleton::SequenceOptions   options;
+    skeleton::SequenceOptions   options{};
     /// How many times the compiled schedule runs back-to-back.
     int runs = 1;
     /// Virtual arrival timestamp. Negative = "now" (the service clock at

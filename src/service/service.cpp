@@ -264,6 +264,9 @@ bool recoverDeviceLoss(Service::Impl& s, const RuntimeError::Info& info)
     } catch (...) {
         return false;  // handler declined; blast radius applies
     }
+    if (!survivor.valid()) {
+        return false;  // an empty handle is no machine to recover onto
+    }
     skeleton::ScheduleCache::instance().invalidateDevCount(oldDevCount);
     s.backend = std::move(survivor);
 
@@ -456,6 +459,7 @@ void step(Service::Impl& s)
 Service::Service(set::Backend backend, ServiceConfig config)
     : mImpl(std::make_shared<Impl>())
 {
+    NEON_CHECK(backend.valid(), set::Backend::emptyError("Service"));
     NEON_CHECK(config.maxInFlight >= 1, "ServiceConfig: maxInFlight must be >= 1");
     NEON_CHECK(config.maxBatch >= 1, "ServiceConfig: maxBatch must be >= 1");
     mImpl->backend = std::move(backend);

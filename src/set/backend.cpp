@@ -60,10 +60,15 @@ std::string deviceTypeName(sys::DeviceType t)
 
 }  // namespace
 
+std::string BackendSpec::preset() const
+{
+    return presetNameFor(config);
+}
+
 std::string BackendSpec::toString() const
 {
     std::ostringstream os;
-    os << deviceTypeName(deviceType) << " x" << nDevices << " preset=" << preset;
+    os << deviceTypeName(deviceType) << " x" << nDevices << " preset=" << preset();
     if (hostThreads != 0) {
         os << " threads=" << hostThreads;
     }
@@ -93,12 +98,12 @@ BackendSpec BackendSpec::fromString(const std::string& text)
     spec.deviceType = type == "CPU" ? sys::DeviceType::CPU : sys::DeviceType::SIM_GPU;
     spec.nDevices = std::stoi(count.substr(1));
 
-    spec.preset = spec.deviceType == sys::DeviceType::CPU ? "zeroCost" : "dgxA100";
+    std::string preset = spec.deviceType == sys::DeviceType::CPU ? "zeroCost" : "dgxA100";
     std::string token;
     bool        dryRun = false;
     while (is >> token) {
         if (token.rfind("preset=", 0) == 0) {
-            spec.preset = token.substr(7);
+            preset = token.substr(7);
         } else if (token.rfind("threads=", 0) == 0) {
             spec.hostThreads = std::stoi(token.substr(8));
             NEON_CHECK(spec.hostThreads >= 1,
@@ -120,29 +125,19 @@ BackendSpec BackendSpec::fromString(const std::string& text)
             throw NeonException("BackendSpec::fromString: unexpected token '" + token + "'");
         }
     }
-    spec.config = presetConfig(spec.preset);
+    spec.config = presetConfig(preset);
     spec.config.dryRun = dryRun;
     return spec;
 }
 
 BackendSpec BackendSpec::simGpu(int nDevices, sys::SimConfig config)
 {
-    BackendSpec spec;
-    spec.nDevices = nDevices;
-    spec.deviceType = sys::DeviceType::SIM_GPU;
-    spec.config = config;
-    spec.preset = presetNameFor(config);
-    return spec;
+    return {.nDevices = nDevices, .deviceType = sys::DeviceType::SIM_GPU, .config = config};
 }
 
 BackendSpec BackendSpec::cpu(int nDevices)
 {
-    BackendSpec spec;
-    spec.nDevices = nDevices;
-    spec.deviceType = sys::DeviceType::CPU;
-    spec.config = sys::SimConfig::zeroCost();
-    spec.preset = "zeroCost";
-    return spec;
+    return {.nDevices = nDevices};
 }
 
 struct Backend::Impl
@@ -169,18 +164,6 @@ struct Backend::Impl
         devices.clear();
     }
 };
-
-Backend::Backend() : Backend(1, sys::DeviceType::CPU, sys::SimConfig::zeroCost()) {}
-
-Backend::Backend(int nDevices, sys::DeviceType type, sys::SimConfig config)
-{
-    BackendSpec spec;
-    spec.nDevices = nDevices;
-    spec.deviceType = type;
-    spec.config = config;
-    spec.preset = presetNameFor(config);
-    *this = make(std::move(spec));
-}
 
 Backend Backend::make(BackendSpec spec)
 {
@@ -240,6 +223,12 @@ Backend Backend::simGpu(int nDevices, sys::SimConfig config)
 Backend Backend::cpu(int nDevices)
 {
     return make(BackendSpec::cpu(nDevices));
+}
+
+std::string Backend::emptyError(const std::string& who)
+{
+    return who + ": empty Backend handle; build one with Backend::make(spec), "
+                 "Backend::cpu(n) or Backend::simGpu(n)";
 }
 
 int Backend::devCount() const

@@ -6,9 +6,11 @@
 //
 // Construction goes through Backend::make(BackendSpec) — a named-field
 // description that toString()/fromString() round-trip for bench logs — with
-// simGpu()/cpu() as one-line preset wrappers. Observability (trace, Gantt,
-// chrome-trace export, ExecutionReport aggregation) hangs off
-// backend.profiler().
+// simGpu()/cpu() as one-line preset wrappers. A default-constructed Backend
+// is an empty handle, like every other handle in the library: it builds no
+// machine, valid() is false, and grids, data objects, skeletons and the
+// service refuse it. Observability (trace, Gantt, chrome-trace export,
+// ExecutionReport aggregation) hangs off backend.profiler().
 //
 // One driving thread (DESIGN.md §4): one host thread at a time drives a
 // Backend and everything built on it — grids, fields, containers,
@@ -33,16 +35,15 @@ namespace neon::set {
 class Profiler;
 class Analyzer;
 
-/// Everything needed to build a Backend, in one named-field struct.
-/// `preset` names the SimConfig ("zeroCost" | "dgxA100" | "pcieGen3" |
-/// "custom"); for the named presets the spec round-trips through
+/// Everything needed to build a Backend, in one named-field struct (an
+/// aggregate: `Backend::make({.nDevices = 2, .config = cfg})` works). For
+/// a config that matches a named preset the spec round-trips through
 /// toString()/fromString(), so bench logs can record the exact machine.
 struct BackendSpec
 {
     int             nDevices = 1;
     sys::DeviceType deviceType = sys::DeviceType::CPU;
     sys::SimConfig  config = sys::SimConfig::zeroCost();
-    std::string     preset = "zeroCost";
     /// Host worker threads per Backend for CPU-device kernels
     /// (docs/performance.md, "Host parallelism"). 0 = auto
     /// (hardware_concurrency). Overridden process-wide by NEON_THREADS.
@@ -51,13 +52,13 @@ struct BackendSpec
     int hostThreads = 0;
     /// Deterministic fault-injection plan installed on the engine at make()
     /// time (docs/robustness.md). Not part of the toString() round-trip.
-    sys::FaultPlan faults;
+    sys::FaultPlan faults{};
     /// Per-device speed multipliers (empty = homogeneous). Device d's
     /// SimConfig gets memBandwidth and flopRate scaled by speedFactors[d] —
     /// the heterogeneous-machine knob the Repartitioner rebalances against
     /// (docs/robustness.md). Round-trips through toString() as
     /// "speed=1,0.5,...".
-    std::vector<double> speedFactors;
+    std::vector<double> speedFactors{};
 
     /// Fluent setter: spec.withFaults(plan) — enables fault injection.
     BackendSpec& withFaults(sys::FaultPlan plan)
@@ -80,6 +81,10 @@ struct BackendSpec
         return *this;
     }
 
+    /// The preset `config` matches: "zeroCost" | "dgxA100" | "pcieGen3",
+    /// or "custom" for any other cost model.
+    [[nodiscard]] std::string preset() const;
+
     /// e.g. "SIM_GPU x4 preset=dgxA100". Appends
     /// " threads=N" when hostThreads is set and " dryRun" when
     /// config.dryRun is set.
@@ -96,10 +101,8 @@ struct BackendSpec
 class Backend
 {
    public:
-    /// Default: one zero-cost CPU device.
-    Backend();
-    /// Positional form retained for compatibility; prefer make(BackendSpec).
-    Backend(int nDevices, sys::DeviceType type, sys::SimConfig config);
+    /// An empty handle: builds nothing. Assign a built Backend before use.
+    Backend() = default;
 
     /// The one construction entry point: build from a named-field spec.
     static Backend make(BackendSpec spec);
@@ -108,6 +111,12 @@ class Backend
     static Backend simGpu(int nDevices, sys::SimConfig config = sys::SimConfig::dgxA100Like());
     /// n zero-cost CPU devices (multi-device halo logic testable on CPU).
     static Backend cpu(int nDevices = 1);
+
+    /// False for a default-constructed (empty) handle.
+    [[nodiscard]] bool valid() const { return mImpl != nullptr; }
+    /// What a constructor that keeps a Backend reports when handed an
+    /// empty one: NEON_CHECK(backend.valid(), Backend::emptyError("DGrid")).
+    [[nodiscard]] static std::string emptyError(const std::string& who);
 
     [[nodiscard]] int          devCount() const;
     [[nodiscard]] sys::Device& device(int idx) const;

@@ -27,6 +27,7 @@ class MemSet
     MemSet(Backend backend, std::string name, std::vector<size_t> counts, bool hostMirror = true)
         : mImpl(std::make_shared<Impl>())
     {
+        NEON_CHECK(backend.valid(), Backend::emptyError("MemSet '" + name + "'"));
         NEON_CHECK(static_cast<int>(counts.size()) == backend.devCount(),
                    "one count per device required");
         mImpl->backend = std::move(backend);

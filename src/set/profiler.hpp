@@ -39,8 +39,6 @@ class Profiler
 
     /// Virtual makespan so far (max stream vtime; replaces Backend::maxVtime).
     [[nodiscard]] double makespan() const { return mBackend.makespanNow(); }
-    /// Zero all virtual clocks (between measured benchmark runs).
-    void resetClocks() { mBackend.resetClocks(); }
 
     /// Text Gantt chart of the recorded virtual timeline.
     [[nodiscard]] std::string gantt(int columns = 100) const { return trace().gantt(columns); }

@@ -40,6 +40,7 @@ class GlobalScalar
                  ReduceOp op = ReduceOp::Sum)
         : mImpl(std::make_shared<Impl>())
     {
+        NEON_CHECK(backend.valid(), Backend::emptyError("GlobalScalar '" + name + "'"));
         mImpl->backend = std::move(backend);
         mImpl->name = std::move(name);
         mImpl->op = op;

@@ -584,6 +584,7 @@ namespace {
 
 Skeleton::Skeleton(set::Backend backend) : mImpl(std::make_shared<Impl>())
 {
+    NEON_CHECK(backend.valid(), set::Backend::emptyError("Skeleton"));
     mImpl->backend = std::move(backend);
 }
 

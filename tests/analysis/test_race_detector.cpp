@@ -214,7 +214,8 @@ RaceRun runSeededBug(SeededBug bug)
     sys::SimConfig cfg = sys::SimConfig::zeroCost();
     cfg.dryRun = true;
     const int nDev = bug == SeededBug::KilledHaloNode ? 3 : 2;
-    Rig       rig(Backend(nDev, sys::DeviceType::CPU, cfg));
+    Rig       rig(
+        Backend::make({.nDevices = nDev, .deviceType = sys::DeviceType::CPU, .config = cfg}));
     Skeleton  a(rig.backend);
     Skeleton  b(rig.backend);
     switch (bug) {

@@ -178,7 +178,7 @@ void DInteriorParam::checkWalk(const DGrid& grid, const FieldT& f)
             span.forEach(record(ordered));
             std::vector<Visit> independent;
             for (int32_t c = 0; c < span.chunkCount(); ++c) {
-                span.forEachChunkIndependent(c, span.chunkCount(), record(independent));
+                span.forEachChunk<domain::Walk::Rows>(c, span.chunkCount(), record(independent));
             }
             ASSERT_EQ(ordered.size(), expected.size());
             ASSERT_EQ(independent.size(), expected.size());

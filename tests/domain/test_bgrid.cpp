@@ -110,7 +110,7 @@ TEST(BGrid, DryRunComputesCountsWithoutHostTables)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     cfg.dryRun = true;
-    Backend        b(2, sys::DeviceType::SIM_GPU, cfg);
+    Backend        b = Backend::simGpu(2, cfg);
     const index_3d dim{16, 16, 32};
     auto           pred = [&](const index_3d& g) { return sphere(g, {16, 16, 32}); };
     BGrid          dry(b, dim, pred, Stencil::laplace7(), 4);

@@ -174,7 +174,7 @@ TEST(EGrid, DryRunComputesCountsWithoutTables)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     cfg.dryRun = true;
-    Backend  b(2, sys::DeviceType::SIM_GPU, cfg);
+    Backend  b = Backend::simGpu(2, cfg);
     index_3d dim{10, 10, 20};
     EGrid    dry(b, dim, [&](const index_3d& g) { return sphere(g, dim); });
 

@@ -260,6 +260,26 @@ TEST(ServiceRecovery, WithoutHandlerTheBlastRadiusStands)
     EXPECT_EQ(svc.failedCount(), 2);
 }
 
+TEST(ServiceRecovery, AnEmptySurvivorDeclinesTheRecovery)
+{
+    // A handler that hands back an empty Backend has no machine to recover
+    // onto: the service keeps its backend and the blast radius stands.
+    BackendSpec spec = BackendSpec::cpu(3);
+    spec.withFaults(sys::FaultPlan(5).add(sys::FaultSpec::deviceLoss(1, 0)));
+    Harness<dgrid::DGrid> h(Backend::make(spec));
+
+    service::Service svc(h.grid.backend(),
+                         service::ServiceConfig().withMaxInFlight(2).withBatching(false));
+    svc.setRecoveryHandler([](Backend, const RuntimeError::Info&) { return Backend{}; });
+    service::Job a = svc.submit(service::JobRequest{.name = "a", .ops = h.seq});
+    service::Job b = svc.submit(service::JobRequest{.name = "b", .ops = h.seq});
+    svc.drain();
+
+    EXPECT_EQ(a.state(), service::JobState::Failed);
+    EXPECT_EQ(b.state(), service::JobState::Failed);
+    EXPECT_EQ(svc.backend().devCount(), 3);
+}
+
 // --- FieldGuard restore fidelity --------------------------------------------
 
 TEST(FieldGuard, RestoreUndoesSubsequentWrites)

@@ -3,16 +3,29 @@
 #include <gtest/gtest.h>
 
 #include "core/error.hpp"
+#include "dgrid/dgrid.hpp"
+#include "set/scalar.hpp"
+#include "skeleton/skeleton.hpp"
 #include "sys/device.hpp"
 
 namespace neon::set {
 
-TEST(Backend, DefaultIsSingleCpuDevice)
+TEST(Backend, DefaultIsAnEmptyHandle)
 {
-    Backend b;
+    EXPECT_FALSE(Backend{}.valid());
+    Backend b = Backend::cpu();
+    EXPECT_TRUE(b.valid());
     EXPECT_EQ(b.devCount(), 1);
     EXPECT_EQ(b.device(0).type(), sys::DeviceType::CPU);
     EXPECT_FALSE(b.isDryRun());
+}
+
+TEST(Backend, EmptyHandleIsRejectedByWhatKeepsIt)
+{
+    const Backend empty;
+    EXPECT_THROW(dgrid::DGrid(empty, {4, 4, 4}), NeonException);
+    EXPECT_THROW(GlobalScalar<double>(empty, "s"), NeonException);
+    EXPECT_THROW(skeleton::Skeleton{empty}, NeonException);
 }
 
 TEST(Backend, SimGpuCarriesCostModel)
@@ -45,7 +58,7 @@ TEST(Backend, RejectsBadIndices)
 
 TEST(Backend, RejectsZeroDevices)
 {
-    EXPECT_THROW(Backend(0, sys::DeviceType::CPU, sys::SimConfig::zeroCost()), NeonException);
+    EXPECT_THROW(Backend::cpu(0), NeonException);
 }
 
 TEST(Backend, HandleIsShared)

@@ -17,10 +17,9 @@ TEST(BackendSpec, MakeBuildsFromNamedFields)
     spec.nDevices = 3;
     spec.deviceType = sys::DeviceType::SIM_GPU;
     spec.config = sys::SimConfig::dgxA100Like();
-    spec.preset = "dgxA100";
     Backend b = Backend::make(spec);
     EXPECT_EQ(b.devCount(), 3);
-    EXPECT_EQ(b.spec().preset, "dgxA100");
+    EXPECT_EQ(b.spec().preset(), "dgxA100");
 }
 
 TEST(BackendSpec, ToStringRoundTripsThroughFromString)
@@ -31,7 +30,7 @@ TEST(BackendSpec, ToStringRoundTripsThroughFromString)
     EXPECT_EQ(back.toString(), text);
     EXPECT_EQ(back.nDevices, 4);
     EXPECT_EQ(back.deviceType, sys::DeviceType::SIM_GPU);
-    EXPECT_EQ(back.preset, "dgxA100");
+    EXPECT_EQ(back.preset(), "dgxA100");
 }
 
 TEST(BackendSpec, DryRunSurvivesRoundTrip)
@@ -41,7 +40,7 @@ TEST(BackendSpec, DryRunSurvivesRoundTrip)
     const BackendSpec spec = BackendSpec::simGpu(2, cfg);
     const BackendSpec back = BackendSpec::fromString(spec.toString());
     EXPECT_TRUE(back.config.dryRun);
-    EXPECT_EQ(back.preset, "pcieGen3");
+    EXPECT_EQ(back.preset(), "pcieGen3");
     EXPECT_EQ(back.toString(), spec.toString());
 }
 
@@ -110,7 +109,7 @@ TEST(BackendSpec, CustomConfigRefusesRoundTrip)
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     cfg.link.latency *= 2.0;  // no longer any named preset
     const BackendSpec spec = BackendSpec::simGpu(2, cfg);
-    EXPECT_EQ(spec.preset, "custom");
+    EXPECT_EQ(spec.preset(), "custom");
     EXPECT_THROW(BackendSpec::fromString(spec.toString()), NeonException);
 }
 

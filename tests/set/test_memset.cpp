@@ -67,7 +67,7 @@ TEST(MemSet, DryRunSkipsHostMirror)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     cfg.dryRun = true;
-    Backend     b(2, sys::DeviceType::SIM_GPU, cfg);
+    Backend     b = Backend::simGpu(2, cfg);
     MemSet<float> m(b, "m", {1u << 20, 1u << 20});
     EXPECT_FALSE(m.hasHostMirror());
     EXPECT_EQ(b.device(0).bytesInUse(), (1u << 20) * sizeof(float));

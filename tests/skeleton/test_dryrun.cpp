@@ -22,7 +22,7 @@ double lbmVtime(bool dryRun, int nDev, Occ occ)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     cfg.dryRun = dryRun;
-    Backend      backend(nDev, sys::DeviceType::SIM_GPU, cfg);
+    Backend      backend = Backend::simGpu(nDev, cfg);
     dgrid::DGrid grid(backend, {24, 24, 24}, lbm::D3Q19::stencil());
     lbm::CavityD3Q19<dgrid::DGrid> solver(grid, 0.6, 0.1, occ);
     solver.run(4);
@@ -34,7 +34,7 @@ double cgVtime(bool dryRun, int nDev, Occ occ)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     cfg.dryRun = dryRun;
-    Backend      backend(nDev, sys::DeviceType::SIM_GPU, cfg);
+    Backend      backend = Backend::simGpu(nDev, cfg);
     dgrid::DGrid grid(backend, {16, 16, 16}, Stencil::laplace7());
     auto         x = grid.newField<double>("x", 1, 0.0);
     auto         b = grid.newField<double>("b", 1, 0.0);
@@ -90,7 +90,7 @@ TEST(DryRunFidelity, DryRunNeverTouchesHostMirrors)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
     cfg.dryRun = true;
-    Backend      backend(2, sys::DeviceType::SIM_GPU, cfg);
+    Backend      backend = Backend::simGpu(2, cfg);
     dgrid::DGrid grid(backend, {8, 8, 8}, Stencil::laplace7());
     auto         f = grid.newField<float>("f", 2, 0.0f);
     // No mirror is allocated in dry-run mode; update calls are no-ops.

@@ -88,7 +88,6 @@ RunResult runPipeline(int nDev, Occ occ, HostPool pool,
     set::BackendSpec spec;
     spec.nDevices = nDev;
     spec.config = cfg;
-    spec.preset = "custom";
     spec.hostThreads = pool == HostPool::Sequential ? 1 : 4;
     Backend      backend = Backend::make(spec);
     dgrid::DGrid grid(backend, dim, Stencil::laplace7());
@@ -204,7 +203,8 @@ TEST(SkeletonVtime, SingleDeviceOccIsFree)
 TEST(SkeletonVtime, TraceShowsCommunicationComputationOverlap)
 {
     sys::SimConfig cfg = sys::SimConfig::dgxA100Like();
-    Backend        backend(4, sys::DeviceType::CPU, cfg);
+    Backend        backend =
+        Backend::make({.nDevices = 4, .deviceType = sys::DeviceType::CPU, .config = cfg});
     dgrid::DGrid   grid(backend, {16, 16, 64}, Stencil::laplace7());
     auto           B = grid.newField<double>("B", 1, 0.0);
     auto           C = grid.newField<double>("C", 1, 0.0);

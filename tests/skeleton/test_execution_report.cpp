@@ -23,7 +23,9 @@ struct Pipeline
     Skeleton       skl;
 
     explicit Pipeline(Occ occ, index_3d dim = {16, 16, 64})
-        : backend(4, sys::DeviceType::CPU, sys::SimConfig::dgxA100Like()),
+        : backend(Backend::make({.nDevices = 4,
+                                 .deviceType = sys::DeviceType::CPU,
+                                 .config = sys::SimConfig::dgxA100Like()})),
           grid(backend, dim, Stencil::laplace7()),
           skl(backend)
     {

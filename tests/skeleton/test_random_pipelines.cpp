@@ -157,7 +157,7 @@ TEST_P(RandomPipelines, AllConfigurationsMatchReference)
         {2, Occ::NONE}, {4, Occ::STANDARD}, {3, Occ::EXTENDED}, {4, Occ::TWO_WAY}, {8, Occ::TWO_WAY},
     };
     for (const auto& cfg : configs) {
-        Pipeline p(Backend(cfg.nDev, sys::DeviceType::CPU, sys::SimConfig::zeroCost()), seed);
+        Pipeline p(Backend::cpu(cfg.nDev), seed);
         const auto got = p.execute(cfg.occ);
         ASSERT_EQ(got.data.size(), ref.data.size());
         for (size_t i = 0; i < ref.data.size(); ++i) {

@@ -3,8 +3,10 @@
 // the device count: the run's event block and the tail barrier (ops borrow
 // their events, callables and names, and the data-chain wait list is
 // reused). A grid that outlives many short-lived fields holds no block for
-// a dead one. This is its own executable because it replaces the global
-// operator new and delete to count allocations and frees.
+// a dead one. A default Backend is an empty handle that allocates nothing,
+// and a Skeleton on a built backend allocates only its own state. This is
+// its own executable because it replaces the global operator new and delete
+// to count allocations and frees.
 
 #include <gtest/gtest.h>
 
@@ -85,6 +87,30 @@ TEST(RunAllocations, CachedCgIterationAllocatesTheSameAtEveryDeviceCount)
         }
         EXPECT_EQ(perRun, atOneDevice);
     }
+}
+
+TEST(HandleAllocations, DefaultBackendAllocatesNothing)
+{
+    const size_t before = gAllocations.load(std::memory_order_relaxed);
+    bool         valid = true;
+    {
+        const set::Backend empty;
+        valid = empty.valid();
+    }
+    const size_t total = gAllocations.load(std::memory_order_relaxed) - before;
+    EXPECT_FALSE(valid);
+    EXPECT_EQ(total, 0u);
+}
+
+TEST(HandleAllocations, SkeletonOnABuiltBackendAllocatesOneBlock)
+{
+    set::Backend backend = testing::dryA100s(8);
+    const size_t before = gAllocations.load(std::memory_order_relaxed);
+    {
+        const Skeleton skl(backend);
+    }
+    const size_t total = gAllocations.load(std::memory_order_relaxed) - before;
+    EXPECT_LE(total, 1u);
 }
 
 TEST(GridAllocations, DroppedFieldsLeaveNoLiveBlocksOnTheirGrid)

@@ -229,7 +229,9 @@ class JsonParser
 /// cross-stream wait, and return the parsed chrome trace.
 JsonValue recordedChromeTrace(std::string* rawOut = nullptr)
 {
-    set::Backend b(2, sys::DeviceType::CPU, sys::SimConfig::dgxA100Like());
+    set::Backend b = set::Backend::make({.nDevices = 2,
+                                         .deviceType = sys::DeviceType::CPU,
+                                         .config = sys::SimConfig::dgxA100Like()});
     auto         profiler = b.profiler();
     profiler.enable(true);
 

@@ -30,7 +30,7 @@ class EngineTest : public ::testing::TestWithParam<Execution>
    protected:
     [[nodiscard]] static Backend makeBackend(int nDev, sys::SimConfig cfg)
     {
-        return Backend(nDev, sys::DeviceType::SIM_GPU, cfg);
+        return Backend::simGpu(nDev, cfg);
     }
 };
 
@@ -198,7 +198,7 @@ TEST_P(EngineTest, TraceRecordsEntries)
 
 TEST(Engine, WaitOnUnrecordedEventThrows)
 {
-    Backend b(1, sys::DeviceType::CPU, sys::SimConfig::zeroCost());
+    Backend b = Backend::cpu(1);
     sys::Event ev;
     EXPECT_THROW(b.stream(0).wait(ev), InternalError);
 }
